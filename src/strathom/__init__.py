@@ -16,12 +16,10 @@ from .chains import (
     mapping_cone,
     reduced_homology,
     tensor_complex,
-    truncate_graded,
 )
 from .modes import ModeReport, ModeSpec, surface_ext_dims, total_ext_dims
 from .qlinalg import (
     MatrixQ,
-    Rational,
     Subspace,
     image_basis,
     kernel_basis,
@@ -33,7 +31,6 @@ from .signatures import (
     SignatureReport,
     WittVerdict,
     novikov_signature,
-    perverse_signature_ct,
     verify_theorem_sig,
     witt_check,
 )
@@ -66,7 +63,6 @@ from .stratified import (
     ih_ct_dims,
     ih_space_dims,
     ih_table,
-    kunneth_basis_dims,
     verify_duality,
     verify_theorem_hom,
 )

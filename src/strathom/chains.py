@@ -2,10 +2,11 @@
 
 This module is the homological middle layer: finitely supported graded
 dimensions (`GradedVS`), degreewise linear maps (`GradedMap`), chain
-complexes with checked square-zero differentials, homology with optional
-representative cycles, mapping cones, tensor products with Koszul signs,
-truncation / cotruncation of graded data and the long-exact-sequence
-dimension count used by every Mayer-Vietoris assembly downstream.
+complexes with checked square-zero differentials, Betti numbers by rank
+(representative cycles are built only for induced maps), mapping cones,
+tensor products with Koszul signs, truncation / cotruncation of graded data
+and the long-exact-sequence dimension count used by every Mayer-Vietoris
+assembly downstream.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
 bases in degree j are blocks ordered by ascending second-factor degree and
@@ -125,16 +126,6 @@ class GradedVS:
         return f"GradedVS({dict(sorted(self._dims.items()))})"
 
 
-def truncate_graded(v: GradedVS, mode: str, cut: int) -> GradedVS:
-    """Truncation of graded dimensions: mode 'le' keeps degrees <= cut,
-    mode 'ge' keeps degrees >= cut."""
-    if mode == "le":
-        return v.truncate_le(cut)
-    if mode == "ge":
-        return v.truncate_ge(cut)
-    raise ValueError(f"unknown truncation mode {mode!r} (want 'le' or 'ge')")
-
-
 class GradedMap:
     """A degreewise linear map between graded vector spaces.
 
@@ -245,13 +236,29 @@ class ChainComplex:
         return self.spaces.euler()
 
     def homology(self) -> GradedVS:
-        """Betti numbers: dim ker d_j - dim im d_{j+1} in each degree."""
-        return self.homology_data().betti
+        """Betti numbers by rank: dim H_j = n_j - rank d_j - rank d_{j+1}.
+
+        Each differential is eliminated once; the result is memoized.
+        """
+        if self._homology_cache is None:
+            r = {j: rank(m) for j, m in self.differentials.items()}
+            self._homology_cache = GradedVS(
+                {j: self.spaces[j] - r.get(j, 0) - r.get(j + 1, 0)
+                 for j in self.spaces.degrees()})
+        return self._homology_cache
 
     def homology_data(self) -> "HomologyData":
-        if self._homology_cache is None:
-            self._homology_cache = _compute_homology(self)
-        return self._homology_cache
+        """Betti numbers plus representative cycles, for `induced_map`."""
+        betti = self.homology()
+        reps = {}
+        for j in betti.degrees():
+            chosen = cycle_representatives(self.differential(j),
+                                           self.differential(j + 1))
+            assert len(chosen) == betti[j]
+            reps[j] = MatrixQ(self.spaces[j], betti[j],
+                              {(i, col): v for col, vec in enumerate(chosen)
+                               for i, v in vec.items()})
+        return HomologyData(complex=self, betti=betti, representatives=reps)
 
     def __repr__(self) -> str:
         return f"ChainComplex({self.spaces!r})"
@@ -262,60 +269,38 @@ class HomologyData:
     """Homology of a complex plus enough data to map into it.
 
     `representatives[j]` is a matrix whose columns are cycles whose classes
-    form a basis of H_j; `boundaries[j]` is a basis of im d_{j+1}.  Together
-    they let `class_coordinates` project any cycle to its homology class,
-    which is how induced maps on homology are computed.
+    form a basis of H_j.  `class_coordinates` projects any cycle to its
+    homology class, which is how induced maps on homology are computed.
     """
 
     complex: ChainComplex
     betti: GradedVS
     representatives: dict[int, MatrixQ] = field(repr=False)
-    boundaries: dict[int, MatrixQ] = field(repr=False)
 
     def class_coordinates(self, j: int, cycle: Mapping[int, Fraction]) -> dict:
-        """Coordinates of the class of `cycle` in the degree-j basis."""
+        """Coordinates of the class of `cycle` in the degree-j basis.
+
+        The representatives are independent modulo im d_{j+1}, so their
+        coefficients in any solution of [reps | d_{j+1}] x = cycle are unique.
+        """
         reps = self.representatives.get(j)
-        b = self.betti[j]
-        if reps is None or b == 0:
+        if reps is None:
             return {}
-        bnd = self.boundaries.get(j, MatrixQ.zeros(self.complex.spaces[j], 0))
-        x = solve(hstack([reps, bnd]), cycle)
+        x = solve(hstack([reps, self.complex.differential(j + 1)]), cycle)
         if x is None:
             raise ValueError("vector is not a cycle of this complex")
-        return {i: v for i, v in x.items() if i < b and v}
+        return {i: v for i, v in x.items() if i < reps.cols and v}
 
 
-def _extend_basis(inside: list[dict], candidates: list[dict],
-                  ambient: int) -> list[dict]:
-    """Pick candidates extending span(inside) to span(inside + candidates)."""
-    span = IncrementalSpan(ambient)
-    for v in inside:
+def cycle_representatives(d_out: MatrixQ, d_in: MatrixQ) -> list[dict]:
+    """Cycles of d_out whose classes form a basis of ker d_out / im d_in.
+
+    A kernel basis of d_out, kept where it extends a basis of im d_in.
+    """
+    span = IncrementalSpan(d_out.cols)
+    for v in image_basis(d_in).basis:
         span.add(v)
-    return [v for v in candidates if span.add(v)]
-
-
-def _compute_homology(c: ChainComplex) -> HomologyData:
-    betti = {}
-    reps: dict[int, MatrixQ] = {}
-    bnds: dict[int, MatrixQ] = {}
-    degs = c.spaces.degrees()
-    for j in degs:
-        n = c.spaces[j]
-        z = kernel_basis(c.differential(j))
-        b = image_basis(c.differential(j + 1))
-        betti[j] = z.dim - b.dim
-        if b.dim:
-            bnds[j] = b.as_matrix()
-        if betti[j]:
-            chosen = _extend_basis(list(b.basis), list(z.basis), n)
-            assert len(chosen) == betti[j]
-            entries = {}
-            for col, vec in enumerate(chosen):
-                for i, v in vec.items():
-                    entries[(i, col)] = v
-            reps[j] = MatrixQ(n, betti[j], entries)
-    return HomologyData(complex=c, betti=GradedVS(betti),
-                        representatives=reps, boundaries=bnds)
+    return [v for v in kernel_basis(d_out).basis if span.add(v)]
 
 
 def reduced_homology(c: ChainComplex) -> GradedVS:

@@ -36,7 +36,6 @@ from .stratified import (
     ih_ct_dims,
     ih_table,
     verify_duality,
-    verify_theorem_coh,
     verify_theorem_hom,
 )
 
@@ -158,13 +157,15 @@ def cmd_verify(args) -> int:
             raise sio.InputError("--p is required for --theorem hom/coh")
         degrees = parse_range(args.degrees) if args.degrees else \
             range(0, space.n + 1)
-        fn = verify_theorem_hom if theorem == "hom" else verify_theorem_coh
-        verdicts = fn(space, Perversity(args.p, space.codim_sigma), degrees)
+        verdicts = verify_theorem_hom(
+            space, Perversity(args.p, space.codim_sigma), degrees)
         ok = all(v.ok for v in verdicts)
         result = {"ok": ok,
                   "verdicts": [{"j": v.j, "lhs": v.lhs, "rhs": v.rhs,
                                 "ok": v.ok} for v in verdicts]}
         lines = [f"theorem {theorem} on {args.input} with p = {args.p}:"]
+        if theorem == "coh":
+            lines.append("  (the same check as hom: both read IG^(n-1-p-j)_j)")
         for v in verdicts:
             lines.append(f"  j={v.j}: HI={v.lhs}  IG={v.rhs}  "
                          f"{'ok' if v.ok else 'FAIL'}")

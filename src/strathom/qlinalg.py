@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-Rational = Fraction
 # Fraction is always reduced with positive denominator and canonical zero,
 # which is exactly the contract the rest of the package relies on.
 

@@ -91,16 +91,6 @@ def ct_middle_image_dim(space: TwoStrataSpace) -> int:
     return gamma_rank(space, lo, j)
 
 
-def perverse_signature_ct(space: TwoStrataSpace, pairing: PairingData) -> int:
-    """Perverse signature of the conifold transition.
-
-    For a product link bundle the Leray spectral sequence degenerates at
-    the second page, so the perverse signature equals the Novikov signature
-    of the regular part.
-    """
-    return novikov_signature(pairing)
-
-
 @dataclass(frozen=True)
 class SignatureReport:
     sigma_Mbar: int

@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .chains import ChainComplex, GradedVS
-from .qlinalg import IncrementalSpan, MatrixQ, image_basis, kernel_basis, rank
+from .chains import ChainComplex, GradedVS, cycle_representatives
+from .qlinalg import MatrixQ, rank
 
 Simplex = tuple[int, ...]  # vertex indices, strictly increasing
 
@@ -244,6 +244,10 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
     supported in the singular set are themselves quotiented away, matching
     the relative-chain formulation that keeps the cone formula anomaly-free
     for arbitrary integer perversities.
+
+    Only ranks are computed: with C_d the allowability condition and D_d
+    the truncated boundary on allowable chains, dim IC_d = #allowable_d -
+    rank C_d and the boundary has rank rank D_d - rank C_d on IC_d.
     """
     K = st.complex
     c = st.codim
@@ -266,47 +270,39 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
         allowable[d] = allow
         interior[d] = inter
 
-    # basis matrices of the allowable subspaces and the truncated boundary
-    def restricted_boundary(d: int, rows_keep: list[int]) -> MatrixQ:
-        bd = boundary_matrix(K, d)
-        rowpos = {r: k for k, r in enumerate(rows_keep)}
-        entries = {}
-        for (i, j), v in bd.items():
-            if i in rowpos:
-                entries[(rowpos[i], j)] = v
-        return MatrixQ(len(rows_keep), K.n_simplices(d), entries)
+    def restricted_boundary(bd: MatrixQ, rows: list[int],
+                            cols: list[int]) -> MatrixQ:
+        rowpos = {r: k for k, r in enumerate(rows)}
+        colpos = {col: k for k, col in enumerate(cols)}
+        entries = {(rowpos[i], colpos[j]): v for (i, j), v in bd.items()
+                   if i in rowpos and j in colpos}
+        return MatrixQ(len(rows), len(cols), entries)
 
-    # IC_d = allowable chains whose truncated boundary is again allowable
-    ic_basis: dict[int, MatrixQ] = {}
+    # IC_d = allowable chains whose truncated boundary is again allowable.
+    # On the allowable columns, C_d holds the non-interior rows outside the
+    # allowable set and D_d all non-interior rows; IC_d = ker C_d.  The rows
+    # of C_d are a subset of those of D_d, so rank [C_d; D_d] = rank D_d and
+    # rank(D_d restricted to ker C_d) = rank D_d - rank C_d.
+    ic_dim: dict[int, int] = {}
+    ranks: dict[int, int] = {}
     for d in range(K.dim + 1):
         cols = allowable[d]
-        ncols = len(cols)
-        if ncols == 0:
-            ic_basis[d] = MatrixQ.zeros(K.n_simplices(d), 0)
+        ic_dim[d] = len(cols)
+        if d == 0 or not cols:
             continue
-        incl = MatrixQ(K.n_simplices(d), ncols,
-                       {(r, k): Fraction(1) for k, r in enumerate(cols)})
-        if d == 0:
-            ic_basis[d] = incl
-            continue
+        bd = boundary_matrix(K, d)
+        keep = [i for i in range(K.n_simplices(d - 1))
+                if i not in interior[d - 1]]
         allowed_below = set(allowable[d - 1])
-        bad_rows = [i for i in range(K.n_simplices(d - 1))
-                    if i not in interior[d - 1] and i not in allowed_below]
-        if not bad_rows:
-            ic_basis[d] = incl
-            continue
-        cond = restricted_boundary(d, bad_rows) @ incl
-        ker = kernel_basis(cond)
-        ic_basis[d] = incl @ ker.as_matrix()
+        bad = [i for i in keep if i not in allowed_below]
+        r_bad = rank(restricted_boundary(bd, bad, cols))
+        ic_dim[d] -= r_bad
+        ranks[d] = rank(restricted_boundary(bd, keep, cols)) - r_bad
 
     # homology of (IC_*, truncated boundary)
     dims = {}
-    ranks = {}
-    for d in range(1, K.dim + 1):
-        keep = [i for i in range(K.n_simplices(d - 1)) if i not in interior[d - 1]]
-        ranks[d] = rank(restricted_boundary(d, keep) @ ic_basis[d])
     for d in range(K.dim + 1):
-        dims[d] = ic_basis[d].cols - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        dims[d] = ic_dim[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
         assert dims[d] >= 0
     return GradedVS(dims)
 
@@ -376,7 +372,11 @@ class OrientedPseudomanifoldWithBoundary:
         vidx = {v: i for i, v in enumerate(complex.vertices)}
         bset: set[Simplex] = set()
         for bs in boundary_simplices:
-            s = tuple(sorted(vidx[str(v)] for v in bs))
+            try:
+                s = tuple(sorted(vidx[str(v)] for v in bs))
+            except KeyError as e:
+                raise ValueError(
+                    f"boundary simplex uses unknown vertex {e}") from None
             if not complex.has_simplex(s):
                 raise ValueError(f"boundary simplex {tuple(bs)} not in complex")
             for r in range(1, len(s) + 1):
@@ -484,16 +484,6 @@ class PairingData:
         return f"PairingData(degree={self.degree}, size={self.matrix.rows})"
 
 
-def _cohomology_reps(delta_out: MatrixQ, delta_in: MatrixQ) -> list[dict]:
-    """Representative cocycles for ker(delta_out)/im(delta_in)."""
-    z = kernel_basis(delta_out)
-    b = image_basis(delta_in)
-    span = IncrementalSpan(delta_out.cols)
-    for v in b.basis:
-        span.add(v)
-    return [v for v in z.basis if span.add(dict(v))]
-
-
 def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingData:
     """The middle-degree cup-product pairing against the fundamental chain.
 
@@ -524,15 +514,8 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
                 entries[(pos_d1[j], pos_d[i])] = v
         return MatrixQ(len(cols_d1), len(cols_d), entries)
 
-    reps_rel = _cohomology_reps(rel_delta(degree), rel_delta(degree - 1))
+    reps_rel = cycle_representatives(rel_delta(degree), rel_delta(degree - 1))
     cols = rel_cols(degree)
-
-    # absolute cohomology dimension, reported alongside the pairing
-    def abs_delta(d: int) -> MatrixQ:
-        return boundary_matrix(K, d + 1).transpose()
-
-    z_abs = abs_delta(degree)
-    abs_dim = (z_abs.cols - rank(z_abs)) - rank(abs_delta(degree - 1))
 
     # cocycles as {simplex index: coefficient} over all degree-m simplices
     cocycles = []
@@ -563,9 +546,8 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
                 elif key in entries:
                     del entries[key]
     matrix = MatrixQ(r, r, entries)
-    note = (f"H^{degree}(K, bd) rank {r}; H^{degree}(K) rank {abs_dim}; "
-            "rows and columns index relative cocycle representatives, second "
-            "slot taken in absolute cohomology")
+    note = (f"H^{degree}(K, bd) rank {r}; rows and columns index relative "
+            "cocycle representatives, second slot taken in absolute cohomology")
     if degree % 2 == 0 and not matrix.is_symmetric():
         raise OrientationError("even-degree cup pairing came out asymmetric; "
                                "the input is not a coherent pseudomanifold")

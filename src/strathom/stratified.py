@@ -31,13 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import GradedMap, GradedVS, les_third_dims
-from .qlinalg import (
-    MatrixQ,
-    image_basis,
-    rank,
-    sum_dim,
-    vstack,
-)
+from .qlinalg import MatrixQ, hstack, rank, vstack
 
 
 class ModelError(ValueError):
@@ -172,11 +166,6 @@ class TwoStrataSpace:
     __hash__ = None
 
 
-def kunneth_basis_dims(space: TwoStrataSpace) -> GradedVS:
-    """Dimensions of H_*(L x Sigma) in the model's block ordering."""
-    return space.boundary_h()
-
-
 def cone_formula(link_h: GradedVS, link_dim: int, p_at: int) -> GradedVS:
     """Intersection homology of the open cone on an unstratified link.
 
@@ -285,7 +274,8 @@ def gamma_rank(space: TwoStrataSpace, q_at_c: int, j: int) -> int:
     its restriction to the images of the gluing maps is surjective, so the
     kernel of the canonical map has the dimension of coker(beta_j) minus
     the rank of the map induced between cokernels by identity (+) local
-    projection.
+    projection.  That rank is dim(im F + im beta'_j) - rank beta'_j, with
+    dim(im F + im beta'_j) = rank [F | beta'_j].
     """
     c = space.c
     a = c - 2 - q_at_c
@@ -308,8 +298,7 @@ def gamma_rank(space: TwoStrataSpace, q_at_c: int, j: int) -> int:
         entries[(tj + r, tj + cc)] = v
     f_mat = MatrixQ(tj + jj, tj + ij, entries)
 
-    induced = sum_dim(image_basis(f_mat), image_basis(beta_j_next)) \
-        - _rank_beta(space, j, a - 1)
+    induced = rank(hstack([f_mat, beta_j_next])) - _rank_beta(space, j, a - 1)
     ker_gamma_theta = coker_beta - induced
     assert ker_gamma_theta >= 0
     return ih_q_j - ker_gamma_theta
@@ -566,33 +555,17 @@ class DegreeVerdict:
 def verify_theorem_hom(space: TwoStrataSpace, p: Perversity,
                        degrees: range) -> list[DegreeVerdict]:
     """Check reduced HI of X against the mixed groups of its transition:
-    dim HI~^p_j(X) = dim IG^(n-1-p-j)_j(CT(X)) for each requested degree."""
+    dim HI~^p_j(X) = dim IG^(n-1-p-j)_j(CT(X)) for each requested degree.
+
+    The cohomological form of the theorem lands on the same group: the
+    cutoff pair (k = l - p, q = j + 1 - k) gives IG^(c-q)_j, and with
+    c = n - l that index is n-1-p-j again.
+    """
     hi = hi_dims(space, p)
     out = []
     for j in degrees:
         k = space.n - 1 - p.value - j
         out.append(DegreeVerdict(j, hi[j], ig_dims(space, IGRequest(k, j))))
-    return out
-
-
-def verify_theorem_coh(space: TwoStrataSpace, p: Perversity,
-                       degrees: range) -> list[DegreeVerdict]:
-    """Cohomological version via cutoff conversions.
-
-    HI^j at Moore cutoff k corresponds to the mixed group at cohomological
-    cutoff q = j + 1 - k; translating cutoffs back to homological
-    perversities by q(c) = c - 1 - cutoff lands on IG^(c - j - 1 + k)_j.
-    Over the rationals the dimensions must agree with the homological
-    verdicts degree by degree.
-    """
-    hi = hi_dims(space, p)
-    k = space.l - p.value
-    c = space.c
-    out = []
-    for j in degrees:
-        q_cut = j + 1 - k
-        ig_k = c - q_cut  # homological superscript matching the cutoff pair
-        out.append(DegreeVerdict(j, hi[j], ig_dims(space, IGRequest(ig_k, j))))
     return out
 
 

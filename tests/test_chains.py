@@ -13,7 +13,6 @@ from strathom.chains import (
     mapping_cone,
     reduced_homology,
     tensor_complex,
-    truncate_graded,
 )
 from strathom.qlinalg import MatrixQ
 
@@ -242,12 +241,12 @@ def test_cone_les_identity_for_nonzero_maps():
 
 def test_truncate_graded():
     v = GradedVS([1, 2, 1])
-    assert truncate_graded(v, "le", 1) == GradedVS([1, 2])
-    assert truncate_graded(v, "ge", 2) == GradedVS({2: 1})
-    assert truncate_graded(v, "ge", 0) == v
-    assert truncate_graded(v, "ge", -3) == v
+    assert v.truncate_le(1) == GradedVS([1, 2])
+    assert v.truncate_ge(2) == GradedVS({2: 1})
+    assert v.truncate_ge(0) == v
+    assert v.truncate_ge(-3) == v
     for a in range(-1, 4):
-        assert truncate_graded(v, "le", a) + truncate_graded(v, "ge", a + 1) == v
+        assert v.truncate_le(a) + v.truncate_ge(a + 1) == v
 
 
 def test_les_third_dims():

@@ -77,6 +77,19 @@ def test_verify_coh(capsys):
                              "coh", "--p", "1")
     assert code == 0
     assert data["result"]["ok"] is True
+    # coh is an alias of hom: same verdicts for the same p on every model
+    for model in ("s2xt2_space", "pinched_torus_space", "st2xs1_space"):
+        for p in range(-1, 3):
+            path = str(DATA / f"{model}.json")
+            verdicts = []
+            for theorem in ("hom", "coh"):
+                code, data, _ = run_json(capsys, "verify", path, "--theorem",
+                                         theorem, "--p", str(p))
+                verdicts.append((code, data["result"]))
+            assert verdicts[0] == verdicts[1], (model, p)
+    _, text, _ = run(capsys, "verify", space_file(), "--theorem", "coh",
+                     "--p", "1")
+    assert "same check as hom" in text
 
 
 def test_verify_duality(capsys):
@@ -172,7 +185,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
                                  "link_betti": [1, 1], "sigma_betti": [2, 4, 2],
                                  "m_betti": [1, 3, 3, 1], "beta_T": {}}))
     code, _, err = run(capsys, "hi", str(wrong), "--p", "0")
-    assert code == 2 and "beta" in err.lower() or "degree 0" in err
+    assert code == 2 and ("beta" in err.lower() or "degree 0" in err)
+    stray = tmp_path / "stray.json"
+    stray.write_text(json.dumps({"vertices": ["a", "b", "c"],
+                                 "top_simplices": [["a", "b", "c"]],
+                                 "boundary": [["a", "z"]]}))
+    code, _, err = run(capsys, "homology", str(stray))
+    assert code == 2 and "'z'" in err
 
 
 def test_module_entry_point_subprocess():

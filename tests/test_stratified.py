@@ -30,10 +30,8 @@ from strathom.stratified import (
     ih_space_dims,
     ih_table,
     ig_dims,
-    kunneth_basis_dims,
     middle_perversities,
     verify_duality,
-    verify_theorem_coh,
     verify_theorem_hom,
 )
 
@@ -61,13 +59,13 @@ SWEEP_ANNOTATIONS = {
 
 def test_kunneth_basis_dims():
     sp = s2xt2_space()
-    assert kunneth_basis_dims(sp) == GradedVS([2, 6, 6, 2])
-    assert kunneth_basis_dims(sp).as_tuple(0, 3) == \
+    assert sp.boundary_h() == GradedVS([2, 6, 6, 2])
+    assert sp.boundary_h().as_tuple(0, 3) == \
         tuple(convolve([1, 1], [2, 4, 2]))
     pt = pinched_torus_space()
-    assert kunneth_basis_dims(pt) == pt.link_h  # Sigma a point
+    assert pt.boundary_h() == pt.link_h  # Sigma a point
     sig_only = suspension_product_space([1], [1, 2, 1])
-    assert kunneth_basis_dims(sig_only) == sig_only.sigma_h  # link a point
+    assert sig_only.boundary_h() == sig_only.sigma_h  # link a point
 
 
 def test_cone_formula():
@@ -215,9 +213,14 @@ def test_verify_theorem_hom_random_sweep():
 
 
 def test_verify_theorem_coh_matches():
+    # the cohomological cutoff pair (k = l - p, q = j + 1 - k) names the
+    # mixed group IG^(c-q)_j, the one the homological form reads
     sp = s2xt2_space()
     for p in range(-2, 4):
-        verdicts = verify_theorem_coh(sp, Perversity(p, 2), range(0, 5))
+        k = sp.l - p
+        for j in range(0, 5):
+            assert sp.c - (j + 1 - k) == sp.n - 1 - p - j
+        verdicts = verify_theorem_hom(sp, Perversity(p, 2), range(0, 5))
         assert all(v.ok for v in verdicts), (p, verdicts)
 
 
