@@ -5,7 +5,8 @@ modes, conifold-transition.  Every run emits either a human-readable table
 or, with --json, a machine-readable report; both carry the same numbers,
 plus a provenance block naming the input files, their hashes and the
 options.  Exit codes: 0 success, 1 a verification verdict failed, 2 bad
-input.
+input, 3 an internal consistency check failed (two provably equal
+quantities disagreed, so the model data is corrupt).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .simplicial import (
 )
 from .stratified import (
     IGRequest,
+    InternalInconsistency,
     Perversity,
     conifold_transition,
     hi_dims,
@@ -410,12 +412,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(_merge_range_values(list(argv)))
     try:
         return args.fn(args)
-    except sio.InputError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except InternalInconsistency as e:
+        sys.stderr.write(f"internal inconsistency: {e}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -52,6 +52,13 @@ def _require(data: dict, field: str, where: str):
     return data[field]
 
 
+def _require_mapping(data: dict, field: str, where: str) -> dict:
+    value = _require(data, field, where)
+    if not isinstance(value, dict):
+        raise InputError(f"{where}.{field}: expected an object keyed by degree")
+    return value
+
+
 def _rational_out(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -59,7 +66,7 @@ def _rational_out(x: Fraction):
 def matrix_from_rows(rows, where: str) -> MatrixQ:
     try:
         return MatrixQ.from_rows([[as_rational(v) for v in row] for row in rows])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"{where}: bad matrix entry ({e})") from None
 
 
@@ -78,6 +85,8 @@ def load_complex(data: dict, where: str = "triangulation"):
     and a bare SimplicialComplex otherwise.
     """
     vertices = _require(data, "vertices", where)
+    if not isinstance(vertices, list):
+        raise InputError(f"{where}: vertices must be a list of labels")
     tops = _require(data, "top_simplices", where)
     if not isinstance(tops, list) or not tops:
         raise InputError(f"{where}: top_simplices must be a nonempty list")
@@ -193,7 +202,7 @@ def load_space(data: dict, where: str = "space") -> TwoStrataSpace:
         link = _betti_from(_require(data, "link", where), f"{where}.link")
         m_betti = [int(x) for x in _require(data, "m_betti", where)]
         beta = {int(j): matrix_from_rows(rows, f"{where}.beta_T[{j}]")
-                for j, rows in _require(data, "beta_T", where).items()}
+                for j, rows in _require_mapping(data, "beta_T", where).items()}
         return isolated_cone_space(link, m_betti, beta, oriented=oriented,
                                    label=label)
     if kind == "algebraic":
@@ -205,7 +214,7 @@ def load_space(data: dict, where: str = "space") -> TwoStrataSpace:
         m_h = GradedVS([int(x) for x in _require(data, "m_betti", where)])
         b_h = link_h.convolve(sigma_h)
         blocks = {}
-        for j, rows in _require(data, "beta_T", where).items():
+        for j, rows in _require_mapping(data, "beta_T", where).items():
             m = matrix_from_rows(rows, f"{where}.beta_T[{j}]")
             if not m.is_zero():
                 blocks[int(j)] = m
@@ -263,14 +272,6 @@ def load_pairing(data: dict, where: str = "pairing") -> PairingData:
             raise InputError(f"{where}: no middle degree in odd dimension {n}")
         return cup_pairing(pm, n // 2)
     raise InputError(f"{where}: expected a pairing matrix or a triangulation")
-
-
-def pairing_to_dict(p: PairingData) -> dict:
-    return {
-        "degree": p.degree,
-        "matrix": matrix_to_rows(p.matrix),
-        "basis_note": p.basis_note,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,20 @@ ascending Sigma-degree t and inside a block pairs run lexicographically
 (L index, Sigma index).  The local restriction maps toward the cone on
 Sigma are literal coordinate projections onto the blocks with t below a
 cutoff, and the local maps toward the cone replacement of L are projections
-onto blocks with L-degree at least the Moore cutoff k.  The degree-0 and
-degree-1 assembly of reduced intersection-space homology treats the cone
-point separately in the three regimes k <= 0, k = 1, k > 1, exactly as the
-underlying topology demands.
+onto blocks with L-degree at least the Moore cutoff k.
+
+One map family.  Every Mayer-Vietoris sequence here glues along
+beta_j^(a) = (boundary restriction, projection onto t <= a) :
+B_j -> H_j(M) (+) I_j^(a), so every dimension is rank arithmetic on the
+memoized rank of beta_j^(a), with a = c - 2 - q for IH^q of the conifold
+transition and a = j - k for HI in degree j:
+
+    IH^q_j   = coker beta_j^(a) + ker beta_{j-1}^(a)
+    gamma    = ker beta_{j-1}^(a) + coker beta_j^(a-1)
+    IG^(k)_j = coker beta_j^(a) + ker beta_{j-1}^(a-1)    (a = c - 1 - k)
+    HI_j     = coker beta_j^(j-k) + ker beta_{j-1}^(j-1-k)
+
+The reduced degree-0 group of HI fits the same formula; `hi_dims` says why.
 
 All values are immutable; every operation is a pure function, so sweeps
 over perversities or degrees can run in parallel.
@@ -31,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import GradedMap, GradedVS, les_third_dims
-from .qlinalg import MatrixQ, hstack, rank, vstack
+from .qlinalg import MatrixQ, rank, vstack
 
 
 class ModelError(ValueError):
@@ -186,69 +196,47 @@ def _sigma_projection(space: TwoStrataSpace, j: int, a: int) -> MatrixQ:
                    {(r, c): Fraction(1) for r, c in enumerate(kept)})
 
 
-def _link_degree_projection(space: TwoStrataSpace, j: int, k: int) -> MatrixQ:
-    """Projection of B_j onto blocks with L-degree >= k (i.e. t <= j - k)."""
-    return _sigma_projection(space, j, j - k)
-
-
-def _beta(space: TwoStrataSpace, j: int, a: int) -> MatrixQ:
-    """(boundary restriction, local projection) : B_j -> T_j (+) I_j."""
-    return vstack([space.boundary_restriction.block(j),
-                   _sigma_projection(space, j, a)])
-
-
 def _i_dim(space: TwoStrataSpace, j: int, a: int) -> int:
+    """dim I_j^(a): the blocks of B_j with Sigma-degree <= a."""
     return sum(dl * ds for t, dl, ds, off in space.blocks(j) if t <= a)
 
 
 def _rank_beta(space: TwoStrataSpace, j: int, a: int) -> int:
-    """rank of (boundary restriction, projection to t <= a) in degree j,
-    memoized; cutoffs outside [-1, s] collapse to the nearest equivalent."""
-    a_eff = max(-1, min(a, space.s))
-    key = ("beta", j, a_eff)
-    cached = space._rank_cache.get(key)
+    """rank of beta_j^(a) = (boundary restriction, projection to t <= a),
+    memoized.  B_j has blocks only for 0 <= t <= min(s, j), so cutoffs
+    outside [-1, min(s, j)] share the entry of the nearest one inside."""
+    a = max(-1, min(a, space.s, j))
+    cached = space._rank_cache.get((j, a))
     if cached is None:
-        cached = rank(_beta(space, j, a_eff))
-        space._rank_cache[key] = cached
+        cached = rank(vstack([space.boundary_restriction.block(j),
+                              _sigma_projection(space, j, a)]))
+        space._rank_cache[(j, a)] = cached
     return cached
 
 
-def _rank_beta_pp(space: TwoStrataSpace, j: int, k: int) -> int:
-    """rank of the intersection-space gluing map in degree j, memoized;
-    Moore cutoffs outside [0, l+1] collapse to the nearest equivalent."""
-    k_eff = max(0, min(k, space.l + 1))
-    if j == 0 and k <= 0:
-        k_eff = 0
-    elif j == 0:
-        k_eff = 1  # all positive cutoffs share the augmentation map
-    key = ("betapp", j, k_eff)
-    cached = space._rank_cache.get(key)
-    if cached is None:
-        cached = rank(_beta_pp(space, j, k_eff if j else k))
-        space._rank_cache[key] = cached
-    return cached
+def _coker(space: TwoStrataSpace, j: int, a: int) -> int:
+    """dim coker beta_j^(a), inside H_j(M) (+) I_j^(a)."""
+    return space.m_h[j] + _i_dim(space, j, a) - _rank_beta(space, j, a)
+
+
+def _ker(space: TwoStrataSpace, j: int, a: int) -> int:
+    """dim ker beta_j^(a), inside B_j; zero in negative degrees."""
+    if j < 0:
+        return 0
+    return space.boundary_h()[j] - _rank_beta(space, j, a)
 
 
 def ih_ct_dims(space: TwoStrataSpace, q_at_c: int) -> GradedVS:
     """Intersection homology of the conifold transition, any perversity.
 
-    Mayer-Vietoris over M and the cone neighborhood of the stratum: in each
-    degree the dimension is coker(beta_j) + ker(beta_{j-1}) where beta is
-    the boundary homology mapped into H(M) and into the truncated local
-    group.  For q below 0 or at least c-1 the extreme shortcuts (homology
-    of Mbar, respectively of the pair) are computed independently and must
-    agree.
+    Mayer-Vietoris over M and the cone neighborhood of the stratum: with
+    a = c - 2 - q, IH^q_j = coker beta_j^(a) + ker beta_{j-1}^(a).  For q
+    below 0 or at least c-1 the extreme shortcuts (homology of Mbar,
+    respectively of the pair) are computed independently and must agree.
     """
-    c = space.c
-    a = c - 2 - q_at_c
-    dims = {}
-    prev_kernel = 0
-    for j in range(0, space.n + 1):
-        r = _rank_beta(space, j, a)
-        coker = (space.m_h[j] + _i_dim(space, j, a)) - r
-        dims[j] = coker + prev_kernel
-        prev_kernel = space.boundary_h()[j] - r
-    result = GradedVS(dims)
+    a = space.c - 2 - q_at_c
+    result = GradedVS({j: _coker(space, j, a) + _ker(space, j - 1, a)
+                       for j in range(0, space.n + 1)})
 
     if q_at_c < 0:
         shortcut = space.m_h
@@ -257,7 +245,7 @@ def ih_ct_dims(space: TwoStrataSpace, q_at_c: int) -> GradedVS:
                 "negative-perversity intersection homology of the conifold "
                 "transition disagrees with H(Mbar); the boundary restriction "
                 "is not a valid boundary restriction")
-    elif q_at_c >= c - 1:
+    elif q_at_c >= space.c - 1:
         shortcut = les_third_dims(space.boundary_restriction)
         if result != shortcut:
             raise InternalInconsistency(
@@ -269,173 +257,59 @@ def ih_ct_dims(space: TwoStrataSpace, q_at_c: int) -> GradedVS:
 def gamma_rank(space: TwoStrataSpace, q_at_c: int, j: int) -> int:
     """Rank of the canonical map IH^q_j(CT(X)) -> IH^{q+1}_j(CT(X)).
 
-    Follows the snake-lemma bookkeeping: the restriction of the canonical
-    map to the kernels of the Mayer-Vietoris boundary maps is injective and
-    its restriction to the images of the gluing maps is surjective, so the
-    kernel of the canonical map has the dimension of coker(beta_j) minus
-    the rank of the map induced between cokernels by identity (+) local
-    projection.  That rank is dim(im F + im beta'_j) - rank beta'_j, with
-    dim(im F + im beta'_j) = rank [F | beta'_j].
+    Follows the snake-lemma bookkeeping, with a = c - 2 - q: the canonical
+    map is injective on the kernel part ker beta_{j-1}^(a) of IH^q_j, and
+    its kernel is the kernel of the map induced between the cokernels of
+    beta_j^(a) and beta_j^(a-1) by F = id (+) local projection.  That map
+    has rank rank [F | beta_j^(a-1)] - rank beta_j^(a-1), and F, an
+    identity beside a coordinate projection, has full row rank, so the
+    rank is coker beta_j^(a-1).  Hence
+    gamma = ker beta_{j-1}^(a) + coker beta_j^(a-1).
     """
-    c = space.c
-    a = c - 2 - q_at_c
-    tj = space.m_h[j]
-    ij = _i_dim(space, j, a)
-    jj = _i_dim(space, j, a - 1)
-
-    beta_j_next = _beta(space, j, a - 1)
-    r_beta = _rank_beta(space, j, a)
-    coker_beta = (tj + ij) - r_beta
-    ih_q_j = coker_beta + (space.boundary_h()[j - 1]
-                           - _rank_beta(space, j - 1, a) if j >= 1 else 0)
-
-    # F = id on H(M) (+) the projection I_j -> J_j, as one matrix
-    entries = {}
-    for i in range(tj):
-        entries[(i, i)] = Fraction(1)
-    sub = _sigma_projection_sub(space, j, a, a - 1)
-    for (r, cc), v in sub.items():
-        entries[(tj + r, tj + cc)] = v
-    f_mat = MatrixQ(tj + jj, tj + ij, entries)
-
-    induced = rank(hstack([f_mat, beta_j_next])) - _rank_beta(space, j, a - 1)
-    ker_gamma_theta = coker_beta - induced
-    assert ker_gamma_theta >= 0
-    return ih_q_j - ker_gamma_theta
-
-
-def _sigma_projection_sub(space: TwoStrataSpace, j: int, a: int,
-                          a2: int) -> MatrixQ:
-    """The projection I_j(cutoff a) -> I_j(cutoff a2) for a2 <= a."""
-    rows = []
-    off = 0
-    for t, dl, ds, _ in space.blocks(j):
-        if t <= a:
-            size = dl * ds
-            if t <= a2:
-                rows.extend(range(off, off + size))
-            off += size
-    return MatrixQ(len(rows), off,
-                   {(k, r): Fraction(1) for k, r in enumerate(rows)})
+    a = space.c - 2 - q_at_c
+    return _ker(space, j - 1, a) + _coker(space, j, a - 1)
 
 
 def ig_dims(space: TwoStrataSpace, req: IGRequest) -> int:
     """Dimension of the mixed group IG^(k)_j of the conifold transition.
 
     IG is the direct sum of the intersection homologies at the adjacent
-    perversities k-1 and k modulo the image of the canonical map.  The
-    dimension is computed from the canonical-map rank and cross-checked
-    against the kernel formula coker(gamma) = ker(beta')/ker(beta).
+    perversities q = k-1 and k modulo the image of the canonical map, so
+    dim IG = IH^q_j + IH^{q+1}_j - gamma.  With a = c - 2 - q the ranks
+    cancel to IG^(k)_j = coker beta_j^(a) + ker beta_{j-1}^(a-1).
     """
-    q = req.k - 1
-    j = req.j
-    c = space.c
-    a = c - 2 - q
-
-    def ih_dim(aa: int) -> int:
-        coker = (space.m_h[j] + _i_dim(space, j, aa)) - _rank_beta(space, j, aa)
-        if j >= 1:
-            coker += space.boundary_h()[j - 1] - _rank_beta(space, j - 1, aa)
-        return coker
-
-    ih_q = ih_dim(a)
-    ih_q1 = ih_dim(a - 1)
-    r = gamma_rank(space, q, j)
-    dim = ih_q + ih_q1 - r
-
-    # independent route: cok gamma = ker beta'_{j-1} / ker beta_{j-1}
-    if j >= 1:
-        kb = space.boundary_h()[j - 1] - _rank_beta(space, j - 1, a)
-        kb2 = space.boundary_h()[j - 1] - _rank_beta(space, j - 1, a - 1)
-        alt = ih_q + (kb2 - kb)
-    else:
-        alt = ih_q  # degree -1 kernels vanish, so the canonical map is onto
-    if dim != alt:
-        raise InternalInconsistency(
-            f"IG^({req.k})_{j}: rank route gives {dim}, kernel route {alt}")
-    return dim
+    a = space.c - 1 - req.k
+    return _coker(space, req.j, a) + _ker(space, req.j - 1, a - 1)
 
 
 # ---------------------------------------------------------------------------
 # reduced homology of intersection spaces
 
-def _beta_r0(space: TwoStrataSpace, k: int) -> MatrixQ:
-    """The degree-0 local map B_0 -> R_0 toward the cone replacement.
-
-    For k <= 0 the replacement is the boundary plus a disjoint point, and
-    the map is the standard inclusion; for k >= 1 the replacement is
-    connected through the cone point and the map is the augmentation.
-    """
-    b0 = space.boundary_h()[0]
-    if k <= 0:
-        entries = {(i + 1, i): Fraction(1) for i in range(b0)}
-        return MatrixQ(b0 + 1, b0, entries)
-    return MatrixQ(1, b0, {(0, i): Fraction(1) for i in range(b0)})
-
-
-def _r_dim(space: TwoStrataSpace, j: int, k: int) -> int:
-    if j == 0:
-        return 1 if k > 0 else 1 + space.boundary_h()[0]
-    return sum(dl * ds for t, dl, ds, _ in space.blocks(j) if t <= j - k)
-
-
-def _beta_pp(space: TwoStrataSpace, j: int, k: int) -> MatrixQ:
-    """beta'' = (boundary restriction, local map toward the replacement)."""
-    if j == 0:
-        return vstack([space.boundary_restriction.block(0), _beta_r0(space, k)])
-    return vstack([space.boundary_restriction.block(j),
-                   _link_degree_projection(space, j, k)])
-
-
-def _difference_basis(b0: int) -> MatrixQ:
-    """Columns e_i - e_0 spanning the augmentation kernel of a degree-0 space."""
-    entries = {}
-    for i in range(1, b0):
-        entries[(0, i - 1)] = Fraction(-1)
-        entries[(i, i - 1)] = Fraction(1)
-    return MatrixQ(b0, max(b0 - 1, 0), entries)
-
-
 def hi_dims(space: TwoStrataSpace, p: Perversity) -> GradedVS:
     """Reduced homology of the perversity-p intersection space.
 
     Mayer-Vietoris over the regular part and the cone on the Moore
-    replacement of the link times the stratum.  Degrees >= 1 read off
-    coker(beta''_j) + ker(beta''_{j-1}) with the degree-0 local map chosen
-    by the Moore cutoff regime (k <= 0: inclusion beside a disjoint point;
-    k >= 1: augmentation to the cone point).  Degree 0 is assembled on
-    reduced groups: restrict beta'' to the augmentation kernel of B_0 and
-    count the cokernel inside the reduced target.
+    replacement of the link times the stratum, with Moore cutoff k = l - p.
+    In degree j >= 1 the local map keeps the blocks of L-degree >= k, that
+    is Sigma-degree <= j - k, so it is beta_j^(j-k) and
+    HI_j = coker beta_j^(j-k) + ker beta_{j-1}^(j-1-k).
+
+    Degree 0 reads the same ranks, with HI_0 = coker beta_0^(-k).  The
+    local group is I_0^(-k) plus one point: for k <= 0 the replacement is
+    the boundary beside a disjoint point and the local map, an inclusion,
+    is injective like beta_0^(0); for k >= 1 it is the augmentation to the
+    cone point, the sum of the rows of the boundary restriction (whose
+    columns sum to 1), so the rank is that of beta_0^(-1).  Reduced
+    homology restricts to the augmentation kernel of B_0, which holds the
+    kernel of the map and so lowers the rank by one, and counts inside a
+    target two dimensions smaller; the extra point accounts for the rest.
     """
     if p.codim != space.codim_sigma:
         raise ModelError(
             f"perversity is at codimension {p.codim}, expected {space.codim_sigma}")
     k = space.l - p.value
-    dims = {}
-    prev_kernel = None
-    for j in range(0, space.n + 1):
-        r = _rank_beta_pp(space, j, k)
-        if j >= 1:
-            coker = (space.m_h[j] + _r_dim(space, j, k)) - r
-            dims[j] = coker + prev_kernel
-        prev_kernel = space.boundary_h()[j] - r
-
-        if j == 0:
-            # reduced degree 0: restrict to the augmentation kernel of B_0
-            # and count the cokernel inside the reduced target.  Both
-            # components commute with augmentations, so the composite
-            # already lands in the reduced subspace and its rank can be
-            # read off in full coordinates.
-            b0 = space.boundary_h()[0]
-            diff = _difference_basis(b0)
-            reduced_target = (space.m_h[0] - 1) + (b0 if k <= 0 else 0)
-            key = ("betapp-red0", k <= 0)
-            r0 = space._rank_cache.get(key)
-            if r0 is None:
-                r0 = rank(_beta_pp(space, 0, k) @ diff)
-                space._rank_cache[key] = r0
-            dims[0] = reduced_target - r0
-    return GradedVS(dims)
+    return GradedVS({j: _coker(space, j, j - k) + _ker(space, j - 1, j - 1 - k)
+                     for j in range(0, space.n + 1)})
 
 
 def hi_extreme(space: TwoStrataSpace, p: Perversity) -> GradedVS:

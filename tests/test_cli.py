@@ -192,15 +192,48 @@ def test_input_errors_exit_2(capsys, tmp_path):
                                  "boundary": [["a", "z"]]}))
     code, _, err = run(capsys, "homology", str(stray))
     assert code == 2 and "'z'" in err
+    model = {"kind": "algebraic", "n": 4, "l": 1, "s": 2,
+             "link_betti": [1, 1], "sigma_betti": [2, 4, 2],
+             "m_betti": [1, 3, 3, 1]}
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({**model, "beta_T": [[1, 1]]}))
+    code, _, err = run(capsys, "hi", str(listed), "--p", "0")
+    assert code == 2 and "beta_T" in err and "Traceback" not in err
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({**model, "beta_T": {"0": [["1/0", 1]]}}))
+    code, _, err = run(capsys, "hi", str(zero), "--p", "0")
+    assert code == 2 and "beta_T[0]" in err and "Traceback" not in err
+    count = tmp_path / "count.json"
+    count.write_text(json.dumps({"vertices": 5, "top_simplices": [[0, 1]]}))
+    code, _, err = run(capsys, "homology", str(count))
+    assert code == 2 and "vertices" in err and "Traceback" not in err
+
+
+def test_internal_inconsistency_exits_3(capsys, monkeypatch):
+    import strathom.cli
+    from strathom.stratified import InternalInconsistency
+
+    def corrupt(*args):
+        raise InternalInconsistency("shortcut disagrees with assembly")
+
+    monkeypatch.setattr(strathom.cli, "hi_dims", corrupt)
+    code, out, err = run(capsys, "hi", space_file(), "--p", "0")
+    assert code == 3
+    assert "shortcut disagrees" in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_module_entry_point_subprocess():
+    import os
     import subprocess
     import sys
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "strathom.cli", "--json", "hi", space_file(),
          "--p", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["hi"]["0"] == [0, 2, 4, 2, 0]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strathom.chains import GradedVS, les_third_dims
+from strathom.qlinalg import MatrixQ, hstack, rank, vstack
 from strathom.spaces import (
     cp2_point_space,
     pinched_torus_space,
@@ -34,6 +35,7 @@ from strathom.stratified import (
     verify_duality,
     verify_theorem_hom,
 )
+from strathom.stratified import _rank_beta
 
 from oracles import convolve
 
@@ -340,3 +342,116 @@ def test_report_rendering_is_deterministic():
     assert rep1.render() == rep2.render()
     assert rep1.to_dict() == rep2.to_dict()
     assert "zero" in rep1.render()
+
+
+# ---------------------------------------------------------------------------
+# The explicit-matrix route: every map of the Mayer-Vietoris sequences is
+# built as a matrix and eliminated on its own, with no shared rank cache.
+# The calculus must agree with it; it reads ranks of one map family.
+
+def _projection(sp, j, a):
+    """Rows picking the B_j coordinates in blocks with Sigma-degree <= a."""
+    kept = [off + i for t, dl, ds, off in sp.blocks(j) if t <= a
+            for i in range(dl * ds)]
+    return MatrixQ(len(kept), sp.boundary_h()[j],
+                   {(r, c): Fraction(1) for r, c in enumerate(kept)})
+
+
+def _beta_matrix(sp, j, a):
+    return vstack([sp.boundary_restriction.block(j), _projection(sp, j, a)])
+
+
+def _coker_ker(m):
+    r = rank(m)
+    return m.rows - r, m.cols - r
+
+
+def _ih_oracle(sp, q, j):
+    a = sp.c - 2 - q
+    coker = _coker_ker(_beta_matrix(sp, j, a))[0]
+    return coker + (_coker_ker(_beta_matrix(sp, j - 1, a))[1] if j else 0)
+
+
+def _gamma_oracle(sp, q, j):
+    """IH^q_j minus the kernel of the canonical map, that kernel being
+    coker beta_j minus the rank of the map F = id (+) projection induced
+    between the cokernels of beta_j and beta'_j = beta_j at cutoff a - 1."""
+    a = sp.c - 2 - q
+    beta, beta_next = _beta_matrix(sp, j, a), _beta_matrix(sp, j, a - 1)
+    # I_j^(a-1) is the leading run of blocks of I_j^(a), so F keeps the
+    # first rows of H_j(M) (+) I_j^(a)
+    f = MatrixQ(beta_next.rows, beta.rows,
+                {(i, i): Fraction(1) for i in range(beta_next.rows)})
+    induced = rank(hstack([f, beta_next])) - rank(beta_next)
+    return _ih_oracle(sp, q, j) - (_coker_ker(beta)[0] - induced)
+
+
+def _hi_oracle(sp, p):
+    """Reduced HI with the degree-0 local map toward the cone replacement
+    written out: the inclusion beside a disjoint point for k <= 0, the
+    augmentation to the cone point for k >= 1."""
+    k = sp.l - p
+    b0 = sp.boundary_h()[0]
+    if k <= 0:
+        local0 = MatrixQ(b0 + 1, b0, {(i + 1, i): Fraction(1) for i in range(b0)})
+    else:
+        local0 = MatrixQ(1, b0, {(0, i): Fraction(1) for i in range(b0)})
+    maps = [vstack([sp.boundary_restriction.block(0), local0])]
+    maps += [_beta_matrix(sp, j, j - k) for j in range(1, sp.n + 1)]
+    # reduced degree 0: restrict to the augmentation kernel (e_i - e_0) and
+    # count the cokernel inside the reduced target, one dimension less in
+    # each of H_0(M) and the local group
+    diff = MatrixQ(b0, b0 - 1, {**{(0, i - 1): Fraction(-1) for i in range(1, b0)},
+                                **{(i, i - 1): Fraction(1) for i in range(1, b0)}})
+    dims = [maps[0].rows - 2 - rank(maps[0] @ diff)]
+    for j in range(1, sp.n + 1):
+        dims.append(_coker_ker(maps[j])[0] + _coker_ker(maps[j - 1])[1])
+    return tuple(dims)
+
+
+def _oracle_draws():
+    rng = random.Random(808)
+    return ([random_algebraic_space(rng) for _ in range(8)]
+            + [random_orientable_space(rng) for _ in range(8)]
+            + [s2xt2_space(), pinched_torus_space(), cp2_point_space()])
+
+
+def test_gamma_rank_matches_explicit_matrices():
+    for sp in _oracle_draws():
+        for q in range(-2, sp.c + 1):
+            for j in range(0, sp.n + 1):
+                assert gamma_rank(sp, q, j) == _gamma_oracle(sp, q, j), (sp, q, j)
+
+
+def test_ig_dims_is_ih_sum_minus_gamma():
+    for sp in _oracle_draws():
+        for k in range(-1, sp.c + 2):
+            q = k - 1
+            for j in range(0, sp.n + 1):
+                expected = (_ih_oracle(sp, q, j) + _ih_oracle(sp, q + 1, j)
+                            - _gamma_oracle(sp, q, j))
+                assert ig_dims(sp, IGRequest(k, j)) == expected, (sp, k, j)
+
+
+def test_hi_dims_matches_explicit_matrices():
+    for sp in _oracle_draws():
+        for p in range(-2, sp.l + 3):
+            assert hi_dims(sp, Perversity(p, sp.codim_sigma)).as_tuple(0, sp.n) \
+                == _hi_oracle(sp, p), (sp, p)
+
+
+def test_equivalent_cutoffs_share_one_rank_cache_entry():
+    sp = s2xt2_space()  # s = 2; B_1 has blocks at Sigma-degrees 0 and 1
+    for a in (1, 2, 7):
+        _rank_beta(sp, 1, a)
+    assert len(sp._rank_cache) == 1
+    for a in (-1, -6):
+        _rank_beta(sp, 1, a)
+    assert len(sp._rank_cache) == 2
+    # IH far below perversity 0 and HI far above it keep every block
+    sp = s2xt2_space()
+    ih_ct_dims(sp, -5)
+    entries = len(sp._rank_cache)
+    ih_ct_dims(sp, -9)
+    hi_dims(sp, Perversity(9, sp.codim_sigma))
+    assert len(sp._rank_cache) == entries
