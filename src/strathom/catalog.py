@@ -10,9 +10,11 @@ minimal triangulation.
 
 from __future__ import annotations
 
+from .signatures import novikov_signature
 from .simplicial import (
     OrientedPseudomanifoldWithBoundary,
     SimplicialComplex,
+    cup_pairing,
     product_complex,
 )
 
@@ -83,17 +85,8 @@ def cp2_minus_facet() -> OrientedPseudomanifoldWithBoundary:
                 for skip in range(5)]
     pm = OrientedPseudomanifoldWithBoundary(complement,
                                             boundary_simplices=boundary)
-    plus = cup_sign_probe(pm)
+    plus = novikov_signature(cup_pairing(pm, 2))
     return pm if plus > 0 else pm.reversed_orientation()
-
-
-def cup_sign_probe(pm: OrientedPseudomanifoldWithBoundary) -> int:
-    """Sign of the cup form of a rank-one middle cohomology, else 0."""
-    from .qlinalg import signature_sym
-    from .simplicial import cup_pairing
-    n = pm.complex.dim
-    sig = signature_sym(cup_pairing(pm, n // 2).matrix)
-    return sig.pos - sig.neg
 
 
 def i_x_s1_x_t2() -> OrientedPseudomanifoldWithBoundary:

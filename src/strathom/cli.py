@@ -24,7 +24,7 @@ from .signatures import TheoremNotApplicable, verify_theorem_sig
 from .simplicial import (
     StratifiedComplex,
     barycentric_subdivide,
-    chain_complex_of,
+    betti_numbers,
     ih_direct,
 )
 from .stratified import (
@@ -94,11 +94,8 @@ def _dims_text(title: str, dims: list[int]) -> str:
 
 
 def cmd_homology(args) -> int:
-    obj = sio.load_complex(sio.load_json(args.input), where=args.input)
-    cx = obj.complex if isinstance(obj, StratifiedComplex) else \
-        getattr(obj, "complex", obj)
-    h = chain_complex_of(cx).homology()
-    dims = list(h.as_tuple(0, cx.dim))
+    dims = betti_numbers(
+        sio.load_complex(sio.load_json(args.input), where=args.input))
     _emit(args, "homology", [args.input], {}, {"betti": dims},
           _dims_text(f"homology of {args.input}", dims))
     return 0
@@ -192,25 +189,25 @@ def cmd_verify(args) -> int:
     if theorem == "signature":
         if not args.pairing:
             raise sio.InputError("--pairing is required for --theorem signature")
-        pairing = sio.load_pairing(sio.load_json(args.pairing),
-                                   where=args.pairing)
-        try:
-            rep = verify_theorem_sig(space, pairing)
-        except TheoremNotApplicable as e:
-            _emit(args, "verify", [args.input, args.pairing], options,
-                  {"ok": False, "error": str(e)}, f"not applicable: {e}")
-            return 1
-        result = {"ok": rep.all_equal}
-        result.update(rep.to_dict())
-        text = _signature_text(args.input, rep)
-        _emit(args, "verify", [args.input, args.pairing], options, result, text)
-        return 0 if rep.all_equal else 1
+        return _signature_report(args, space, "verify", options)
     raise sio.InputError(f"unknown theorem {theorem!r}")
 
 
-def _signature_text(name: str, rep) -> str:
-    return "\n".join([
-        f"signature report for {name}:",
+def _signature_report(args, space, command: str, options: dict) -> int:
+    """The signature-equality report, shared by `signature` and
+    `verify --theorem signature`."""
+    paths = [args.input, args.pairing]
+    pairing = sio.load_pairing(sio.load_json(args.pairing), where=args.pairing)
+    try:
+        rep = verify_theorem_sig(space, pairing)
+    except TheoremNotApplicable as e:
+        _emit(args, command, paths, options, {"ok": False, "error": str(e)},
+              f"not applicable: {e}")
+        return 1
+    result = {"ok": rep.all_equal}
+    result.update(rep.to_dict())
+    text = "\n".join([
+        f"signature report for {args.input}:",
         f"  sigma(Mbar) = {rep.sigma_Mbar}",
         f"  perverse sigma of CT = {rep.sigma_perverse_CT}  "
         f"(middle image dim {rep.ct_image_dim})",
@@ -223,6 +220,8 @@ def _signature_text(name: str, rep) -> str:
         f"  witt: {rep.witt.reason}",
         "all equal" if rep.all_equal else "MISMATCH",
     ])
+    _emit(args, command, paths, options, result, text)
+    return 0 if rep.all_equal else 1
 
 
 def cmd_ih_direct(args) -> int:
@@ -245,19 +244,7 @@ def cmd_ih_direct(args) -> int:
 
 
 def cmd_signature(args) -> int:
-    space = _load_space(args.input)
-    pairing = sio.load_pairing(sio.load_json(args.pairing), where=args.pairing)
-    try:
-        rep = verify_theorem_sig(space, pairing)
-    except TheoremNotApplicable as e:
-        _emit(args, "signature", [args.input, args.pairing], {},
-              {"ok": False, "error": str(e)}, f"not applicable: {e}")
-        return 1
-    result = {"ok": rep.all_equal}
-    result.update(rep.to_dict())
-    _emit(args, "signature", [args.input, args.pairing], {}, result,
-          _signature_text(args.input, rep))
-    return 0 if rep.all_equal else 1
+    return _signature_report(args, _load_space(args.input), "signature", {})
 
 
 def cmd_hodge(args) -> int:

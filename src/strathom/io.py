@@ -35,7 +35,7 @@ from .simplicial import (
     PairingData,
     SimplicialComplex,
     StratifiedComplex,
-    chain_complex_of,
+    betti_numbers,
     cup_pairing,
 )
 from .spaces import isolated_cone_space, suspension_product_space
@@ -56,6 +56,25 @@ def _require_mapping(data: dict, field: str, where: str) -> dict:
     value = _require(data, field, where)
     if not isinstance(value, dict):
         raise InputError(f"{where}.{field}: expected an object keyed by degree")
+    return value
+
+
+def _int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{field}: expected an integer, got {value!r}") from None
+
+
+def _ints(value, field: str) -> list[int]:
+    if not isinstance(value, list):
+        raise InputError(f"{field}: expected a list of integers")
+    return [_int(x, field) for x in value]
+
+
+def _simplex_list(value, field: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(t, list) for t in value):
+        raise InputError(f"{field}: expected a list of vertex lists")
     return value
 
 
@@ -87,8 +106,9 @@ def load_complex(data: dict, where: str = "triangulation"):
     vertices = _require(data, "vertices", where)
     if not isinstance(vertices, list):
         raise InputError(f"{where}: vertices must be a list of labels")
-    tops = _require(data, "top_simplices", where)
-    if not isinstance(tops, list) or not tops:
+    tops = _simplex_list(_require(data, "top_simplices", where),
+                         f"{where}.top_simplices")
+    if not tops:
         raise InputError(f"{where}: top_simplices must be a nonempty list")
     cx = SimplicialComplex([str(v) for v in vertices],
                            [[str(v) for v in t] for t in tops])
@@ -99,7 +119,7 @@ def load_complex(data: dict, where: str = "triangulation"):
     if "boundary" in data or "orientation" in data:
         orientation = None
         if "orientation" in data:
-            signs = data["orientation"]
+            signs = _ints(data["orientation"], f"{where}.orientation")
             if len(signs) != len(tops):
                 raise InputError(
                     f"{where}: orientation has {len(signs)} signs for "
@@ -108,11 +128,13 @@ def load_complex(data: dict, where: str = "triangulation"):
             orientation = {}
             for t, s in zip(tops, signs):
                 key = tuple(sorted(vidx[str(v)] for v in t))
-                orientation[key] = int(s)
+                orientation[key] = s
+        boundary = _simplex_list(data.get("boundary", []), f"{where}.boundary")
         return OrientedPseudomanifoldWithBoundary(
-            cx, boundary_simplices=data.get("boundary", ()),
-            orientation=orientation)
+            cx, boundary_simplices=boundary, orientation=orientation)
     if "sigma" in data:
+        if not isinstance(data["sigma"], list):
+            raise InputError(f"{where}.sigma: expected a list of vertex labels")
         sigma = [str(v) for v in data["sigma"]]
         sigma_dim = -1
         sigma_set = set(sigma)
@@ -120,7 +142,7 @@ def load_complex(data: dict, where: str = "triangulation"):
             for s in cx.simplices(d):
                 if set(cx.labels(s)) <= sigma_set:
                     sigma_dim = max(sigma_dim, d)
-        codim = data.get("codim", cx.dim - sigma_dim)
+        codim = _int(data.get("codim", cx.dim - sigma_dim), f"{where}.codim")
         return StratifiedComplex(cx, sigma, codim)
     return cx
 
@@ -143,25 +165,15 @@ def complex_to_dict(obj) -> dict:
         return {
             "vertices": list(cx.vertices),
             "top_simplices": [list(cx.labels(t))
-                              for t in _maximal_simplices(cx)],
+                              for t in cx.facets()],
             "sigma": list(obj.sigma_labels()),
             "codim": obj.codim,
         }
     cx = obj
     return {
         "vertices": list(cx.vertices),
-        "top_simplices": [list(cx.labels(t)) for t in _maximal_simplices(cx)],
+        "top_simplices": [list(cx.labels(t)) for t in cx.facets()],
     }
-
-
-def _maximal_simplices(cx: SimplicialComplex):
-    out = []
-    for d in range(cx.dim + 1):
-        for t in cx.simplices(d):
-            if not any(set(t) < set(o) for dd in range(d + 1, cx.dim + 1)
-                       for o in cx.simplices(dd)):
-                out.append(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +183,15 @@ def _betti_from(node, where: str) -> list[int]:
     """Interpret a link/stratum description: Betti list, inline complex,
     or {"betti": [...]} / {"file": path}."""
     if isinstance(node, list):
-        return [int(x) for x in node]
+        return _ints(node, where)
     if isinstance(node, dict):
         if "betti" in node:
-            return [int(x) for x in node["betti"]]
+            return _ints(node["betti"], f"{where}.betti")
         if "file" in node:
-            loaded = load_json(node["file"])
-            obj = load_complex(loaded, where=node["file"])
-            cx = obj.complex if isinstance(obj, StratifiedComplex) else obj
-            h = chain_complex_of(cx).homology()
-            return list(h.as_tuple(0, cx.dim))
+            path = str(node["file"])
+            return betti_numbers(load_complex(load_json(path), where=path))
         if "vertices" in node:
-            cx = load_complex(node, where=where)
-            cx = cx.complex if isinstance(cx, StratifiedComplex) else cx
-            h = chain_complex_of(cx).homology()
-            return list(h.as_tuple(0, cx.dim))
+            return betti_numbers(load_complex(node, where=where))
     raise InputError(f"{where}: expected a Betti list, a complex, or a file "
                      "reference")
 
@@ -200,24 +206,25 @@ def load_space(data: dict, where: str = "space") -> TwoStrataSpace:
         return suspension_product_space(link, sigma, label=label)
     if kind == "isolated_cone":
         link = _betti_from(_require(data, "link", where), f"{where}.link")
-        m_betti = [int(x) for x in _require(data, "m_betti", where)]
-        beta = {int(j): matrix_from_rows(rows, f"{where}.beta_T[{j}]")
+        m_betti = _ints(_require(data, "m_betti", where), f"{where}.m_betti")
+        beta = {_int(j, f"{where}.beta_T"):
+                matrix_from_rows(rows, f"{where}.beta_T[{j}]")
                 for j, rows in _require_mapping(data, "beta_T", where).items()}
         return isolated_cone_space(link, m_betti, beta, oriented=oriented,
                                    label=label)
     if kind == "algebraic":
-        n = int(_require(data, "n", where))
-        l = int(_require(data, "l", where))
-        s = int(_require(data, "s", where))
-        link_h = GradedVS([int(x) for x in _require(data, "link_betti", where)])
-        sigma_h = GradedVS([int(x) for x in _require(data, "sigma_betti", where)])
-        m_h = GradedVS([int(x) for x in _require(data, "m_betti", where)])
+        n, l, s = (_int(_require(data, f, where), f"{where}.{f}")
+                   for f in ("n", "l", "s"))
+        link_h, sigma_h, m_h = (
+            GradedVS(_ints(_require(data, f, where), f"{where}.{f}"))
+            for f in ("link_betti", "sigma_betti", "m_betti"))
         b_h = link_h.convolve(sigma_h)
         blocks = {}
         for j, rows in _require_mapping(data, "beta_T", where).items():
+            degree = _int(j, f"{where}.beta_T")
             m = matrix_from_rows(rows, f"{where}.beta_T[{j}]")
             if not m.is_zero():
-                blocks[int(j)] = m
+                blocks[degree] = m
         try:
             beta = GradedMap(b_h, m_h, blocks)
             return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h,
@@ -255,7 +262,7 @@ def space_to_dict(space: TwoStrataSpace) -> dict:
 
 def load_pairing(data: dict, where: str = "pairing") -> PairingData:
     if "matrix" in data:
-        degree = int(_require(data, "degree", where))
+        degree = _int(_require(data, "degree", where), f"{where}.degree")
         m = matrix_from_rows(data["matrix"], f"{where}.matrix")
         if m.rows != m.cols:
             raise InputError(f"{where}.matrix: must be square, got "

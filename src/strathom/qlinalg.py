@@ -12,7 +12,7 @@ all operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # Fraction is always reduced with positive denominator and canonical zero,
 # which is exactly the contract the rest of the package relies on.
@@ -142,6 +142,15 @@ class MatrixQ:
             return MatrixQ.zeros(self.rows, self.cols)
         return MatrixQ(self.rows, self.cols,
                        {k: c * v for k, v in self._e.items()})
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "MatrixQ":
+        """The given (distinct) rows and columns, in the given order; entries
+        outside the selection are dropped."""
+        rowpos = {i: k for k, i in enumerate(rows)}
+        colpos = {j: k for k, j in enumerate(cols)}
+        return MatrixQ(len(rows), len(cols),
+                       {(rowpos[i], colpos[j]): v for (i, j), v in self._e.items()
+                        if i in rowpos and j in colpos})
 
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self._e.items() if jj == j}

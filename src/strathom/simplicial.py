@@ -87,6 +87,16 @@ class SimplicialComplex:
     def labels(self, s: Simplex) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in s)
 
+    def facets(self) -> list[Simplex]:
+        """The maximal simplices: those that are no face of a simplex one
+        dimension higher, in (dimension, lexicographic) order."""
+        out = []
+        for d in range(self.dim + 1):
+            covered = {t[:i] + t[i + 1:] for t in self.simplices(d + 1)
+                       for i in range(len(t))}
+            out.extend(t for t in self.simplices(d) if t not in covered)
+        return out
+
     def f_vector(self) -> tuple[int, ...]:
         return tuple(self.n_simplices(d) for d in range(self.dim + 1))
 
@@ -110,6 +120,13 @@ def chain_complex_of(s: SimplicialComplex) -> ChainComplex:
     spaces = GradedVS({d: s.n_simplices(d) for d in range(s.dim + 1)})
     diffs = {d: boundary_matrix(s, d) for d in range(1, s.dim + 1)}
     return ChainComplex(spaces, diffs)
+
+
+def betti_numbers(obj) -> list[int]:
+    """Betti numbers in degrees 0..dim of a complex, or of the complex under
+    a StratifiedComplex or an OrientedPseudomanifoldWithBoundary."""
+    cx = obj if isinstance(obj, SimplicialComplex) else obj.complex
+    return list(chain_complex_of(cx).homology().as_tuple(0, cx.dim))
 
 
 class StratifiedComplex:
@@ -209,15 +226,10 @@ def barycentric_complex(s: SimplicialComplex) -> tuple[SimplicialComplex, dict]:
         for face in combinations(smallest, len(smallest) - 1):
             descend(chain + [face])
 
-    for d in range(s.dim + 1):
-        for top in s.simplices(d):
-            # only maximal simplices generate flags; non-maximal ones are
-            # covered by the closure of the maximal flags
-            if any(set(top) < set(other)
-                   for dd in range(d + 1, s.dim + 1)
-                   for other in s.simplices(dd)):
-                continue
-            descend([top])
+    # only maximal simplices generate flags; non-maximal ones are covered by
+    # the closure of the maximal flags
+    for top in s.facets():
+        descend([top])
     return SimplicialComplex(vertices, flags), label
 
 
@@ -270,14 +282,6 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
         allowable[d] = allow
         interior[d] = inter
 
-    def restricted_boundary(bd: MatrixQ, rows: list[int],
-                            cols: list[int]) -> MatrixQ:
-        rowpos = {r: k for k, r in enumerate(rows)}
-        colpos = {col: k for k, col in enumerate(cols)}
-        entries = {(rowpos[i], colpos[j]): v for (i, j), v in bd.items()
-                   if i in rowpos and j in colpos}
-        return MatrixQ(len(rows), len(cols), entries)
-
     # IC_d = allowable chains whose truncated boundary is again allowable.
     # On the allowable columns, C_d holds the non-interior rows outside the
     # allowable set and D_d all non-interior rows; IC_d = ker C_d.  The rows
@@ -295,9 +299,9 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
                 if i not in interior[d - 1]]
         allowed_below = set(allowable[d - 1])
         bad = [i for i in keep if i not in allowed_below]
-        r_bad = rank(restricted_boundary(bd, bad, cols))
+        r_bad = rank(bd.submatrix(bad, cols))
         ic_dim[d] -= r_bad
-        ranks[d] = rank(restricted_boundary(bd, keep, cols)) - r_bad
+        ranks[d] = rank(bd.submatrix(keep, cols)) - r_bad
 
     # homology of (IC_*, truncated boundary)
     dims = {}
@@ -324,17 +328,11 @@ def product_complex(a: SimplicialComplex, b: SimplicialComplex,
     def pair_label(iu: int, iv: int) -> str:
         return f"{a.vertices[iu]}{sep}{b.vertices[iv]}"
 
-    def facets(c: SimplicialComplex):
-        for d in range(c.dim + 1):
-            for t in c.simplices(d):
-                if not any(set(t) < set(o) for dd in range(d + 1, c.dim + 1)
-                           for o in c.simplices(dd)):
-                    yield t
-
     tops = []
-    for sa in facets(a):
+    facets_b = b.facets()
+    for sa in a.facets():
         p = len(sa) - 1
-        for sb in facets(b):
+        for sb in facets_b:
             q = len(sb) - 1
             for a_steps in combinations(range(p + q), p):
                 ia = ib = 0
@@ -503,16 +501,8 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
 
     def rel_delta(d: int) -> MatrixQ:
         """delta: relative C^d -> relative C^{d+1} (transpose of boundary)."""
-        cols_d = rel_cols(d)
-        cols_d1 = rel_cols(d + 1)
-        pos_d = {i: k for k, i in enumerate(cols_d)}
-        pos_d1 = {i: k for k, i in enumerate(cols_d1)}
-        bd = boundary_matrix(K, d + 1)
-        entries = {}
-        for (i, j), v in bd.items():
-            if i in pos_d and j in pos_d1:
-                entries[(pos_d1[j], pos_d[i])] = v
-        return MatrixQ(len(cols_d1), len(cols_d), entries)
+        return boundary_matrix(K, d + 1).submatrix(
+            rel_cols(d), rel_cols(d + 1)).transpose()
 
     reps_rel = cycle_representatives(rel_delta(degree), rel_delta(degree - 1))
     cols = rel_cols(degree)

@@ -20,9 +20,15 @@ onto blocks with L-degree at least the Moore cutoff k.
 
 One map family.  Every Mayer-Vietoris sequence here glues along
 beta_j^(a) = (boundary restriction, projection onto t <= a) :
-B_j -> H_j(M) (+) I_j^(a), so every dimension is rank arithmetic on the
-memoized rank of beta_j^(a), with a = c - 2 - q for IH^q of the conifold
-transition and a = j - k for HI in degree j:
+B_j -> H_j(M) (+) I_j^(a).  The projection is an identity on the blocks
+with t <= a, so
+
+    rank beta_j^(a) = dim I_j^(a) + rank(beta_j on the blocks with t > a),
+
+and with r that tail rank, coker beta_j^(a) = dim H_j(M) - r and
+ker beta_j^(a) = dim(blocks with t > a) - r.  Every dimension is rank
+arithmetic on the memoized tail rank, with a = c - 2 - q for IH^q of the
+conifold transition and a = j - k for HI in degree j:
 
     IH^q_j   = coker beta_j^(a) + ker beta_{j-1}^(a)
     gamma    = ker beta_{j-1}^(a) + coker beta_j^(a-1)
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import GradedMap, GradedVS, les_third_dims
-from .qlinalg import MatrixQ, rank, vstack
+from .qlinalg import MatrixQ, rank
 
 
 class ModelError(ValueError):
@@ -109,6 +115,9 @@ class TwoStrataSpace:
             raise ModelError("homology above the dimension of the space")
         if m_h[0] < 1:
             raise ModelError("regular part must be nonempty")
+        if m_h.top > n:
+            raise ModelError(f"m_betti: homology of the regular part in degree "
+                             f"{m_h.top}, above the dimension n = {n}")
         b = link_h.convolve(sigma_h)
         if boundary_restriction.source != b:
             raise ModelError(
@@ -185,45 +194,36 @@ def cone_formula(link_h: GradedVS, link_dim: int, p_at: int) -> GradedVS:
     return link_h.truncate_le(link_dim - p_at - 1)
 
 
-def _sigma_projection(space: TwoStrataSpace, j: int, a: int) -> MatrixQ:
-    """Coordinate projection of B_j onto the blocks with Sigma-degree <= a."""
-    bj = space.boundary_h()[j]
-    kept = []
-    for t, dl, ds, off in space.blocks(j):
-        if t <= a:
-            kept.extend(range(off, off + dl * ds))
-    return MatrixQ(len(kept), bj,
-                   {(r, c): Fraction(1) for r, c in enumerate(kept)})
-
-
-def _i_dim(space: TwoStrataSpace, j: int, a: int) -> int:
-    """dim I_j^(a): the blocks of B_j with Sigma-degree <= a."""
-    return sum(dl * ds for t, dl, ds, off in space.blocks(j) if t <= a)
+def _tail(space: TwoStrataSpace, j: int, a: int) -> range:
+    """Columns of B_j in the blocks with Sigma-degree t > a; the blocks
+    ascend in t, so they are the last columns."""
+    head = sum(dl * ds for t, dl, ds, off in space.blocks(j) if t <= a)
+    return range(head, space.boundary_h()[j])
 
 
 def _rank_beta(space: TwoStrataSpace, j: int, a: int) -> int:
-    """rank of beta_j^(a) = (boundary restriction, projection to t <= a),
-    memoized.  B_j has blocks only for 0 <= t <= min(s, j), so cutoffs
-    outside [-1, min(s, j)] share the entry of the nearest one inside."""
+    """rank of the boundary restriction on the blocks with t > a, memoized.
+    B_j has blocks only for 0 <= t <= min(s, j), so cutoffs outside
+    [-1, min(s, j)] share the entry of the nearest one inside."""
     a = max(-1, min(a, space.s, j))
     cached = space._rank_cache.get((j, a))
     if cached is None:
-        cached = rank(vstack([space.boundary_restriction.block(j),
-                              _sigma_projection(space, j, a)]))
+        block = space.boundary_restriction.block(j)
+        cached = rank(block.submatrix(range(block.rows), _tail(space, j, a)))
         space._rank_cache[(j, a)] = cached
     return cached
 
 
 def _coker(space: TwoStrataSpace, j: int, a: int) -> int:
     """dim coker beta_j^(a), inside H_j(M) (+) I_j^(a)."""
-    return space.m_h[j] + _i_dim(space, j, a) - _rank_beta(space, j, a)
+    return space.m_h[j] - _rank_beta(space, j, a)
 
 
 def _ker(space: TwoStrataSpace, j: int, a: int) -> int:
     """dim ker beta_j^(a), inside B_j; zero in negative degrees."""
     if j < 0:
         return 0
-    return space.boundary_h()[j] - _rank_beta(space, j, a)
+    return len(_tail(space, j, a)) - _rank_beta(space, j, a)
 
 
 def ih_ct_dims(space: TwoStrataSpace, q_at_c: int) -> GradedVS:

@@ -207,6 +207,49 @@ def test_input_errors_exit_2(capsys, tmp_path):
     count.write_text(json.dumps({"vertices": 5, "top_simplices": [[0, 1]]}))
     code, _, err = run(capsys, "homology", str(count))
     assert code == 2 and "vertices" in err and "Traceback" not in err
+    triangle = {"vertices": ["a", "b", "c"], "top_simplices": [["a", "b", "c"]]}
+    cases = [
+        ("hi", {**model, "beta_T": {}, "link_betti": 5}, "link_betti"),
+        ("hi", {**model, "beta_T": {}, "n": [4]}, "n"),
+        ("hi", {**model, "beta_T": {}, "sigma_betti": [2, "x", 2]},
+         "sigma_betti"),
+        ("hi", {**model, "beta_T": {"zz": [[0]]}}, "beta_T"),
+        ("homology", {**triangle, "orientation": 5}, "orientation"),
+        ("homology", {**triangle, "top_simplices": [5]}, "top_simplices"),
+        ("homology", {**triangle, "boundary": 5}, "boundary"),
+        ("homology", {**triangle, "sigma": 5}, "sigma"),
+        ("homology", {**triangle, "sigma": ["a"], "codim": "x"}, "codim"),
+    ]
+    for i, (verb, data, field) in enumerate(cases):
+        f = tmp_path / f"malformed{i}.json"
+        f.write_text(json.dumps(data))
+        argv = [verb, str(f)] + (["--p", "0"] if verb == "hi" else [])
+        code, _, err = run(capsys, *argv)
+        assert code == 2, (field, err)
+        assert f".{field}" in err and "Traceback" not in err, (field, err)
+
+
+def test_regular_part_homology_above_n_exits_2(capsys, tmp_path):
+    f = tmp_path / "high.json"
+    f.write_text(json.dumps({"kind": "algebraic", "n": 2, "l": 1, "s": 0,
+                             "link_betti": [1, 1], "sigma_betti": [1],
+                             "m_betti": [1, 1, 0, 0, 0, 2],
+                             "beta_T": {"0": [[1]]}}))
+    for argv in (["ih", str(f), "--q", "5"], ["hi", str(f), "--p", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "m_betti" in err and out == "", (argv, err)
+
+
+def test_signature_and_verify_signature_share_one_report(capsys):
+    pairing = str(DATA / "cp2_minus_ball.json")
+    for space in (space_file(), str(DATA / "pinched_torus_space.json")):
+        code_s, sig, _ = run_json(capsys, "signature", space,
+                                  "--pairing", pairing)
+        code_v, ver, _ = run_json(capsys, "verify", space, "--theorem",
+                                  "signature", "--pairing", pairing)
+        assert code_s == code_v == 0
+        assert sig["result"] == ver["result"]
+        assert (sig["command"], ver["command"]) == ("signature", "verify")
 
 
 def test_internal_inconsistency_exits_3(capsys, monkeypatch):

@@ -98,6 +98,13 @@ def test_suspension_product_kind_with_inline_complex():
     }
     sp = sio.load_space(data)
     assert sp == s2xt2_space() or ih_ct_dims(sp, 0) == ih_ct_dims(s2xt2_space(), 0)
+    # an oriented triangulation as the link, inline and by file reference
+    oriented_circle = {**data["link"], "orientation": [1, 1, -1]}
+    assert sio.load_space({**data, "link": oriented_circle}) == s2xt2_space()
+    by_file = sio.load_space({**data, "link": {
+        "file": str(DATA / "cp2_minus_ball.json")}})
+    assert by_file.link_h == GradedVS([1, 0, 1])
+    assert hi_dims(by_file, Perversity(0, by_file.codim_sigma)).total_dim() > 0
 
 
 def test_missing_fields_name_the_field():

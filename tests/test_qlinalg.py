@@ -182,6 +182,18 @@ def test_matrix_ops_and_stacking():
     assert a.transpose() == M([[1, 3], [2, 4]])
 
 
+def test_submatrix_selects_in_the_given_order():
+    a = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert a.submatrix([2, 0], [1, 2]) == M([[8, 9], [2, 3]])
+    assert a.submatrix([0, 1, 2], [2, 0]) == M([[3, 1], [6, 4], [9, 7]])
+    assert a.submatrix([], [0, 1]) == MatrixQ.zeros(0, 2)
+    assert a.submatrix(range(3), []) == MatrixQ.zeros(3, 0)
+    # entries in unselected rows or columns are dropped, not shifted in
+    sparse = MatrixQ(3, 3, {(0, 0): 1, (1, 2): 5, (2, 1): -1})
+    assert sparse.submatrix([1, 2], [0, 1]) == M([[0, 0], [0, -1]])
+    assert sparse.submatrix([0], [1, 2]).is_zero()
+
+
 def test_entry_iteration_order_does_not_matter():
     entries = {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4, (2, 2): 1}
     m1 = MatrixQ(3, 3, entries)

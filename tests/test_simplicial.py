@@ -182,3 +182,22 @@ def test_cup_pairing_torus_degree1_is_symplectic():
     # odd middle degree: antisymmetric and nondegenerate
     assert p.matrix.entry(0, 0) == 0 and p.matrix.entry(1, 1) == 0
     assert p.matrix.entry(0, 1) == -p.matrix.entry(1, 0) != 0
+
+
+def _maximal_by_scan(cx):
+    """Brute force: simplices that are a proper face of no other simplex."""
+    return [t for d in range(cx.dim + 1) for t in cx.simplices(d)
+            if not any(set(t) < set(o) for dd in range(d + 1, cx.dim + 1)
+                       for o in cx.simplices(dd))]
+
+
+def test_facets_match_brute_force_scan():
+    from strathom import catalog
+    dangling = SimplicialComplex("abcd", ["abc", "cd"])
+    for cx in (catalog.torus7(), catalog.cp2_9(),
+               product_complex(catalog.circle(), catalog.circle()), dangling):
+        assert cx.facets() == _maximal_by_scan(cx)
+    idx = {v: i for i, v in enumerate(dangling.vertices)}
+    assert dangling.facets() == [(idx["c"], idx["d"]),
+                                 (idx["a"], idx["b"], idx["c"])]
+    assert len(catalog.cp2_9().facets()) == 36
