@@ -75,7 +75,8 @@ def _provenance(paths: list[str], options: dict) -> dict:
 
 
 def _load_space(path: str):
-    return sio.load_space(sio.load_json(path), where=str(path))
+    return sio.load_space(sio.load_json(path), where=str(path),
+                          base=Path(path).parent)
 
 
 def _emit(args, command: str, paths: list[str], options: dict,

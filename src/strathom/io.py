@@ -72,6 +72,16 @@ def _ints(value, field: str) -> list[int]:
     return [_int(x, field) for x in value]
 
 
+def _betti(value, field: str) -> list[int]:
+    """A Betti list: integers, none of them negative."""
+    betti = _ints(value, field)
+    for degree, b in enumerate(betti):
+        if b < 0:
+            raise InputError(f"{field}: negative Betti number {b} in degree "
+                             f"{degree}")
+    return betti
+
+
 def _simplex_list(value, field: str) -> list:
     if not isinstance(value, list) or not all(isinstance(t, list) for t in value):
         raise InputError(f"{field}: expected a list of vertex lists")
@@ -179,16 +189,17 @@ def complex_to_dict(obj) -> dict:
 # ---------------------------------------------------------------------------
 # spaces
 
-def _betti_from(node, where: str) -> list[int]:
+def _betti_from(node, where: str, base: Path) -> list[int]:
     """Interpret a link/stratum description: Betti list, inline complex,
-    or {"betti": [...]} / {"file": path}."""
+    or {"betti": [...]} / {"file": path}, a relative path being taken from
+    the directory `base`."""
     if isinstance(node, list):
-        return _ints(node, where)
+        return _betti(node, where)
     if isinstance(node, dict):
         if "betti" in node:
-            return _ints(node["betti"], f"{where}.betti")
+            return _betti(node["betti"], f"{where}.betti")
         if "file" in node:
-            path = str(node["file"])
+            path = str(base / str(node["file"]))
             return betti_numbers(load_complex(load_json(path), where=path))
         if "vertices" in node:
             return betti_numbers(load_complex(node, where=where))
@@ -196,17 +207,24 @@ def _betti_from(node, where: str) -> list[int]:
                      "reference")
 
 
-def load_space(data: dict, where: str = "space") -> TwoStrataSpace:
+def load_space(data: dict, where: str = "space",
+               base: Path = Path()) -> TwoStrataSpace:
+    """Build a space from its JSON object.  A `{"file": …}` link or stratum
+    is read from the directory `base` (that of the space file) unless its
+    path is absolute."""
     kind = _require(data, "kind", where)
     label = str(data.get("label", ""))
     oriented = bool(data.get("oriented", True))
     if kind == "suspension_product":
-        link = _betti_from(_require(data, "link", where), f"{where}.link")
-        sigma = _betti_from(_require(data, "sigma", where), f"{where}.sigma")
+        link = _betti_from(_require(data, "link", where), f"{where}.link",
+                           base)
+        sigma = _betti_from(_require(data, "sigma", where), f"{where}.sigma",
+                            base)
         return suspension_product_space(link, sigma, label=label)
     if kind == "isolated_cone":
-        link = _betti_from(_require(data, "link", where), f"{where}.link")
-        m_betti = _ints(_require(data, "m_betti", where), f"{where}.m_betti")
+        link = _betti_from(_require(data, "link", where), f"{where}.link",
+                           base)
+        m_betti = _betti(_require(data, "m_betti", where), f"{where}.m_betti")
         beta = {_int(j, f"{where}.beta_T"):
                 matrix_from_rows(rows, f"{where}.beta_T[{j}]")
                 for j, rows in _require_mapping(data, "beta_T", where).items()}
@@ -216,7 +234,7 @@ def load_space(data: dict, where: str = "space") -> TwoStrataSpace:
         n, l, s = (_int(_require(data, f, where), f"{where}.{f}")
                    for f in ("n", "l", "s"))
         link_h, sigma_h, m_h = (
-            GradedVS(_ints(_require(data, f, where), f"{where}.{f}"))
+            GradedVS(_betti(_require(data, f, where), f"{where}.{f}"))
             for f in ("link_betti", "sigma_betti", "m_betti"))
         b_h = link_h.convolve(sigma_h)
         blocks = {}

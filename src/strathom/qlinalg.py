@@ -2,8 +2,14 @@
 
 Everything downstream (homology dimensions, Mayer-Vietoris bookkeeping,
 signatures) reduces to ranks, kernels, images and congruence
-diagonalization computed here.  All arithmetic is over `fractions.Fraction`
-so there is no tolerance anywhere: a rank is a rank.
+diagonalization computed here.  Matrices hold `fractions.Fraction` values
+and every value handed back is a `Fraction`.  One elimination engine serves
+rank, kernel_basis, image_basis, solve and IncrementalSpan: it works on
+exact Python `int` rows (each rational row scaled by the lcm of its
+denominators), fraction-free in the sense of Bareiss, and picks Markowitz
+pivots from a lazy heap.  Back-substitution divides in `Fraction` only by
+a non-unit pivot.  There are no floats, no tolerances and no modular
+shortcut anywhere: a rank is a rank.
 
 Values are immutable after construction and safe to share across threads;
 all operations are pure functions.
@@ -12,6 +18,8 @@ all operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # Fraction is always reduced with positive denominator and canonical zero,
@@ -221,16 +229,77 @@ def block_diag(mats: list[MatrixQ]) -> MatrixQ:
 # ---------------------------------------------------------------------------
 # elimination engine
 
-def _sparse_rows(m: MatrixQ) -> list[dict]:
+def _integral(vec: Mapping) -> dict:
+    """`vec` (rational values) times the lcm of its denominators: a nonzero
+    multiple of `vec` with `int` entries and the same support."""
+    den = lcm(*{v.denominator for v in vec.values()}) if vec else 1
+    if den == 1:
+        return {c: v.numerator for c, v in vec.items()}
+    return {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+
+
+def _sparse_rows(m: MatrixQ, rhs: Mapping | None = None) -> list[dict]:
+    """The rows of `m` as integer row dicts, each a nonzero multiple of the
+    rational row (so rank, kernel and pivot columns are kept); `rhs`, if
+    given, fills an augmented column `m.cols` before the scaling."""
     rows = [dict() for _ in range(m.rows)]
     for (i, j), v in m._e.items():
         rows[i][j] = v
-    return rows
+    for i, v in (rhs or {}).items():
+        rows[i][m.cols] = v
+    return [_integral(row) for row in rows]
+
+
+def _primitive(row: dict) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
+def _reduce(row: dict, prow: dict, c: int) -> tuple[list[int], list[int]]:
+    """Clear column `c` of the integer `row` against the integer pivot row
+    `prow`, in place; return the columns that entered and left the support.
+
+    A unit pivot pv gives row - (f*pv)*prow with f = row[c]; otherwise
+    (pv/g)*row - (f/g)*prow with g = gcd(pv, f), made primitive.  Either way
+    the result is a nonzero multiple of the rational update
+    row - (f/pv)*prow and has its support."""
+    pv = prow[c]
+    f = row[c]
+    unit = pv == 1 or pv == -1
+    if unit:
+        f *= pv
+    else:
+        g = gcd(pv, f)
+        a = pv // g
+        f //= g
+        if a != 1:
+            for cc in row:
+                row[cc] *= a
+    entered = []
+    left = []
+    for cc, v in prow.items():
+        old = row.get(cc)
+        if old is None:
+            row[cc] = -f * v
+            entered.append(cc)
+        else:
+            nv = old - f * v
+            if nv:
+                row[cc] = nv
+            else:
+                del row[cc]
+                left.append(cc)
+    if not unit and row:
+        _primitive(row)
+    return entered, left
 
 
 def _eliminate(rows: list[dict],
                avoid: frozenset = frozenset()) -> tuple[list[tuple[int, dict]], list[dict]]:
-    """Forward elimination on sparse rows.
+    """Forward elimination on sparse integer rows, fraction-free.
 
     Returns (pivots, leftovers): pivots as (pivot column, row dict) pairs in
     selection order, and the rows whose support ended up entirely inside
@@ -239,6 +308,17 @@ def _eliminate(rows: list[dict],
     sparsest row holding it - which keeps fill-in down on boundary matrices.
     Ties break on index, so the result is deterministic and independent of
     the input dict iteration order.
+
+    The rows are Python `int` dicts and each update (`_reduce`) keeps a row a
+    nonzero multiple of the row that rational Gaussian elimination would
+    hold, in the sense of Bareiss: a unit pivot subtracts an integer multiple
+    of the pivot row; a non-unit pivot cross-multiplies by the cofactors of
+    the gcd and divides the result by the gcd of its entries.  The supports,
+    hence every Markowitz choice and the pivot sequence, are those of the
+    rational elimination, and no rank depends on a modulus.  The sparsest
+    column comes from a lazy heap of (count, column) entries: a popped entry
+    whose count is stale is skipped, and every column of a pivot row is
+    pushed again with its new count, since only those counts change.
     """
     live = {r: row for r, row in enumerate(rows) if row}
     col_index: dict[int, set[int]] = {}
@@ -246,11 +326,15 @@ def _eliminate(rows: list[dict],
         for c in row:
             if c not in avoid:
                 col_index.setdefault(c, set()).add(r)
+    heap = [(len(holders), c) for c, holders in col_index.items()]
+    heapify(heap)
 
     pivots: list[tuple[int, dict]] = []
-    while col_index:
-        c = min(col_index, key=lambda cc: (len(col_index[cc]), cc))
-        holders = col_index[c]
+    while heap:
+        count, c = heappop(heap)
+        holders = col_index.get(c)
+        if holders is None or len(holders) != count:
+            continue
         r = min(holders, key=lambda rr: (len(live[rr]), rr))
         prow = live.pop(r)
         for cc in prow:
@@ -259,26 +343,31 @@ def _eliminate(rows: list[dict],
             col_index[cc].discard(r)
             if not col_index[cc]:
                 del col_index[cc]
-        pv = prow[c]
         for rr in sorted(col_index.get(c, ())):
             row = live[rr]
-            f = row[c] / pv
-            for cc, v in prow.items():
-                nv = row.get(cc, Fraction(0)) - f * v
-                if nv:
-                    if cc not in row and cc not in avoid:
-                        col_index.setdefault(cc, set()).add(rr)
-                    row[cc] = nv
-                elif cc in row:
-                    del row[cc]
-                    if cc not in avoid:
-                        col_index[cc].discard(rr)
-                        if not col_index[cc]:
-                            del col_index[cc]
+            entered, left = _reduce(row, prow, c)
+            for cc in entered:
+                if cc not in avoid:
+                    col_index.setdefault(cc, set()).add(rr)
+            for cc in left:
+                if cc not in avoid:
+                    holders = col_index[cc]
+                    holders.discard(rr)
+                    if not holders:
+                        del col_index[cc]
             if not row:
                 del live[rr]
         pivots.append((c, prow))
+        for cc in prow:
+            holders = col_index.get(cc)
+            if holders:
+                heappush(heap, (len(holders), cc))
     return pivots, [row for row in live.values() if row]
+
+
+def _quotient(s, p: int):
+    """s / p for an integer pivot p, in `Fraction` only when p is not a unit."""
+    return s * p if p == 1 or p == -1 else Fraction(s, p)
 
 
 def rank(m: MatrixQ) -> int:
@@ -332,21 +421,39 @@ class Subspace:
 def kernel_basis(m: MatrixQ) -> Subspace:
     """A basis of {v : m v = 0}; its size is cols - rank."""
     # a pivot row can only involve its own pivot column, later-chosen pivot
-    # columns and free columns, so back-substitution must run in reverse
-    # chronological order of pivot selection
+    # columns and free columns, so back-substitution runs in reverse
+    # chronological order of pivot selection.  It visits only the pivot rows
+    # holding a coordinate already set: users[cc] lists -k for every pivot
+    # row k holding cc off its pivot, so a min-heap pops the latest row first
     pivots, _ = _eliminate(_sparse_rows(m))
     pivot_set = {c for c, _ in pivots}
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
+    users: dict[int, list[int]] = {}
+    for k, (c, row) in enumerate(pivots):
+        for cc in row:
+            if cc != c:
+                users.setdefault(cc, []).append(-k)
     vecs = []
-    for f in free_cols:
-        x = {f: Fraction(1)}
-        for c, row in reversed(pivots):
-            s = Fraction(0)
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        x = {f: 1}
+        todo = list(users.get(f, ()))
+        heapify(todo)
+        last = None
+        while todo:
+            k = heappop(todo)
+            if k == last:
+                continue
+            last = k
+            c, row = pivots[-k]
+            s = 0
             for cc, v in row.items():
                 if cc != c and cc in x:
                     s += v * x[cc]
             if s:
-                x[c] = -s / row[c]
+                x[c] = _quotient(-s, row[c])
+                for kk in users.get(c, ()):
+                    heappush(todo, kk)
         vecs.append(x)
     return Subspace(m.cols, vecs, _trusted=True)
 
@@ -354,8 +461,12 @@ def kernel_basis(m: MatrixQ) -> Subspace:
 def image_basis(m: MatrixQ) -> Subspace:
     """A basis of the column space: the original columns at pivot positions."""
     pivots, _ = _eliminate(_sparse_rows(m))
-    cols = sorted(c for c, _ in pivots)
-    return Subspace(m.rows, [m.column(j) for j in cols], _trusted=True)
+    columns = {c: {} for c, _ in pivots}
+    for (i, j), v in m._e.items():
+        if j in columns:
+            columns[j][i] = v
+    return Subspace(m.rows, [columns[j] for j in sorted(columns)],
+                    _trusted=True)
 
 
 def sum_dim(a: Subspace, b: Subspace) -> int:
@@ -382,10 +493,11 @@ class IncrementalSpan:
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._rows: dict[int, dict] = {}  # pivot coordinate -> reduced vector
+        # pivot coordinate -> primitive integer multiple of the reduced vector
+        self._rows: dict[int, dict] = {}
 
     def add(self, vec: Mapping) -> bool:
-        r = {i: as_rational(v) for i, v in vec.items() if v}
+        r = _integral({i: as_rational(v) for i, v in vec.items() if v})
         for i in r:
             if not (0 <= i < self.ambient_dim):
                 raise DimensionMismatch("vector outside ambient dimension")
@@ -393,15 +505,10 @@ class IncrementalSpan:
             c = min(r)
             pivot = self._rows.get(c)
             if pivot is None:
+                _primitive(r)
                 self._rows[c] = r
                 return True
-            f = r[c] / pivot[c]
-            for cc, v in pivot.items():
-                nv = r.get(cc, Fraction(0)) - f * v
-                if nv:
-                    r[cc] = nv
-                elif cc in r:
-                    del r[cc]
+            _reduce(r, pivot, c)
         return False
 
     @property
@@ -411,26 +518,26 @@ class IncrementalSpan:
 
 def solve(m: MatrixQ, b: Mapping) -> dict | None:
     """One solution x of m x = b (free coordinates 0), or None if insoluble."""
-    rows = _sparse_rows(m)
-    BCOL = m.cols  # augmented column index
+    rhs = {}
     for i, v in b.items():
         v = as_rational(v)
         if v:
             if not (0 <= i < m.rows):
                 raise DimensionMismatch("right-hand side outside row range")
-            rows[i][BCOL] = v
-    pivots, leftovers = _eliminate(rows, avoid=frozenset({BCOL}))
+            rhs[i] = v
+    BCOL = m.cols  # augmented column index
+    pivots, leftovers = _eliminate(_sparse_rows(m, rhs), avoid=frozenset({BCOL}))
     if any(row.get(BCOL) for row in leftovers):
         return None
     x: dict = {}
     for c, row in reversed(pivots):
-        s = row.get(BCOL, Fraction(0))
+        s = row.get(BCOL, 0)
         for cc, v in row.items():
             if cc != c and cc != BCOL and cc in x:
                 s -= v * x[cc]
         if s:
-            x[c] = s / row[c]
-    return x
+            x[c] = _quotient(s, row[c])
+    return {c: Fraction(v) for c, v in x.items()}
 
 
 class Signature(NamedTuple):

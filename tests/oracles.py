@@ -1,9 +1,14 @@
 """Independent brute-force oracles used to pin expected values in the tests.
 
-These deliberately share no code with the package: ranks come from dense
-determinant expansion over all square submatrices (small inputs) or from
-dense Gaussian elimination modulo several primes (larger inputs), and both
-paths avoid the sparse elimination engine under test.
+The rank oracles deliberately share no code with the package: ranks come
+from dense determinant expansion over all square submatrices (small inputs)
+or from dense Gaussian elimination modulo several primes (larger inputs),
+and both paths avoid the sparse elimination engine under test.
+
+The reference elimination engine at the end (`ref_eliminate` and the bases
+built on it) is the exception: it is the rational `Fraction` form of the
+package's integer engine and follows the same pivot rule, so it pins the
+pivot sequence and the bases exactly but is not an independent check.
 """
 
 from fractions import Fraction
@@ -83,4 +88,139 @@ def convolve(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference elimination engine
+
+def ref_rows(m):
+    """The rows of a MatrixQ as {column: Fraction} dicts."""
+    rows = [dict() for _ in range(m.rows)]
+    for (i, j), v in m.items():
+        rows[i][j] = Fraction(v)
+    return rows
+
+
+def ref_eliminate(rows, avoid=frozenset()):
+    """Sparse Gaussian elimination over `Fraction`, pivots chosen by a
+    Markowitz `min` scan over all columns (a sparsest column, then the
+    sparsest row holding it, ties on index).
+
+    NOT independent of `strathom.qlinalg._eliminate`: it follows the same
+    pivot rule on purpose, so the two must agree on the pivot sequence and on
+    every basis built from it; only its arithmetic (rational rows, divided by
+    the pivot) and its column choice (a full scan, not a heap) differ.
+    Returns (pivots, leftovers) like the engine.
+    """
+    live = {r: row for r, row in enumerate(rows) if row}
+    col_index = {}
+    for r, row in live.items():
+        for c in row:
+            if c not in avoid:
+                col_index.setdefault(c, set()).add(r)
+    pivots = []
+    while col_index:
+        c = min(col_index, key=lambda cc: (len(col_index[cc]), cc))
+        r = min(col_index[c], key=lambda rr: (len(live[rr]), rr))
+        prow = live.pop(r)
+        for cc in prow:
+            if cc in avoid:
+                continue
+            col_index[cc].discard(r)
+            if not col_index[cc]:
+                del col_index[cc]
+        pv = prow[c]
+        for rr in sorted(col_index.get(c, ())):
+            row = live[rr]
+            f = row[c] / pv
+            for cc, v in prow.items():
+                nv = row.get(cc, Fraction(0)) - f * v
+                if nv:
+                    if cc not in row and cc not in avoid:
+                        col_index.setdefault(cc, set()).add(rr)
+                    row[cc] = nv
+                elif cc in row:
+                    del row[cc]
+                    if cc not in avoid:
+                        col_index[cc].discard(rr)
+                        if not col_index[cc]:
+                            del col_index[cc]
+            if not row:
+                del live[rr]
+        pivots.append((c, prow))
+    return pivots, [row for row in live.values() if row]
+
+
+def ref_kernel_basis(m, pivots):
+    """Kernel vectors of m by back-substitution over its `ref_eliminate`
+    pivots."""
+    pivot_set = {c for c, _ in pivots}
+    vecs = []
+    for f in (j for j in range(m.cols) if j not in pivot_set):
+        x = {f: Fraction(1)}
+        for c, row in reversed(pivots):
+            s = sum((v * x[cc] for cc, v in row.items() if cc != c and cc in x),
+                    Fraction(0))
+            if s:
+                x[c] = -s / row[c]
+        vecs.append(x)
+    return vecs
+
+
+def ref_image_basis(m, pivots):
+    """The columns of m at its `ref_eliminate` pivot columns, in column
+    order."""
+    columns = {c: {} for c, _ in pivots}
+    for (i, j), v in m.items():
+        if j in columns:
+            columns[j][i] = v
+    return [columns[c] for c in sorted(columns)]
+
+
+def ref_solve(m, b):
+    """One solution of m x = b (free coordinates 0), or None."""
+    rows = ref_rows(m)
+    bcol = m.cols
+    for i, v in b.items():
+        if v:
+            rows[i][bcol] = Fraction(v)
+    pivots, leftovers = ref_eliminate(rows, avoid=frozenset({bcol}))
+    if any(row.get(bcol) for row in leftovers):
+        return None
+    x = {}
+    for c, row in reversed(pivots):
+        s = row.get(bcol, Fraction(0))
+        for cc, v in row.items():
+            if cc != c and cc != bcol and cc in x:
+                s -= v * x[cc]
+        if s:
+            x[c] = s / row[c]
+    return x
+
+
+def ref_span_verdicts(ambient_dim, vecs):
+    """For each vector in turn, whether it enlarges the span of the earlier
+    ones (echelon rows over `Fraction`, reduced at the least coordinate)."""
+    rows = {}
+    out = []
+    for vec in vecs:
+        r = {i: Fraction(v) for i, v in vec.items() if v}
+        assert all(0 <= i < ambient_dim for i in r)
+        grew = False
+        while r:
+            c = min(r)
+            pivot = rows.get(c)
+            if pivot is None:
+                rows[c] = r
+                grew = True
+                break
+            f = r[c] / pivot[c]
+            for cc, v in pivot.items():
+                nv = r.get(cc, Fraction(0)) - f * v
+                if nv:
+                    r[cc] = nv
+                elif cc in r:
+                    del r[cc]
+        out.append(grew)
     return out

@@ -219,6 +219,16 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("homology", {**triangle, "boundary": 5}, "boundary"),
         ("homology", {**triangle, "sigma": 5}, "sigma"),
         ("homology", {**triangle, "sigma": ["a"], "codim": "x"}, "codim"),
+        ("hi", {**model, "beta_T": {}, "link_betti": [1, -1]}, "link_betti"),
+        ("hi", {**model, "beta_T": {}, "sigma_betti": [2, -4, 2]},
+         "sigma_betti"),
+        ("hi", {**model, "beta_T": {}, "m_betti": [1, -3, 3, 1]}, "m_betti"),
+        ("hi", {"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, -1],
+                "beta_T": {}}, "m_betti"),
+        ("hi", {"kind": "suspension_product", "link": {"betti": [1, -1]},
+                "sigma": [1, 1]}, "link.betti"),
+        ("hi", {"kind": "suspension_product", "link": [1, 1],
+                "sigma": [-1]}, "sigma"),
     ]
     for i, (verb, data, field) in enumerate(cases):
         f = tmp_path / f"malformed{i}.json"
@@ -227,6 +237,24 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, (field, err)
         assert f".{field}" in err and "Traceback" not in err, (field, err)
+
+
+def test_file_link_is_read_beside_the_space_file(capsys, tmp_path,
+                                                monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "cp2_minus_ball.json").write_text(
+        (DATA / "cp2_minus_ball.json").read_text())
+    (sub / "sp.json").write_text(json.dumps({
+        "kind": "suspension_product", "link": {"file": "cp2_minus_ball.json"},
+        "sigma": [1, 1]}))
+    monkeypatch.chdir(tmp_path)
+    code, outer, err = run_json(capsys, "hi", "sub/sp.json", "--p", "0")
+    assert code == 0, err
+    monkeypatch.chdir(sub)
+    code, inner, err = run_json(capsys, "hi", "sp.json", "--p", "0")
+    assert code == 0, err
+    assert outer["result"] == inner["result"]
 
 
 def test_regular_part_homology_above_n_exits_2(capsys, tmp_path):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from strathom.catalog import cp2_9, i_x_s1_x_t2, torus7
 from strathom.qlinalg import (
     DimensionMismatch,
+    IncrementalSpan,
     MatrixQ,
     NotSymmetric,
     Subspace,
@@ -17,9 +19,29 @@ from strathom.qlinalg import (
     solve,
     sum_dim,
     vstack,
+    _eliminate,
+    _sparse_rows,
+)
+from strathom.simplicial import boundary_matrix
+
+from oracles import (
+    rank_by_minors,
+    rank_int_oracle,
+    ref_eliminate,
+    ref_image_basis,
+    ref_kernel_basis,
+    ref_rows,
+    ref_solve,
+    ref_span_verdicts,
 )
 
-from oracles import rank_by_minors, rank_int_oracle
+# entry pools for random matrices: with units; without any unit entry, so
+# every first pivot takes the fraction-free branch; with rational entries
+POOLS = {
+    "units": [1, -1, 2],
+    "no_unit": [2, -2, 3, -3, 6, -6],
+    "rational": [1, -1, Fraction(3, 2), Fraction(-5, 7)],
+}
 
 
 def M(rows):
@@ -83,6 +105,13 @@ def test_rank_plus_nullity_and_transpose_rank():
         assert rank(m) == rank(m.transpose())
         if r and c:
             assert rank(m) == rank_by_minors(rows)
+    for pool in ("no_unit", "rational"):
+        for _ in range(20):
+            rows = _random_rows(rng, pool, rng.randrange(1, 5),
+                                rng.randrange(1, 5), 0.3)
+            m = M(rows)
+            assert rank(m) + kernel_basis(m).dim == m.cols
+            assert rank(m) == rank(m.transpose()) == rank_by_minors(rows)
 
 
 def test_rank_matches_modular_oracle_on_larger_matrices():
@@ -93,6 +122,104 @@ def test_rank_matches_modular_oracle_on_larger_matrices():
         rows = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(c)]
                 for _ in range(r)]
         assert rank(M(rows)) == rank_int_oracle(rows)
+    for pool in POOLS:
+        for _ in range(8):
+            rows = _random_rows(rng, pool, rng.randrange(5, 31),
+                                rng.randrange(5, 31), rng.choice([0.5, 0.8]))
+            assert rank(M(rows)) == rank_int_oracle(_integer_rows(rows))
+
+
+def _random_rows(rng, pool, r, c, zero_share):
+    """An r x c matrix over `POOLS[pool]`, zero with probability
+    `zero_share`; some rows are then replaced by combinations of others
+    (doubled for the unit-free pool, which a sum could break) so that ranks
+    fall short of min(r, c)."""
+    rows = [[0 if rng.random() < zero_share else rng.choice(POOLS[pool])
+             for _ in range(c)] for _ in range(r)]
+    for k in range(r):
+        if k >= 2 and rng.random() < 0.3:
+            i, j = rng.sample(range(k), 2)
+            rows[k] = ([2 * x for x in rows[i]] if pool == "no_unit"
+                       else [x + y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+def _integer_rows(rows):
+    """The rows times the lcm 14 of the pools' denominators: same rank."""
+    out = [[Fraction(x) * 14 for x in row] for row in rows]
+    assert all(x.denominator == 1 for row in out for x in row)
+    return [[int(x) for x in row] for row in out]
+
+
+def _assert_engine_matches_reference(m, rng):
+    """The integer engine and the Fraction reference (same pivot rule) agree
+    on the pivot sequence, the pivot rows up to a nonzero scalar, the kernel
+    and image bases, `solve` and the `IncrementalSpan` verdicts."""
+    pivots, leftovers = _eliminate(_sparse_rows(m))
+    ref, ref_left = ref_eliminate(ref_rows(m))
+    assert not leftovers and not ref_left
+    assert [c for c, _ in pivots] == [c for c, _ in ref]
+    for (c, row), (_, ref_row) in zip(pivots, ref):
+        assert all(type(v) is int for v in row.values())
+        scale = Fraction(row[c]) / ref_row[c]
+        assert row == {k: v * scale for k, v in ref_row.items()}
+    assert list(kernel_basis(m).basis) == ref_kernel_basis(m, ref)
+    assert list(image_basis(m).basis) == ref_image_basis(m, ref)
+
+    x = {j: rng.choice([1, -1, 2, Fraction(1, 3)]) for j in range(m.cols)
+         if rng.random() < 0.5}
+    image = m @ MatrixQ(m.cols, 1, {(j, 0): v for j, v in x.items()})
+    for b in ({i: v for (i, _), v in image.items()},
+              {i: rng.choice([1, -3]) for i in range(m.rows)
+               if rng.random() < 0.3}):
+        got = solve(m, b)
+        assert got == ref_solve(m, b)
+        if got is not None:
+            assert all(type(v) is Fraction for v in got.values())
+
+    # up to 40 columns in order, then combinations of them: the verdicts
+    # follow the reference, and the accepted count is their rank
+    cols = [dict() for _ in range(m.cols)]
+    for (i, j), v in m.items():
+        cols[j][i] = v
+    if len(cols) > 40:
+        cols = [cols[j] for j in sorted(rng.sample(range(len(cols)), 40))]
+    vecs = cols + [{i: 2 * a.get(i, 0) - 3 * b.get(i, 0)
+                    for i in a.keys() | b.keys()}
+                   for a, b in zip(cols, cols[1:])]
+    span = IncrementalSpan(m.rows)
+    verdicts = [span.add(v) for v in vecs]
+    assert verdicts == ref_span_verdicts(m.rows, vecs)
+    assert span.dim == sum(verdicts) == rank(
+        MatrixQ(m.rows, len(cols), {(i, j): v for j, col in enumerate(cols)
+                                    for i, v in col.items()}))
+
+
+def test_engine_matches_fraction_reference_on_random_matrices():
+    rng = random.Random(5)
+    for pool in POOLS:
+        for _ in range(15):
+            r = rng.randrange(1, 31)
+            c = rng.randrange(1, 31)
+            rows = _random_rows(rng, pool, r, c, rng.choice([0.5, 0.8]))
+            m = M(rows)
+            _assert_engine_matches_reference(m, rng)
+            assert rank(m) == rank_int_oracle(_integer_rows(rows))
+    _assert_engine_matches_reference(MatrixQ.zeros(3, 4), rng)
+
+
+@pytest.mark.parametrize("name", ["torus7", "cp2_9", "i_x_s1_x_t2"])
+def test_engine_matches_fraction_reference_on_boundary_matrices(name):
+    complex_ = {"torus7": torus7, "cp2_9": cp2_9,
+                "i_x_s1_x_t2": lambda: i_x_s1_x_t2().complex}[name]()
+    rng = random.Random(17)
+    for d in range(1, complex_.dim + 1):
+        bd = boundary_matrix(complex_, d)
+        for m in (bd, bd.transpose()):
+            _assert_engine_matches_reference(m, rng)
+        if name != "i_x_s1_x_t2":  # dense modular ranks are too slow there
+            dense = [[int(x) for x in row] for row in bd.to_rows()]
+            assert rank(bd) == rank_int_oracle(dense)
 
 
 def test_kernel_and_image_really_are_kernel_and_image():
@@ -120,6 +247,11 @@ def test_solve():
     assert x == {0: Fraction(1), 1: Fraction(2)}
     assert solve(M([[1, 1], [1, 1]]), {0: 1, 1: 2}) is None
     assert solve(M([[1, 1], [2, 2]]), {0: 3, 1: 6}) is not None
+    # no unit pivot, and rational entries: back-substitution divides
+    assert solve(M([[2, 3], [4, 9]]), {0: 1, 1: 0}) == {
+        0: Fraction(3, 2), 1: Fraction(-2, 3)}
+    assert solve(M([["3/2", 0], [0, "-5/7"]]), {0: 3, 1: 1}) == {
+        0: Fraction(2), 1: Fraction(-7, 5)}
 
 
 def test_signature_examples():
