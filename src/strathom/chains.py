@@ -200,8 +200,10 @@ def les_third_dims(beta: GradedMap) -> GradedVS:
 class ChainComplex:
     """A chain complex of finite-dimensional rational vector spaces.
 
-    `differentials[j]` is the matrix of d_j : C_j -> C_{j-1}.  Construction
-    checks shapes and d o d = 0; a violating complex cannot be built.
+    `differentials[j]` is the matrix of d_j : C_j -> C_{j-1}.  Every
+    construction checks the shapes and d_{j-1} o d_j = 0 for each pair of
+    adjacent differentials (an exact product, in `int` on simplicial
+    complexes); a violating complex cannot be built.
     """
 
     __slots__ = ("spaces", "differentials", "_homology_cache")
@@ -313,9 +315,9 @@ def reduced_homology(c: ChainComplex) -> GradedVS:
     if c.spaces[0] < 1:
         raise ValueError("reduced homology needs a nonempty degree-0 space")
     d1 = c.differential(1)
-    colsums: dict[int, Fraction] = {}
+    colsums: dict[int, int | Fraction] = {}
     for (i, j), v in d1.items():
-        colsums[j] = colsums.get(j, Fraction(0)) + v
+        colsums[j] = colsums.get(j, 0) + v
     if any(colsums.values()):
         raise ValueError("d_1 is not compatible with the augmentation")
     h = c.homology()
@@ -447,7 +449,7 @@ def tensor_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
             for (r, ccol), v in db.items():
                 for ia in range(adims[p]):
                     key = (index(j - 1, q - 1, ia, r), index(j, q, ia, ccol))
-                    entries[key] = entries.get(key, Fraction(0)) + sign * v
+                    entries[key] = entries.get(key, 0) + sign * v
         m = MatrixQ(spaces[j - 1], spaces[j], entries)
         if not m.is_zero():
             diffs[j] = m

@@ -88,7 +88,7 @@ def _simplex_list(value, field: str) -> list:
     return value
 
 
-def _rational_out(x: Fraction):
+def _rational_out(x: int | Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -2,10 +2,13 @@
 
 Everything downstream (homology dimensions, Mayer-Vietoris bookkeeping,
 signatures) reduces to ranks, kernels, images and congruence
-diagonalization computed here.  Matrices hold `fractions.Fraction` values
-and every value handed back is a `Fraction`.  One elimination engine serves
-rank, kernel_basis, image_basis, solve and IncrementalSpan: it works on
-exact Python `int` rows (each rational row scaled by the lcm of its
+diagonalization computed here.  A value is an `int`, or a reduced
+`fractions.Fraction` whose denominator is not 1: `as_rational` enforces
+this on every entry a matrix or subspace stores, and every value handed
+back follows it, so the ±1 boundary matrices of a triangulation hold
+plain `int`s.  One elimination engine serves rank, kernel_basis,
+image_basis, solve and IncrementalSpan: it works on exact Python `int`
+rows (a row holding a `Fraction` is scaled by the lcm of its
 denominators), fraction-free in the sense of Bareiss, and picks Markowitz
 pivots from a lazy heap.  Back-substitution divides in `Fraction` only by
 a non-unit pivot.  There are no floats, no tolerances and no modular
@@ -22,8 +25,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-# Fraction is always reduced with positive denominator and canonical zero,
-# which is exactly the contract the rest of the package relies on.
+# Fraction is always reduced with positive denominator and canonical zero;
+# the package adds one rule: an integral value is stored as an `int`.
 
 
 class DimensionMismatch(ValueError):
@@ -34,14 +37,17 @@ class NotSymmetric(ValueError):
     """A symmetric-only operation was fed a non-symmetric matrix."""
 
 
-def as_rational(x) -> Fraction:
-    """Coerce ints, strings like '3/2' and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def as_rational(x) -> int | Fraction:
+    """Coerce ints, strings like '3/2' and Fractions to the value contract:
+    an `int` for an integral value, a `Fraction` otherwise."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
@@ -57,13 +63,14 @@ class MatrixQ:
         self.cols = cols
         e = {}
         if entries:
-            for (i, j), v in entries.items():
+            for key, v in entries.items():
+                i, j = key
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise DimensionMismatch(
                         f"entry ({i},{j}) outside {rows}x{cols} matrix")
                 v = as_rational(v)
                 if v:
-                    e[(i, j)] = v
+                    e[key] = v
         self._e = e
 
     @classmethod
@@ -83,14 +90,14 @@ class MatrixQ:
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixQ":
         return cls(rows, cols)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._e.get((i, j), Fraction(0))
+    def entry(self, i: int, j: int) -> int | Fraction:
+        return self._e.get((i, j), 0)
 
     def items(self):
         return self._e.items()
@@ -118,7 +125,7 @@ class MatrixQ:
         for (i, k), a in self._e.items():
             for j, b in rows_of_other.get(k, ()):
                 key = (i, j)
-                s = acc.get(key, Fraction(0)) + a * b
+                s = acc.get(key, 0) + a * b
                 if s:
                     acc[key] = s
                 elif key in acc:
@@ -130,7 +137,7 @@ class MatrixQ:
             raise DimensionMismatch("shape mismatch in addition")
         acc = dict(self._e)
         for key, v in other._e.items():
-            s = acc.get(key, Fraction(0)) + v
+            s = acc.get(key, 0) + v
             if s:
                 acc[key] = s
             elif key in acc:
@@ -140,16 +147,6 @@ class MatrixQ:
     def __neg__(self) -> "MatrixQ":
         return MatrixQ(self.rows, self.cols,
                        {k: -v for k, v in self._e.items()})
-
-    def __sub__(self, other: "MatrixQ") -> "MatrixQ":
-        return self + (-other)
-
-    def scaled(self, c) -> "MatrixQ":
-        c = as_rational(c)
-        if not c:
-            return MatrixQ.zeros(self.rows, self.cols)
-        return MatrixQ(self.rows, self.cols,
-                       {k: c * v for k, v in self._e.items()})
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "MatrixQ":
         """The given (distinct) rows and columns, in the given order; entries
@@ -163,8 +160,8 @@ class MatrixQ:
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self._e.items() if jj == j}
 
-    def to_rows(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+    def to_rows(self) -> list[list[int | Fraction]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self._e.items():
             out[i][j] = v
         return out
@@ -200,54 +197,40 @@ def hstack(mats: list[MatrixQ]) -> MatrixQ:
     return MatrixQ(rows, off, entries)
 
 
-def vstack(mats: list[MatrixQ]) -> MatrixQ:
-    if not mats:
-        raise DimensionMismatch("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise DimensionMismatch("vstack with differing column counts")
-    entries = {}
-    off = 0
-    for m in mats:
-        for (i, j), v in m.items():
-            entries[(i + off, j)] = v
-        off += m.rows
-    return MatrixQ(off, cols, entries)
-
-
-def block_diag(mats: list[MatrixQ]) -> MatrixQ:
-    entries = {}
-    roff = coff = 0
-    for m in mats:
-        for (i, j), v in m.items():
-            entries[(i + roff, j + coff)] = v
-        roff += m.rows
-        coff += m.cols
-    return MatrixQ(roff, coff, entries)
-
-
 # ---------------------------------------------------------------------------
 # elimination engine
 
-def _integral(vec: Mapping) -> dict:
-    """`vec` (rational values) times the lcm of its denominators: a nonzero
-    multiple of `vec` with `int` entries and the same support."""
-    den = lcm(*{v.denominator for v in vec.values()}) if vec else 1
-    if den == 1:
-        return {c: v.numerator for c, v in vec.items()}
-    return {c: v.numerator * (den // v.denominator) for c, v in vec.items()}
+def _all_int(values: Iterable) -> bool:
+    return set(map(type, values)) <= {int}
+
+
+def _integral(vec: dict) -> dict:
+    """Scale `vec` (contract values) in place by the lcm of its
+    denominators, making it a nonzero multiple of itself with `int` entries
+    and the same support; return it.  A row without a `Fraction` is left
+    alone."""
+    if not _all_int(vec.values()):
+        den = lcm(*(v.denominator for v in vec.values()))
+        for c, v in vec.items():
+            vec[c] = v.numerator * (den // v.denominator)
+    return vec
 
 
 def _sparse_rows(m: MatrixQ, rhs: Mapping | None = None) -> list[dict]:
     """The rows of `m` as integer row dicts, each a nonzero multiple of the
     rational row (so rank, kernel and pivot columns are kept); `rhs`, if
-    given, fills an augmented column `m.cols` before the scaling."""
+    given, fills an augmented column `m.cols` before the scaling.  Only a
+    row holding a `Fraction` is scaled."""
+    rhs = rhs or {}
     rows = [dict() for _ in range(m.rows)]
     for (i, j), v in m._e.items():
         rows[i][j] = v
-    for i, v in (rhs or {}).items():
+    for i, v in rhs.items():
         rows[i][m.cols] = v
-    return [_integral(row) for row in rows]
+    if not (_all_int(m._e.values()) and _all_int(rhs.values())):
+        for row in rows:
+            _integral(row)
+    return rows
 
 
 def _primitive(row: dict) -> None:
@@ -365,9 +348,10 @@ def _eliminate(rows: list[dict],
     return pivots, [row for row in live.values() if row]
 
 
-def _quotient(s, p: int):
-    """s / p for an integer pivot p, in `Fraction` only when p is not a unit."""
-    return s * p if p == 1 or p == -1 else Fraction(s, p)
+def _quotient(s, p) -> int | Fraction:
+    """s / p for a nonzero pivot p, exact and under the value contract; in
+    `Fraction` only when p is not a unit."""
+    return as_rational(s * p if p == 1 or p == -1 else Fraction(s, p))
 
 
 def rank(m: MatrixQ) -> int:
@@ -537,7 +521,7 @@ def solve(m: MatrixQ, b: Mapping) -> dict | None:
                 s -= v * x[cc]
         if s:
             x[c] = _quotient(s, row[c])
-    return {c: Fraction(v) for c, v in x.items()}
+    return x
 
 
 class Signature(NamedTuple):
@@ -549,7 +533,8 @@ class Signature(NamedTuple):
 def signature_sym(m: MatrixQ) -> Signature:
     """Inertia (pos, neg, null) of a symmetric matrix by exact congruence.
 
-    Diagonalizes by symmetric row/column operations.  When no nonzero
+    Diagonalizes by symmetric row/column operations; each step divides
+    exactly (`_quotient`), never in floating point.  When no nonzero
     diagonal pivot exists, a hyperbolic pair M[i][j] != 0 is converted to a
     usable pivot by the congruence row_i += row_j / col_i += col_j; the pair
     then contributes exactly (1, 1, 0), the standard hyperbolic count.
@@ -582,7 +567,7 @@ def signature_sym(m: MatrixQ) -> Signature:
         else:
             neg += 1
         for r in remaining:
-            f = a[r][piv] / d
+            f = _quotient(a[r][piv], d)
             if not f:
                 continue
             for k in range(n):

@@ -19,7 +19,6 @@ this is pinned against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -111,7 +110,7 @@ def boundary_matrix(s: SimplicialComplex, d: int) -> MatrixQ:
     for col, simplex in enumerate(s.simplices(d)):
         for i in range(len(simplex)):
             face = simplex[:i] + simplex[i + 1:]
-            entries[(lower[face], col)] = Fraction((-1) ** i)
+            entries[(lower[face], col)] = -1 if i % 2 else 1
     return MatrixQ(s.n_simplices(d - 1), s.n_simplices(d), entries)
 
 
@@ -382,11 +381,12 @@ class OrientedPseudomanifoldWithBoundary:
         self.boundary = frozenset(bset)
 
         tops = complex.simplices(n)
-        cofaces: dict[Simplex, list[int]] = {}
+        # codimension-1 face -> (top index, position of the omitted vertex)
+        cofaces: dict[Simplex, list[tuple[int, int]]] = {}
         for t_i, t in enumerate(tops):
             for i in range(len(t)):
                 face = t[:i] + t[i + 1:]
-                cofaces.setdefault(face, []).append(t_i)
+                cofaces.setdefault(face, []).append((t_i, i))
         for face, cf in cofaces.items():
             expected = 1 if face in self.boundary else 2
             if len(cf) != expected:
@@ -403,7 +403,7 @@ class OrientedPseudomanifoldWithBoundary:
         if any(x not in (1, -1) for x in signs.values()):
             raise OrientationError("orientation signs must be +-1")
         self.orientation = signs
-        self._check_fundamental_chain()
+        self._check_fundamental_chain(tops, cofaces)
 
     def _propagate(self, tops, cofaces) -> dict[Simplex, int]:
         n = self.complex.dim
@@ -417,11 +417,10 @@ class OrientedPseudomanifoldWithBoundary:
                 t = stack.pop()
                 for i in range(len(t)):
                     face = t[:i] + t[i + 1:]
-                    for other_i in cofaces[face]:
+                    for other_i, j in cofaces[face]:
                         other = tops[other_i]
                         if other == t:
                             continue
-                        j = other.index(tuple(set(other) - set(face))[0])
                         # coherent: induced boundary orientations must cancel;
                         # face carries sign (-1)**i in t and (-1)**j in other
                         induced_here = (-1) ** i * signs[t]
@@ -435,22 +434,22 @@ class OrientedPseudomanifoldWithBoundary:
                             stack.append(other)
         return signs
 
-    def _check_fundamental_chain(self):
-        n = self.complex.dim
-        bd = boundary_matrix(self.complex, n)
-        fund = MatrixQ(self.complex.n_simplices(n), 1,
-                       {(self.complex.index_of(t), 0): Fraction(s)
-                        for t, s in self.orientation.items()})
-        result = bd @ fund
-        lower = self.complex.simplices(n - 1)
-        for (i, _), v in result.items():
-            if v and lower[i] not in self.boundary:
+    def _check_fundamental_chain(self, tops, cofaces) -> None:
+        """The boundary of the fundamental chain lies in the boundary
+        subcomplex: off it, each codimension-1 face sums (-1)**i * sign over
+        its top cofaces, i the position of the vertex the face omits."""
+        signs = self.orientation
+        for face, cf in cofaces.items():
+            if face in self.boundary:
+                continue
+            if sum(-signs[tops[t_i]] if i % 2 else signs[tops[t_i]]
+                   for t_i, i in cf):
                 raise OrientationError(
                     "fundamental chain boundary leaks outside the boundary "
-                    f"subcomplex at {self.complex.labels(lower[i])}")
+                    f"subcomplex at {self.complex.labels(face)}")
 
-    def fundamental_chain(self) -> dict[int, Fraction]:
-        return {self.complex.index_of(t): Fraction(s)
+    def fundamental_chain(self) -> dict[int, int]:
+        return {self.complex.index_of(t): s
                 for t, s in self.orientation.items()}
 
     def reversed_orientation(self) -> "OrientedPseudomanifoldWithBoundary":
@@ -530,7 +529,7 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
                 if not vb:
                     continue
                 key = (i, j)
-                s = entries.get(key, Fraction(0)) + coeff * va * vb
+                s = entries.get(key, 0) + coeff * va * vb
                 if s:
                     entries[key] = s
                 elif key in entries:

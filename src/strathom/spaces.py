@@ -11,7 +11,6 @@ live here too, so the tests and the bundled inputs agree on conventions.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .chains import GradedMap, GradedVS
 from .qlinalg import MatrixQ
@@ -45,7 +44,7 @@ def _fold_blocks(link_h: GradedVS, sigma0_h: GradedVS, copies: int,
                     for isig in range(ds0):
                         row = tgt_off + il * ds0 + isig
                         col = src_off + il * (copies * ds0) + copy * ds0 + isig
-                        entries[(row, col)] = Fraction(1)
+                        entries[(row, col)] = 1
             src_off += dl * copies * ds0
             tgt_off += dl * ds0
         if entries:
@@ -171,7 +170,7 @@ def random_algebraic_space(rng: random.Random, n_max: int = 6,
         entries = {}
         if j == 0:
             for col in range(cols):
-                entries[(rng.randrange(rows), col)] = Fraction(1)
+                entries[(rng.randrange(rows), col)] = 1
         else:
             if rows == 0:
                 continue
@@ -179,7 +178,7 @@ def random_algebraic_space(rng: random.Random, n_max: int = 6,
                 for row in range(rows):
                     v = rng.choice([0, 0, 0, 1, -1, 2])
                     if v:
-                        entries[(row, col)] = Fraction(v)
+                        entries[(row, col)] = v
         if entries:
             blocks[j] = MatrixQ(rows, cols, entries)
     return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h,

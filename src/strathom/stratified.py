@@ -357,7 +357,7 @@ def _swap_permutation(space: TwoStrataSpace, j: int) -> MatrixQ:
             for i_sigma_new in range(ds_new):  # old L index
                 col = swapped_off + i_link_new * ds_new + i_sigma_new
                 row = base + i_sigma_new * dl_new + i_link_new
-                fwd[(row, col)] = Fraction(1)
+                fwd[(row, col)] = 1
         swapped_off += dl_new * ds_new
     return MatrixQ(total, total, fwd)
 

@@ -8,11 +8,19 @@ and both paths avoid the sparse elimination engine under test.
 The reference elimination engine at the end (`ref_eliminate` and the bases
 built on it) is the exception: it is the rational `Fraction` form of the
 package's integer engine and follows the same pivot rule, so it pins the
-pivot sequence and the bases exactly but is not an independent check.
+pivot sequence and the bases exactly but is not an independent check.  It
+still takes and returns `Fraction` values throughout (`ref_rows` converts),
+while the package stores an integral value as an `int`; the two compare
+equal value for value.
+
+The matrix helpers in between (`vstack`, `block_diag`, `scaled`) assemble
+package `MatrixQ` values for tests; no command of the package needs them.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from strathom.qlinalg import DimensionMismatch, MatrixQ
 
 
 def det_dense(rows):
@@ -89,6 +97,42 @@ def convolve(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# ---------------------------------------------------------------------------
+# matrix assembly helpers
+
+def vstack(mats):
+    """The MatrixQ blocks stacked top to bottom."""
+    if not mats:
+        raise DimensionMismatch("vstack of nothing")
+    cols = mats[0].cols
+    if any(m.cols != cols for m in mats):
+        raise DimensionMismatch("vstack with differing column counts")
+    entries = {}
+    off = 0
+    for m in mats:
+        for (i, j), v in m.items():
+            entries[(i + off, j)] = v
+        off += m.rows
+    return MatrixQ(off, cols, entries)
+
+
+def block_diag(mats):
+    """The MatrixQ blocks along the diagonal."""
+    entries = {}
+    roff = coff = 0
+    for m in mats:
+        for (i, j), v in m.items():
+            entries[(i + roff, j + coff)] = v
+        roff += m.rows
+        coff += m.cols
+    return MatrixQ(roff, coff, entries)
+
+
+def scaled(m, c):
+    """The MatrixQ m times the scalar c."""
+    return MatrixQ(m.rows, m.cols, {k: c * v for k, v in m.items()})
 
 
 # ---------------------------------------------------------------------------

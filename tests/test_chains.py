@@ -16,7 +16,7 @@ from strathom.chains import (
 )
 from strathom.qlinalg import MatrixQ
 
-from oracles import convolve, rank_int_oracle
+from oracles import convolve, rank_int_oracle, scaled
 
 
 def circle_complex():
@@ -260,8 +260,8 @@ def test_les_third_dims():
 def test_induced_map_by_hand():
     s1 = circle_complex()
     # multiplication by 2 is a chain self-map; it doubles every class
-    two = ChainMap(s1, s1, {0: MatrixQ.identity(3).scaled(2),
-                            1: MatrixQ.identity(3).scaled(2)})
+    two = ChainMap(s1, s1, {0: scaled(MatrixQ.identity(3), 2),
+                            1: scaled(MatrixQ.identity(3), 2)})
     hm = induced_map(two)
     assert hm.rank(1) == 1
     assert hm.block(1).entry(0, 0) == Fraction(2)

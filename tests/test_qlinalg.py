@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from strathom import io as sio
 from strathom.catalog import cp2_9, i_x_s1_x_t2, torus7
 from strathom.qlinalg import (
     DimensionMismatch,
@@ -10,7 +11,6 @@ from strathom.qlinalg import (
     MatrixQ,
     NotSymmetric,
     Subspace,
-    block_diag,
     hstack,
     image_basis,
     kernel_basis,
@@ -18,13 +18,13 @@ from strathom.qlinalg import (
     signature_sym,
     solve,
     sum_dim,
-    vstack,
     _eliminate,
     _sparse_rows,
 )
 from strathom.simplicial import boundary_matrix
 
 from oracles import (
+    block_diag,
     rank_by_minors,
     rank_int_oracle,
     ref_eliminate,
@@ -33,6 +33,7 @@ from oracles import (
     ref_rows,
     ref_solve,
     ref_span_verdicts,
+    vstack,
 )
 
 # entry pools for random matrices: with units; without any unit entry, so
@@ -46,6 +47,11 @@ POOLS = {
 
 def M(rows):
     return MatrixQ.from_rows(rows)
+
+
+def _in_contract(v):
+    """The value contract: an `int`, or a `Fraction` that is not integral."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 def test_rank_trivial_cases():
@@ -175,7 +181,7 @@ def _assert_engine_matches_reference(m, rng):
         got = solve(m, b)
         assert got == ref_solve(m, b)
         if got is not None:
-            assert all(type(v) is Fraction for v in got.values())
+            assert all(map(_in_contract, got.values()))
 
     # up to 40 columns in order, then combinations of them: the verdicts
     # follow the reference, and the accepted count is their rank
@@ -292,6 +298,28 @@ def test_signature_congruence_invariance():
         assert signature_sym(a) == signature_sym(b)[:2] + (signature_sym(b).null,)
 
 
+def test_signature_follows_sylvester_law_of_inertia():
+    """B^T D B, with B a k x n matrix of full row rank k and D diagonal with
+    nonzero entries, has inertia (#D > 0, #D < 0, n - k)."""
+    rng = random.Random(19)
+    diag_pool = [-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+    checked = 0
+    for _ in range(400):
+        n = rng.randrange(1, 7)
+        k = rng.randrange(0, n + 1)
+        b = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(k)]
+        if rank_int_oracle(b) != k:
+            continue
+        d = [rng.choice(diag_pool) for _ in range(k)]
+        a = MatrixQ(n, n, {(i, j): sum(b[t][i] * d[t] * b[t][j]
+                                       for t in range(k))
+                           for i in range(n) for j in range(n)})
+        pos = sum(x > 0 for x in d)
+        assert signature_sym(a) == (pos, k - pos, n - k)
+        checked += 1
+    assert checked >= 200
+
+
 def test_signature_of_m_plus_minus_m_is_balanced():
     rng = random.Random(13)
     for _ in range(10):
@@ -301,12 +329,56 @@ def test_signature_of_m_plus_minus_m_is_balanced():
         assert sig.pos == sig.neg
 
 
+def test_values_are_int_or_non_integral_fraction():
+    """No stored or returned value is a `Fraction` with denominator 1."""
+    assert type(MatrixQ(1, 1, {(0, 0): Fraction(4, 2)}).entry(0, 0)) is int
+    assert type(M([[Fraction(-6, 3)]]).entry(0, 0)) is int
+    m = sio.matrix_from_rows([["4/2", "3/2"]], "m")
+    assert (type(m.entry(0, 0)), m.entry(0, 1)) == (int, Fraction(3, 2))
+
+    def values(obj):
+        if isinstance(obj, MatrixQ):
+            return [v for _, v in obj.items()] + sum(obj.to_rows(), [])
+        if isinstance(obj, Subspace):
+            return [v for vec in obj.basis for v in vec.values()]
+        return list(obj.values())
+
+    rng = random.Random(23)
+    pool = [0, 0, 1, -1, 2, Fraction(4, 2), Fraction(-6, 3), Fraction(3, 2),
+            Fraction(2, 3), "4/2", "3/2"]
+    io_pool = [0, 1, -1, 2, "4/2", "-6/3", "3/2", "2/3"]
+    for _ in range(40):
+        r, c = rng.randrange(1, 6), rng.randrange(1, 6)
+        rows = [[rng.choice(pool) for _ in range(c)] for _ in range(r)]
+        a = M(rows)
+        assert a == MatrixQ(r, c, {(i, j): v for i, row in enumerate(rows)
+                                   for j, v in enumerate(row)})
+        for m in (a, sio.matrix_from_rows(
+                [[rng.choice(io_pool) for _ in range(c)] for _ in range(r)],
+                "m")):
+            t = m.transpose()
+            keep_r = sorted(rng.sample(range(r), rng.randrange(r + 1)))
+            keep_c = sorted(rng.sample(range(c), rng.randrange(c + 1)))
+            outs = [m, t, m.submatrix(keep_r, keep_c), m @ t, t @ m]
+            for x in (m, t):
+                outs += [kernel_basis(x), image_basis(x)]
+                y = {j: rng.choice(pool) for j in range(x.cols)}
+                image = x @ MatrixQ(x.cols, 1, {(j, 0): v for j, v in y.items()})
+                for b in ({i: v for (i, _), v in image.items()},
+                          {i: rng.choice(pool) for i in range(x.rows)}):
+                    got = solve(x, b)
+                    if got is not None:
+                        outs.append(got)
+            for out in outs:
+                assert all(map(_in_contract, values(out))), out
+
+
 def test_matrix_ops_and_stacking():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])
     assert (a @ b) == M([[2, 1], [4, 3]])
     assert (a + b) == M([[1, 3], [4, 4]])
-    assert (a - a).is_zero()
+    assert (a + -a).is_zero()
     assert hstack([a, b]) == M([[1, 2, 0, 1], [3, 4, 1, 0]])
     assert vstack([a, b]) == M([[1, 2], [3, 4], [0, 1], [1, 0]])
     assert block_diag([a, b]) == M(

@@ -165,6 +165,12 @@ def test_oriented_pm_construction_and_checks():
     # sphere: empty boundary, orientable
     s = OrientedPseudomanifoldWithBoundary(sphere2())
     assert len(s.orientation) == 4
+    # one propagated sign flipped: the fundamental chain's boundary leaks
+    flipped = dict(s.orientation)
+    first = next(iter(flipped))
+    flipped[first] = -flipped[first]
+    with pytest.raises(OrientationError, match="leaks"):
+        OrientedPseudomanifoldWithBoundary(sphere2(), orientation=flipped)
     # wrong boundary: the disk without declared boundary fails coface counts
     with pytest.raises(OrientationError):
         OrientedPseudomanifoldWithBoundary(full_triangle())

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strathom.chains import GradedVS, les_third_dims
-from strathom.qlinalg import MatrixQ, hstack, rank, vstack
+from strathom.qlinalg import MatrixQ, hstack, rank
 from strathom.spaces import (
     cp2_point_space,
     pinched_torus_space,
@@ -37,7 +37,7 @@ from strathom.stratified import (
 )
 from strathom.stratified import _rank_beta
 
-from oracles import convolve
+from oracles import convolve, vstack
 
 # Reference perversity sweep of the running example, derived by hand from
 # the Mayer-Vietoris assembly over the cone neighborhood: rows j = 0..4,
