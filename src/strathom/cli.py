@@ -270,8 +270,12 @@ def cmd_hodge(args) -> int:
 
 
 def cmd_modes(args) -> int:
-    spec = ModeSpec(torus_dim=args.torus_dim,
-                    weight=Fraction(args.weight),
+    try:
+        weight = Fraction(args.weight)
+    except (ValueError, ZeroDivisionError):
+        raise sio.InputError(
+            f"--weight: {args.weight!r} is not a rational number") from None
+    spec = ModeSpec(torus_dim=args.torus_dim, weight=weight,
                     mode_cutoff=args.mode_cutoff)
     rep = total_ext_dims(spec)
     text = "\n".join([
@@ -295,6 +299,13 @@ def cmd_conifold_transition(args) -> int:
     else:
         sys.stdout.write(sio.dump_canonical(out))
     return 0
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--p", type=int)
     p.add_argument("--p-range")
-    p.add_argument("--subdivide", type=int, default=1)
+    p.add_argument("--subdivide", type=_nonnegative_int, default=1)
 
     p = add("signature", cmd_signature, help="signature-equality report")
     p.add_argument("input")

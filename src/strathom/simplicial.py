@@ -14,7 +14,10 @@ boundary operator truncated below the singular set.  Chains supported
 entirely inside the singular set are quotiented away, which is what makes
 the cone formula come out right in every degree for arbitrarily large
 perversity values; see the module's tests for the cone/suspension family
-this is pinned against.
+this is pinned against.  Each `StratifiedComplex` memoizes what the oracle
+reads: the Sigma-face dimension of every simplex, one boundary matrix per
+degree, and one rank pair per (degree, clamped allowability threshold), so
+a sweep over perversities builds and eliminates each problem once.
 """
 
 from __future__ import annotations
@@ -133,10 +136,11 @@ class StratifiedComplex:
 
     `sigma` spans the singular subcomplex (all simplices whose vertices lie
     in sigma); `codim` is the codimension of the singular stratum, the c at
-    which the perversity is evaluated.
+    which the perversity is evaluated.  `_ih_memo` is the memo `ih_direct`
+    fills on first use.
     """
 
-    __slots__ = ("complex", "sigma", "codim")
+    __slots__ = ("complex", "sigma", "codim", "_ih_memo")
 
     def __init__(self, complex: SimplicialComplex, sigma: Iterable[str], codim: int):
         self.complex = complex
@@ -149,6 +153,7 @@ class StratifiedComplex:
         self.sigma = frozenset(i for i, v in enumerate(complex.vertices)
                                if v in labels)
         self.codim = codim
+        self._ih_memo = None
 
     def sigma_labels(self) -> tuple[str, ...]:
         return tuple(self.complex.vertices[i] for i in sorted(self.sigma))
@@ -259,27 +264,24 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
     Only ranks are computed: with C_d the allowability condition and D_d
     the truncated boundary on allowable chains, dim IC_d = #allowable_d -
     rank C_d and the boundary has rank rank D_d - rank C_d on IC_d.
+
+    The ranks are memoized on `st` under (d, t), with the threshold clamped
+    to t = clamp(d - codim + p, -1, d - 1).  The key is exact: a
+    non-interior d-simplex has Sigma-face dimension in {-1, ..., d - 1}
+    (-1 for no singular vertex), so thresholds outside that range select
+    the same allowable columns.  The rows of C_d are the non-interior
+    (d - 1)-simplices above the threshold clamp(t - 1, -1, d - 2), which t
+    fixes too.  Each boundary matrix is built once per degree.
     """
     K = st.complex
-    c = st.codim
-    sigma = st.sigma
-
-    def sigma_face_dim(simplex: Simplex) -> int | None:
-        k = sum(1 for v in simplex if v in sigma)
-        return k - 1 if k else None
-
-    allowable: dict[int, list[int]] = {}
-    interior: dict[int, set[int]] = {}
-    for d in range(K.dim + 1):
-        allow, inter = [], set()
-        for idx, simplex in enumerate(K.simplices(d)):
-            fd = sigma_face_dim(simplex)
-            if fd == d:
-                inter.add(idx)      # supported in the singular set: quotient out
-            elif fd is None or fd <= d - c + p_at_c:
-                allow.append(idx)
-        allowable[d] = allow
-        interior[d] = inter
+    memo = st._ih_memo
+    if memo is None:
+        sigma = st.sigma
+        face_dims = [[sum(v in sigma for v in simplex) - 1
+                      for simplex in K.simplices(d)]
+                     for d in range(K.dim + 1)]
+        memo = st._ih_memo = (face_dims, {}, {})
+    face_dims, boundaries, rank_pairs = memo
 
     # IC_d = allowable chains whose truncated boundary is again allowable.
     # On the allowable columns, C_d holds the non-interior rows outside the
@@ -289,18 +291,24 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
     ic_dim: dict[int, int] = {}
     ranks: dict[int, int] = {}
     for d in range(K.dim + 1):
-        cols = allowable[d]
+        t = max(-1, min(d - st.codim + p_at_c, d - 1))
+        cols = [i for i, f in enumerate(face_dims[d]) if f <= t]
         ic_dim[d] = len(cols)
         if d == 0 or not cols:
             continue
-        bd = boundary_matrix(K, d)
-        keep = [i for i in range(K.n_simplices(d - 1))
-                if i not in interior[d - 1]]
-        allowed_below = set(allowable[d - 1])
-        bad = [i for i in keep if i not in allowed_below]
-        r_bad = rank(bd.submatrix(bad, cols))
+        pair = rank_pairs.get((d, t))
+        if pair is None:
+            bd = boundaries.get(d)
+            if bd is None:
+                bd = boundaries[d] = boundary_matrix(K, d)
+            below, t_below = face_dims[d - 1], max(-1, t - 1)
+            keep = [i for i, f in enumerate(below) if f < d - 1]
+            bad = [i for i in keep if below[i] > t_below]
+            pair = rank_pairs[(d, t)] = (rank(bd.submatrix(bad, cols)),
+                                         rank(bd.submatrix(keep, cols)))
+        r_bad, r_all = pair
         ic_dim[d] -= r_bad
-        ranks[d] = rank(bd.submatrix(keep, cols)) - r_bad
+        ranks[d] = r_all - r_bad
 
     # homology of (IC_*, truncated boundary)
     dims = {}

@@ -120,6 +120,14 @@ def test_ih_direct_unsubdivided(capsys):
     assert data["result"]["ih"]["0"] == [1, 2, 0, 0]
 
 
+def test_ih_direct_negative_subdivide_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ih-direct", str(DATA / "cone_torus.json"), "--p", "0",
+              "--subdivide", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--subdivide" in err
+
+
 def test_signature_verb_cp2(capsys):
     code, data, _ = run_json(capsys, "signature",
                              str(DATA / "pinched_torus_space.json"),
@@ -230,6 +238,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("hi", {"kind": "suspension_product", "link": [1, 1],
                 "sigma": [-1]}, "sigma"),
     ]
+    for weight in ("1/0", "x"):
+        code, out, err = run(capsys, "modes", "--torus-dim", "1",
+                             "--weight", weight)
+        assert code == 2 and out == "", (weight, err)
+        assert "--weight" in err and "Traceback" not in err, (weight, err)
     for i, (verb, data, field) in enumerate(cases):
         f = tmp_path / f"malformed{i}.json"
         f.write_text(json.dumps(data))

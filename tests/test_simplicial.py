@@ -1,5 +1,9 @@
+import random
+from collections import Counter
+
 import pytest
 
+from strathom import catalog, simplicial
 from strathom.chains import GradedVS
 from strathom.simplicial import (
     OrientationError,
@@ -141,6 +145,63 @@ def test_ih_direct_subdivision_invariance_small():
 def test_ih_direct_very_negative_is_complement_homology():
     assert ih_direct(cone(torus7()), -9) == GradedVS([1, 2, 1])
     assert ih_direct(cone(sphere2()), -9) == GradedVS([1, 0, 1])
+
+
+def _memo_families():
+    """(stratified complex, perversities) pairs for the memo tests."""
+    out = []
+    for st in (cone(circle3()), cone(torus7()), cone(sphere2()),
+               suspension(circle3())):
+        out.append((st, range(-3, 5)))
+        out.append((barycentric_subdivide(st), range(-3, 5)))
+    s_t2 = suspension(torus7())
+    singular = [f"{u},{v}" for u in s_t2.sigma_labels()
+                for v in catalog.circle().vertices]
+    out.append((StratifiedComplex(
+        product_complex(s_t2.complex, catalog.circle()), singular, 3),
+        range(-2, 4)))
+    return out
+
+
+def test_ih_direct_memo_matches_fresh_complex_per_p():
+    rng = random.Random(7)
+    for st, ps in _memo_families():
+        fresh = {p: ih_direct(StratifiedComplex(st.complex, st.sigma_labels(),
+                                                st.codim), p) for p in ps}
+        shuffled = list(ps)
+        rng.shuffle(shuffled)
+        for p in list(reversed(ps)) + shuffled:
+            assert ih_direct(st, p) == fresh[p], (st, p)
+
+
+def test_ih_direct_sweep_builds_each_problem_once(monkeypatch):
+    built, ranked = Counter(), [0]
+    boundary_matrix, rank = simplicial.boundary_matrix, simplicial.rank
+
+    def counting_boundary(cx, d):
+        built[d] += 1
+        return boundary_matrix(cx, d)
+
+    def counting_rank(m):
+        ranked[0] += 1
+        return rank(m)
+
+    monkeypatch.setattr(simplicial, "boundary_matrix", counting_boundary)
+    monkeypatch.setattr(simplicial, "rank", counting_rank)
+    for st, ps in _memo_families():
+        built.clear()
+        ranked[0] = 0
+        for p in ps:
+            ih_direct(st, p)
+        keys = {(d, max(-1, min(d - st.codim + p, d - 1)))
+                for p in ps for d in range(1, st.complex.dim + 1)}
+        assert max(built.values()) == 1, (st, built)
+        assert ranked[0] <= 2 * len(keys), (st, ranked[0], len(keys))
+        # a second sweep is answered from the memo alone
+        before = (sum(built.values()), ranked[0])
+        for p in ps:
+            ih_direct(st, p)
+        assert (sum(built.values()), ranked[0]) == before, st
 
 
 def test_product_complex_circle_circle():
