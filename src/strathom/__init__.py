@@ -3,7 +3,10 @@ homology for extended perversities, mixed IG groups and signatures for
 two-strata pseudomanifolds with product link bundles.
 
 Everything is computed over the rationals with no floating point; all
-public values are immutable and all operations are pure functions.
+public values are immutable and all operations are pure functions.  The
+result and request records (`Perversity`, `SpaceReport`, `ModeSpec`, ...)
+are `typing.NamedTuple`s: immutable tuples that compare equal to a plain
+tuple holding the same fields.
 """
 
 from .chains import (

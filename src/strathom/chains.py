@@ -14,14 +14,15 @@ lexicographically (first-factor index, second-factor index) inside a block;
 the stratified module's coordinate projections rely on exactly this order.
 Degree -1 (and any other absent degree) reads as dimension 0.
 
-All values are immutable after construction; operations are pure.
+All values are immutable after construction; operations are pure.  The
+record `HomologyData` is a `typing.NamedTuple`: an immutable tuple that
+compares equal to a plain tuple holding the same fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .qlinalg import (
     DimensionMismatch,
@@ -266,8 +267,7 @@ class ChainComplex:
         return f"ChainComplex({self.spaces!r})"
 
 
-@dataclass(frozen=True)
-class HomologyData:
+class HomologyData(NamedTuple):
     """Homology of a complex plus enough data to map into it.
 
     `representatives[j]` is a matrix whose columns are cycles whose classes
@@ -277,7 +277,7 @@ class HomologyData:
 
     complex: ChainComplex
     betti: GradedVS
-    representatives: dict[int, MatrixQ] = field(repr=False)
+    representatives: dict[int, MatrixQ]
 
     def class_coordinates(self, j: int, cycle: Mapping[int, Fraction]) -> dict:
         """Coordinates of the class of `cycle` in the degree-j basis.

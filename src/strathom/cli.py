@@ -308,6 +308,13 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="strathom",
@@ -374,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("modes", cmd_modes, help="harmonic-mode count on the cylinder "
                                      "times a torus")
-    p.add_argument("--torus-dim", type=int, required=True)
-    p.add_argument("--mode-cutoff", type=int, default=12)
+    p.add_argument("--torus-dim", type=_nonnegative_int, required=True)
+    p.add_argument("--mode-cutoff", type=_positive_int, default=12)
     p.add_argument("--weight", default="0")
 
     p = add("conifold-transition", cmd_conifold_transition,

@@ -14,8 +14,8 @@ solver and no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chains import GradedVS
 
@@ -24,26 +24,30 @@ class UnsupportedWeight(ValueError):
     """Only the weight singled out by the flat product model is implemented."""
 
 
-@dataclass(frozen=True)
-class ModeSpec:
-    """Torus dimension, weight (must be 0) and the Fourier cutoff to report."""
-
+class _ModeSpecFields(NamedTuple):
     torus_dim: int
     weight: Fraction = Fraction(0)
     mode_cutoff: int = 12
 
-    def __post_init__(self):
+
+class ModeSpec(_ModeSpecFields):
+    """Torus dimension, weight (must be 0) and the Fourier cutoff to report."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.torus_dim < 0:
             raise ValueError("torus dimension must be >= 0")
         if self.mode_cutoff < 1:
             raise ValueError("mode cutoff must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class ModeReport:
+class ModeReport(NamedTuple):
     surface_dims: tuple[int, int, int]
     total_dims: tuple[int, ...]
-    rejected_modes: tuple[tuple[int, str], ...] = field(repr=False)
+    rejected_modes: tuple[tuple[int, str], ...]
 
     def to_dict(self) -> dict:
         return {

@@ -16,7 +16,7 @@ falsifiable even though the signature equalities hold by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qlinalg import signature_sym
 from .simplicial import PairingData
@@ -41,8 +41,7 @@ WITT_MIDDLE_ZERO = "middle-link-cohomology-zero"
 WITT_FAILS = "fails"
 
 
-@dataclass(frozen=True)
-class WittVerdict:
+class WittVerdict(NamedTuple):
     is_witt: bool
     reason: str
 
@@ -91,8 +90,7 @@ def ct_middle_image_dim(space: TwoStrataSpace) -> int:
     return gamma_rank(space, lo, j)
 
 
-@dataclass(frozen=True)
-class SignatureReport:
+class SignatureReport(NamedTuple):
     sigma_Mbar: int
     sigma_perverse_CT: int
     sigma_IH_X: int

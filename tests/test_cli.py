@@ -243,6 +243,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
                              "--weight", weight)
         assert code == 2 and out == "", (weight, err)
         assert "--weight" in err and "Traceback" not in err, (weight, err)
+    for flag, argv in (("--torus-dim", ["--torus-dim", "-1"]),
+                       ("--mode-cutoff", ["--torus-dim", "1",
+                                          "--mode-cutoff", "0"])):
+        with pytest.raises(SystemExit) as exc:
+            main(["modes", *argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and flag in err, (flag, err)
     for i, (verb, data, field) in enumerate(cases):
         f = tmp_path / f"malformed{i}.json"
         f.write_text(json.dumps(data))
@@ -320,6 +327,24 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["hi"]["0"] == [0, 2, 4, 2, 0]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Each command runs in a fresh interpreter, so what `import
+    strathom.cli` loads is paid on every call; `dataclasses` and `inspect`
+    are not needed by any command."""
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
+    probe = ("import sys, strathom.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sigma_triangulation_without_sigma_rejected(capsys, tmp_path):
