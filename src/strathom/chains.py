@@ -9,9 +9,8 @@ and the long-exact-sequence dimension count used by every Mayer-Vietoris
 assembly downstream.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
-bases in degree j are blocks ordered by ascending second-factor degree and
-lexicographically (first-factor index, second-factor index) inside a block;
-the stratified module's coordinate projections rely on exactly this order.
+bases in degree j follow the one Kunneth layout `GradedVS.tensor_blocks`
+states; the stratified module's coordinate projections rely on it.
 Degree -1 (and any other absent degree) reads as dimension 0.
 
 All values are immutable after construction; operations are pure.  The
@@ -94,6 +93,26 @@ class GradedVS:
             for j, b in other._dims.items():
                 out[i + j] = out.get(i + j, 0) + a * b
         return GradedVS(out)
+
+    def tensor_blocks(self, other: "GradedVS",
+                      j: int) -> list[tuple[int, int, int, int]]:
+        """Kunneth layout of degree j of self (x) other.
+
+        One `(q, dim self_{j-q}, dim other_q, offset)` per nonzero block, by
+        ascending second-factor degree q; the block sizes sum to
+        `self.convolve(other)[j]`.  Inside a block the pairs (self index,
+        other index) run lexicographically, so the pair (i, k) sits at
+        coordinate offset + i * dim other_q + k.  Every Kunneth coordinate
+        in this package is read from here.
+        """
+        out = []
+        off = 0
+        for q in sorted(other._dims):
+            da, db = self[j - q], other._dims[q]
+            if da:
+                out.append((q, da, db, off))
+                off += da * db
+        return out
 
     def truncate_le(self, cut: int) -> "GradedVS":
         """Keep degrees <= cut, zero elsewhere."""
@@ -183,19 +202,16 @@ def les_third_dims(beta: GradedMap) -> GradedVS:
 
     For ... -> B_j --beta--> C_j -> H_j -> B_{j-1} --beta--> C_{j-1} -> ...
     over a field, dim H_j = dim coker(beta_j) + dim ker(beta_{j-1}); degree
-    -1 contributes nothing.
+    -1 contributes nothing.  Each degree is ranked once.
     """
     degs = set(beta.source.degrees()) | set(beta.target.degrees())
     if not degs:
         return GradedVS()
-    out = {}
-    for j in range(min(degs), max(degs) + 2):
-        d = beta.coker_dim(j)
-        if j - 1 >= min(degs):
-            d += beta.kernel_dim(j - 1)
-        if d:
-            out[j] = d
-    return GradedVS(out)
+    lo, hi = min(degs), max(degs) + 1
+    r = {j: beta.rank(j) for j in range(lo, hi + 1)}
+    return GradedVS({j: beta.target[j] - r[j]
+                     + (beta.source[j - 1] - r[j - 1] if j > lo else 0)
+                     for j in range(lo, hi + 1)})
 
 
 class ChainComplex:
@@ -416,38 +432,31 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
 def tensor_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Tensor product with the Koszul-sign differential d(x)1 + (-1)^p 1(x)d.
 
-    Degree-j basis: blocks by ascending b-degree q, inside a block the pairs
-    (a-index, b-index) in lexicographic order.
+    Degree-j basis: the layout of `GradedVS.tensor_blocks`.
     """
     adims, bdims = a.spaces, b.spaces
-    if adims.is_zero() or bdims.is_zero():
-        return ChainComplex(GradedVS())
-    top = adims.top + bdims.top
-    spaces = GradedVS({j: sum(adims[j - q] * bdims[q] for q in range(0, j + 1))
-                       for j in range(0, top + 1)})
-
-    def offset(j: int, q: int) -> int:
-        return sum(adims[j - t] * bdims[t] for t in range(0, q))
+    spaces = adims.convolve(bdims)
+    layouts = {j: adims.tensor_blocks(bdims, j) for j in spaces.degrees()}
+    offsets = {(j, q): off for j, layout in layouts.items()
+               for q, _, _, off in layout}
 
     def index(j: int, q: int, ia: int, ib: int) -> int:
-        return offset(j, q) + ia * bdims[q] + ib
+        return offsets[j, q] + ia * bdims[q] + ib
 
     diffs = {}
-    for j in range(1, top + 1):
+    for j, layout in layouts.items():
         entries = {}
-        for q in range(0, j + 1):
+        for q, dp, dq, _ in layout:
             p = j - q
-            if adims[p] == 0 or bdims[q] == 0:
-                continue
             da = a.differential(p)   # a_p -> a_{p-1}
             for (r, ccol), v in da.items():
-                for ib in range(bdims[q]):
+                for ib in range(dq):
                     entries[(index(j - 1, q, r, ib),
                              index(j, q, ccol, ib))] = v
             db = b.differential(q)   # b_q -> b_{q-1}
             sign = -1 if p % 2 else 1
             for (r, ccol), v in db.items():
-                for ia in range(adims[p]):
+                for ia in range(dp):
                     key = (index(j - 1, q - 1, ia, r), index(j, q, ia, ccol))
                     entries[key] = entries.get(key, 0) + sign * v
         m = MatrixQ(spaces[j - 1], spaces[j], entries)

@@ -54,14 +54,21 @@ def parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _values(single, rng, flag: str) -> list[int]:
+def _values(single, rng, flag: str, range_flag: str) -> list[int]:
     if single is not None and rng is not None:
-        raise sio.InputError(f"give either --{flag} or --{flag}-range, not both")
+        raise sio.InputError(f"give either --{flag} or --{range_flag}, not both")
     if single is not None:
         return [single]
     if rng is not None:
         return list(parse_range(rng))
-    raise sio.InputError(f"missing --{flag} or --{flag}-range")
+    raise sio.InputError(f"missing --{flag} or --{range_flag}")
+
+
+def _degrees(degree, degrees, n: int) -> list[int]:
+    """Degrees picked by --degree or --degrees; 0..n when neither is given."""
+    if degree is None and degrees is None:
+        return list(range(0, n + 1))
+    return _values(degree, degrees, "degree", "degrees")
 
 
 def _provenance(paths: list[str], options: dict) -> dict:
@@ -104,7 +111,7 @@ def cmd_homology(args) -> int:
 
 def cmd_ih(args) -> int:
     space = _load_space(args.input)
-    qs = _values(args.q, args.q_range, "q")
+    qs = _values(args.q, args.q_range, "q", "q-range")
     rows = {str(q): list(ih_ct_dims(space, q).as_tuple(0, space.n)) for q in qs}
     text = "\n".join(_dims_text(f"IH^(q={q})(CT) of {args.input}", rows[str(q)])
                      for q in qs)
@@ -114,7 +121,7 @@ def cmd_ih(args) -> int:
 
 def cmd_hi(args) -> int:
     space = _load_space(args.input)
-    ps = _values(args.p, args.p_range, "p")
+    ps = _values(args.p, args.p_range, "p", "p-range")
     rows = {str(p): list(hi_dims(space, Perversity(p, space.codim_sigma))
                          .as_tuple(0, space.n)) for p in ps}
     text = "\n".join(
@@ -126,10 +133,7 @@ def cmd_hi(args) -> int:
 
 def cmd_ig(args) -> int:
     space = _load_space(args.input)
-    if args.degree is None and args.degrees is None:
-        degrees = range(0, space.n + 1)
-    else:
-        degrees = _values(args.degree, args.degrees, "degree")
+    degrees = _degrees(args.degree, args.degrees, space.n)
     out = {str(j): ig_dims(space, IGRequest(args.k, j)) for j in degrees}
     body = "  ".join(f"{j}:{out[str(j)]}" for j in degrees)
     text = f"IG^({args.k})_j(CT) of {args.input}\n  degree:dim  {body}"
@@ -155,15 +159,16 @@ def cmd_verify(args) -> int:
     if theorem in ("hom", "coh"):
         if args.p is None:
             raise sio.InputError("--p is required for --theorem hom/coh")
-        degrees = parse_range(args.degrees) if args.degrees else \
-            range(0, space.n + 1)
+        degrees = _degrees(None, args.degrees, space.n)
         verdicts = verify_theorem_hom(
             space, Perversity(args.p, space.codim_sigma), degrees)
         ok = all(v.ok for v in verdicts)
         result = {"ok": ok,
                   "verdicts": [{"j": v.j, "lhs": v.lhs, "rhs": v.rhs,
                                 "ok": v.ok} for v in verdicts]}
-        lines = [f"theorem {theorem} on {args.input} with p = {args.p}:"]
+        lines = [f"theorem {theorem} on {args.input} with p = {args.p}:",
+                 "  (not independent: HI and IG read the same two rank "
+                 "terms, so no degree can fail)"]
         if theorem == "coh":
             lines.append("  (the same check as hom: both read IG^(n-1-p-j)_j)")
         for v in verdicts:
@@ -232,7 +237,7 @@ def cmd_ih_direct(args) -> int:
             f"{args.input}: ih-direct needs a triangulation with a sigma field")
     for _ in range(args.subdivide):
         obj = barycentric_subdivide(obj)
-    ps = _values(args.p, args.p_range, "p")
+    ps = _values(args.p, args.p_range, "p", "p-range")
     rows = {str(p): list(ih_direct(obj, p).as_tuple(0, obj.complex.dim))
             for p in ps}
     text = "\n".join(
@@ -252,8 +257,7 @@ def cmd_hodge(args) -> int:
     space = _load_space(args.input)
     if args.p is None:
         raise sio.InputError("--p is required for hodge")
-    degrees = parse_range(args.degrees) if args.degrees else \
-        ([args.degree] if args.degree is not None else range(0, space.n + 1))
+    degrees = _degrees(args.degree, args.degrees, space.n)
     p = Perversity(args.p, space.codim_sigma)
     rows = {}
     for j in degrees:

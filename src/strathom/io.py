@@ -10,9 +10,9 @@ Three input shapes are understood:
   overridden with ``codim``.
 * space files: ``{"kind": "algebraic" | "suspension_product" |
   "isolated_cone", ...}`` carrying Betti data and boundary-restriction
-  matrices in the Kunneth block order (blocks by ascending stratum degree,
-  pairs lexicographic inside a block).  Matrix entries are integers or
-  rational strings like ``"3/2"``.
+  matrices in the Kunneth layout of ``GradedVS.tensor_blocks`` (blocks by
+  ascending stratum degree, pairs lexicographic inside a block).  Matrix
+  entries are integers or rational strings like ``"3/2"``.
 * pairing files: ``{"degree": m, "matrix": [[...]]}``, or any triangulation
   file with ``boundary``/``orientation`` data, in which case the pairing is
   computed by the cup product in the middle degree.
@@ -211,7 +211,17 @@ def load_space(data: dict, where: str = "space",
                base: Path = Path()) -> TwoStrataSpace:
     """Build a space from its JSON object.  A `{"file": …}` link or stratum
     is read from the directory `base` (that of the space file) unless its
-    path is absolute."""
+    path is absolute.  A model check that fails (a block shape, the
+    augmentation, a dimension) is reported against `where`."""
+    try:
+        return _space_from(data, where, base)
+    except InputError:
+        raise
+    except ValueError as e:
+        raise InputError(f"{where}: {e}") from None
+
+
+def _space_from(data: dict, where: str, base: Path) -> TwoStrataSpace:
     kind = _require(data, "kind", where)
     label = str(data.get("label", ""))
     oriented = bool(data.get("oriented", True))
@@ -243,14 +253,10 @@ def load_space(data: dict, where: str = "space",
             m = matrix_from_rows(rows, f"{where}.beta_T[{j}]")
             if not m.is_zero():
                 blocks[degree] = m
-        try:
-            beta = GradedMap(b_h, m_h, blocks)
-            return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h,
-                                  sigma_h=sigma_h, m_h=m_h,
-                                  boundary_restriction=beta,
-                                  oriented=oriented, label=label)
-        except ValueError as e:
-            raise InputError(f"{where}: {e}") from None
+        return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h,
+                              sigma_h=sigma_h, m_h=m_h,
+                              boundary_restriction=GradedMap(b_h, m_h, blocks),
+                              oriented=oriented, label=label)
     raise InputError(f"{where}: unknown kind {kind!r}")
 
 

@@ -17,38 +17,29 @@ from .qlinalg import MatrixQ
 from .stratified import TwoStrataSpace
 
 
-def _fold_blocks(link_h: GradedVS, sigma0_h: GradedVS, copies: int,
-                 n_top: int) -> tuple[GradedVS, GradedVS, GradedMap]:
+def _fold_blocks(link_h: GradedVS, sigma0_h: GradedVS,
+                 copies: int) -> tuple[GradedVS, GradedVS, GradedMap]:
     """Kunneth data for Sigma = copies x Sigma0 with the fold restriction.
 
     Per degree t the stratum basis lists copy 1's classes, then copy 2's,
     and so on; the fold map sends a class of any copy to the matching class
-    of Sigma0.  The target H(M) carries the Kunneth basis of L x Sigma0 in
-    the same block order.
+    of Sigma0.  The target H(M) carries the Kunneth basis of L x Sigma0, so
+    source and target have a block at the same Sigma-degrees.
     """
     sigma_h = GradedVS({t: copies * sigma0_h[t] for t in sigma0_h.degrees()})
     m_h = link_h.convolve(sigma0_h)
     b_h = link_h.convolve(sigma_h)
     blocks = {}
-    for j in range(0, n_top + 1):
+    for j in b_h.degrees():
         entries = {}
-        src_off = 0
-        tgt_off = 0
-        for t in range(0, j + 1):
-            dl = link_h[j - t]
-            ds0 = sigma0_h[t]
-            if not (dl and ds0):
-                continue
+        for (_, dl, ds, src_off), (_, _, ds0, tgt_off) in zip(
+                link_h.tensor_blocks(sigma_h, j),
+                link_h.tensor_blocks(sigma0_h, j)):
             for il in range(dl):
-                for copy in range(copies):
-                    for isig in range(ds0):
-                        row = tgt_off + il * ds0 + isig
-                        col = src_off + il * (copies * ds0) + copy * ds0 + isig
-                        entries[(row, col)] = 1
-            src_off += dl * copies * ds0
-            tgt_off += dl * ds0
-        if entries:
-            blocks[j] = MatrixQ(m_h[j], b_h[j], entries)
+                for isig in range(ds):
+                    entries[(tgt_off + il * ds0 + isig % ds0,
+                             src_off + il * ds + isig)] = 1
+        blocks[j] = MatrixQ(m_h[j], b_h[j], entries)
     return sigma_h, m_h, GradedMap(b_h, m_h, blocks)
 
 
@@ -59,7 +50,7 @@ def suspension_product_space(link_betti, sigma0_betti, label="") -> TwoStrataSpa
     l = link_h.top
     s = sigma0_h.top
     n = l + s + 1
-    sigma_h, m_h, fold = _fold_blocks(link_h, sigma0_h, 2, n)
+    sigma_h, m_h, fold = _fold_blocks(link_h, sigma0_h, 2)
     return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h,
                           m_h=m_h, boundary_restriction=fold, label=label)
 
@@ -117,18 +108,13 @@ def torus_link_space() -> TwoStrataSpace:
 
 def sphere_product_betti(rng: random.Random, dim: int) -> list[int]:
     """Betti vector of a random product of spheres of total dimension dim."""
-    betti = [1]
+    betti = GradedVS([1])
     remaining = dim
     while remaining > 0:
         d = rng.randrange(1, remaining + 1)
-        sphere = [1] + [0] * (d - 1) + [1]
-        out = [0] * (len(betti) + d)
-        for i, x in enumerate(betti):
-            for j, y in enumerate(sphere):
-                out[i + j] += x * y
-        betti = out
+        betti = betti.convolve(GradedVS({0: 1, d: 1}))
         remaining -= d
-    return betti
+    return list(betti.as_tuple(0))
 
 
 def random_orientable_space(rng: random.Random, n_max: int = 6) -> TwoStrataSpace:

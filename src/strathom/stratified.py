@@ -11,12 +11,13 @@ perversities, duality and extreme-perversity shortcuts, Hodge weight
 conversions - is assembled from that data by exact linear algebra.
 
 Kunneth coordinates.  The boundary homology B_j = H_j(L x Sigma) is the
-block sum over t of H_{j-t}(L) (x) H_t(Sigma); blocks are ordered by
-ascending Sigma-degree t and inside a block pairs run lexicographically
-(L index, Sigma index).  The local restriction maps toward the cone on
-Sigma are literal coordinate projections onto the blocks with t below a
-cutoff, and the local maps toward the cone replacement of L are projections
-onto blocks with L-degree at least the Moore cutoff k.
+block sum over t of H_{j-t}(L) (x) H_t(Sigma), in the layout that
+`link_h.tensor_blocks(sigma_h, j)` states: blocks by ascending Sigma-degree
+t, pairs (L index, Sigma index) lexicographic inside a block.  The local
+restriction maps toward the cone on Sigma are literal coordinate
+projections onto the blocks with t below a cutoff, and the local maps
+toward the cone replacement of L are projections onto blocks with L-degree
+at least the Moore cutoff k.
 
 One map family.  Every Mayer-Vietoris sequence here glues along
 beta_j^(a) = (boundary restriction, projection onto t <= a) :
@@ -50,7 +51,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chains import GradedMap, GradedVS, les_third_dims
-from .qlinalg import MatrixQ, rank
+from .qlinalg import rank
 
 
 class ModelError(ValueError):
@@ -164,17 +165,6 @@ class TwoStrataSpace:
     def boundary_h(self) -> GradedVS:
         return self.link_h.convolve(self.sigma_h)
 
-    def blocks(self, j: int) -> list[tuple[int, int, int, int]]:
-        """Kunneth block layout of B_j: (t, dim_L, dim_Sigma, offset)."""
-        out = []
-        off = 0
-        for t in range(0, j + 1):
-            dl, ds = self.link_h[j - t], self.sigma_h[t]
-            if dl and ds:
-                out.append((t, dl, ds, off))
-                off += dl * ds
-        return out
-
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return (f"TwoStrataSpace(n={self.n}, l={self.l}, s={self.s}{tag})")
@@ -203,8 +193,12 @@ def cone_formula(link_h: GradedVS, link_dim: int, p_at: int) -> GradedVS:
 def _tail(space: TwoStrataSpace, j: int, a: int) -> range:
     """Columns of B_j in the blocks with Sigma-degree t > a; the blocks
     ascend in t, so they are the last columns."""
-    head = sum(dl * ds for t, dl, ds, off in space.blocks(j) if t <= a)
-    return range(head, space.boundary_h()[j])
+    head = total = 0
+    for t, dl, ds, off in space.link_h.tensor_blocks(space.sigma_h, j):
+        total = off + dl * ds
+        if t <= a:
+            head = total
+    return range(head, total)
 
 
 def _rank_beta(space: TwoStrataSpace, j: int, a: int) -> int:
@@ -352,41 +346,32 @@ def hi_extreme(space: TwoStrataSpace, p: Perversity) -> GradedVS:
 # ---------------------------------------------------------------------------
 # conifold transition, compactification, verifiers
 
-def _swap_permutation(space: TwoStrataSpace, j: int) -> MatrixQ:
-    """Permutation taking swapped-model B_j coordinates to original ones."""
-    fwd = {}
-    orig_offsets = {t: off for t, dl, ds, off in space.blocks(j)}
-    swapped_off = 0
-    total = space.boundary_h()[j]
-    for u in range(0, j + 1):  # new Sigma-degree = old L-degree
-        dl_new = space.sigma_h[j - u]   # new link = old stratum
-        ds_new = space.link_h[u]
-        if not (dl_new and ds_new):
-            continue
-        t_old = j - u
-        base = orig_offsets[t_old]
-        for i_link_new in range(dl_new):      # old Sigma index
-            for i_sigma_new in range(ds_new):  # old L index
-                col = swapped_off + i_link_new * ds_new + i_sigma_new
-                row = base + i_sigma_new * dl_new + i_link_new
-                fwd[(row, col)] = 1
-        swapped_off += dl_new * ds_new
-    return MatrixQ(total, total, fwd)
+def _swapped_columns(space: TwoStrataSpace, j: int) -> list[int]:
+    """The B_j coordinate of each swapped-model coordinate, in swapped order.
+
+    The swapped block of Sigma-degree u is the original block of
+    Sigma-degree j - u, read with (Sigma index, L index) as the pair.
+    """
+    original = {t: off for t, _, _, off
+                in space.link_h.tensor_blocks(space.sigma_h, j)}
+    return [original[j - u] + i_l * ds + i_s
+            for u, ds, dl, _ in space.sigma_h.tensor_blocks(space.link_h, j)
+            for i_s in range(ds) for i_l in range(dl)]
 
 
 def conifold_transition(space: TwoStrataSpace) -> TwoStrataSpace:
     """Swap link and stratum; an involution on models.
 
     The boundary restriction is re-expressed in the swapped Kunneth order
-    by a block permutation, so applying the transition twice returns the
+    by a column reordering, so applying the transition twice returns the
     identical model.
     """
     b = space.boundary_h()
     blocks = {}
     for j in b.degrees():
-        m = space.boundary_restriction.block(j) @ _swap_permutation(space, j)
-        if not m.is_zero():
-            blocks[j] = m
+        block = space.boundary_restriction.block(j)
+        order = _swapped_columns(space, j)
+        blocks[j] = block.submatrix(range(block.rows), order)
     if space.label.startswith("CT(") and space.label.endswith(")"):
         label = space.label[3:-1]
     elif space.label:
@@ -441,6 +426,12 @@ def verify_theorem_hom(space: TwoStrataSpace, p: Perversity,
                        degrees: range) -> list[DegreeVerdict]:
     """Check reduced HI of X against the mixed groups of its transition:
     dim HI~^p_j(X) = dim IG^(n-1-p-j)_j(CT(X)) for each requested degree.
+
+    Not an independent check.  With k = l - p, HI_j reads
+    coker beta_j^(j-k) + ker beta_{j-1}^(j-1-k); IG^(n-1-p-j)_j has
+    a = c - 1 - (n-1-p-j) = j - k, so it reads the same two terms of the
+    same memoized rank family.  The verdict cannot fail on any model and
+    guards only the bookkeeping of this module.
 
     The cohomological form of the theorem lands on the same group: the
     cutoff pair (k = l - p, q = j + 1 - k) gives IG^(c-q)_j, and with

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -255,6 +256,39 @@ def test_les_third_dims():
     assert les_third_dims(ident).is_zero()
     beta = GradedMap(GradedVS([1]), GradedVS([2]))
     assert les_third_dims(beta) == GradedVS([2, 1])
+
+
+def test_les_third_dims_ranks_each_degree_once(monkeypatch):
+    from strathom import chains
+    src, tgt = GradedVS([2, 3, 1]), GradedVS([1, 2, 2, 1])
+    beta = GradedMap(src, tgt, {
+        0: MatrixQ.from_rows([[1, 1]]),
+        1: MatrixQ.from_rows([[1, 0, 1], [2, 0, 2]]),
+        2: MatrixQ.from_rows([[1], [0]])})
+    expected = les_third_dims(beta)
+    calls = []
+    real = chains.rank
+    monkeypatch.setattr(chains, "rank", lambda m: calls.append(m) or real(m))
+    assert les_third_dims(beta) == expected == GradedVS([0, 2, 3, 1])
+    assert len(calls) == 5  # degrees 0..4, each once
+
+
+def test_tensor_blocks_layout():
+    rng = random.Random(9)
+    for _ in range(60):
+        a = GradedVS({d: rng.randrange(0, 3) for d in range(-1, 4)})
+        b = GradedVS({d: rng.randrange(0, 3) for d in range(0, 4)})
+        total = a.convolve(b)
+        for j in range(-3, 9):
+            layout = a.tensor_blocks(b, j)
+            qs = [q for q, _, _, _ in layout]
+            assert qs == sorted(set(qs))
+            assert all((da, db) == (a[j - q], b[q]) and da and db
+                       for q, da, db, _ in layout)
+            sizes = [da * db for _, da, db, _ in layout]
+            assert [off for _, _, _, off in layout] == \
+                list(accumulate(sizes, initial=0))[:-1]
+            assert sum(sizes) == total[j]
 
 
 def test_induced_map_by_hand():

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,9 @@ def test_verify_hom(capsys):
     assert code == 0
     assert data["result"]["ok"] is True
     assert len(data["result"]["verdicts"]) == 5
+    _, text, _ = run(capsys, "verify", space_file(), "--theorem", "hom",
+                     "--p", "0")
+    assert "not independent" in text
 
 
 def test_verify_coh(capsys):
@@ -250,6 +254,27 @@ def test_input_errors_exit_2(capsys, tmp_path):
             main(["modes", *argv])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and flag in err, (flag, err)
+    for argv in (("ig", space_file(), "--k", "1"),
+                 ("hodge", space_file(), "--p", "0")):
+        code, out, err = run(capsys, *argv, "--degree", "1",
+                             "--degrees", "0..2")
+        assert code == 2 and out == "", (argv, err)
+        assert "--degree or --degrees" in err, (argv, err)
+    # model checks name the file once, whichever kind built the model
+    probes = [
+        ({"kind": "isolated_cone", "link": [1, 2], "m_betti": [1, 1],
+          "beta_T": {"1": [[1, 0, 0]]}}, "is 1x3, expected 1x2"),
+        ({"kind": "suspension_product", "link": [0, 1], "sigma": [1, 1]},
+         "must be nonempty"),
+        ({"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, -1],
+          "beta_T": {}}, "m_betti"),
+    ]
+    for i, (data, text) in enumerate(probes):
+        f = tmp_path / f"probe{i}.json"
+        f.write_text(json.dumps(data))
+        code, _, err = run(capsys, "hi", str(f), "--p", "0")
+        assert code == 2 and text in err and "Traceback" not in err, err
+        assert err.count(str(f)) == 1, err
     for i, (verb, data, field) in enumerate(cases):
         f = tmp_path / f"malformed{i}.json"
         f.write_text(json.dumps(data))
@@ -257,6 +282,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, (field, err)
         assert f".{field}" in err and "Traceback" not in err, (field, err)
+
+
+def test_readme_command_line_examples_run(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    commands = [line for line in lines if line.startswith("strathom ")]
+    assert commands
+    for line in commands:
+        argv = shlex.split(line.replace("$D", str(DATA)))[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.strip(), (line, err)
 
 
 def test_file_link_is_read_beside_the_space_file(capsys, tmp_path,

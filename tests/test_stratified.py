@@ -35,7 +35,7 @@ from strathom.stratified import (
     verify_duality,
     verify_theorem_hom,
 )
-from strathom.stratified import _rank_beta
+from strathom.stratified import _rank_beta, _swapped_columns
 
 from oracles import convolve, vstack
 
@@ -175,6 +175,19 @@ def test_conifold_transition_involution():
         assert back.boundary_restriction == sp.boundary_restriction
 
 
+def test_swapped_columns_are_a_permutation():
+    rng = random.Random(6)
+    models = [s2xt2_space(), pinched_torus_space(), cp2_point_space(),
+              torus_link_space()]
+    models += [random_algebraic_space(rng, n_max=8) for _ in range(20)]
+    for sp in models:
+        b = sp.boundary_h()
+        for j in range(0, sp.n + 1):
+            assert sorted(_swapped_columns(sp, j)) == list(range(b[j])), (sp, j)
+            assert sum(dl * ds for _, dl, ds, _
+                       in sp.link_h.tensor_blocks(sp.sigma_h, j)) == b[j]
+
+
 def test_conifold_transition_of_running_example_matches_table():
     # X = S^2 x T^2 has CT(X) = S(T^2) x S^1; the swapped model's own
     # conifold transition is X again, so its IH must reproduce the sweep
@@ -284,7 +297,8 @@ def test_euler_characteristic_identity():
             k = sp.l - p
             chi_link_low = sum((-1) ** r * sp.link_h[r] for r in range(0, k))
             chi_r = (1 if k > 0 else 1 + sp.boundary_h()[0]) + sum(
-                (-1) ** j * sum(dl * ds for t, dl, ds, _ in sp.blocks(j)
+                (-1) ** j * sum(dl * ds for t, dl, ds, _
+                                in sp.link_h.tensor_blocks(sp.sigma_h, j)
                                 if t <= j - k)
                 for j in range(1, sp.n + 1))
             chi_b = sp.boundary_h().euler()
@@ -351,7 +365,8 @@ def test_report_rendering_is_deterministic():
 
 def _projection(sp, j, a):
     """Rows picking the B_j coordinates in blocks with Sigma-degree <= a."""
-    kept = [off + i for t, dl, ds, off in sp.blocks(j) if t <= a
+    kept = [off + i for t, dl, ds, off
+            in sp.link_h.tensor_blocks(sp.sigma_h, j) if t <= a
             for i in range(dl * ds)]
     return MatrixQ(len(kept), sp.boundary_h()[j],
                    {(r, c): Fraction(1) for r, c in enumerate(kept)})
