@@ -55,6 +55,7 @@ from .stratified import (
     Perversity,
     SpaceReport,
     TwoStrataSpace,
+    check_lefschetz,
     compactify_to_isolated,
     cone_formula,
     conifold_transition,

@@ -68,10 +68,6 @@ class GradedVS:
     def top(self) -> int:
         return max(self._dims) if self._dims else -1
 
-    @property
-    def bottom(self) -> int:
-        return min(self._dims) if self._dims else 0
-
     def total_dim(self) -> int:
         return sum(self._dims.values())
 
@@ -122,9 +118,6 @@ class GradedVS:
         """Keep degrees >= cut, zero elsewhere."""
         return GradedVS({j: n for j, n in self._dims.items() if j >= cut})
 
-    def shifted(self, by: int) -> "GradedVS":
-        return GradedVS({j + by: n for j, n in self._dims.items()})
-
     def __add__(self, other: "GradedVS") -> "GradedVS":
         out = dict(self._dims)
         for j, n in other._dims.items():
@@ -171,9 +164,6 @@ class GradedMap:
 
     def block(self, j: int) -> MatrixQ:
         return self._blocks.get(j, MatrixQ.zeros(self.target[j], self.source[j]))
-
-    def stored_degrees(self) -> list[int]:
-        return sorted(self._blocks)
 
     def rank(self, j: int) -> int:
         return rank(self.block(j))

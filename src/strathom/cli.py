@@ -5,8 +5,8 @@ modes, conifold-transition.  Every run emits either a human-readable table
 or, with --json, a machine-readable report; both carry the same numbers,
 plus a provenance block naming the input files, their hashes and the
 options.  Exit codes: 0 success, 1 a verification verdict failed, 2 bad
-input, 3 an internal consistency check failed (two provably equal
-quantities disagreed, so the model data is corrupt).
+input (a malformed field, a flag the verb does not read, or a model that
+fails a load check such as Poincare-Lefschetz duality).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .simplicial import (
 )
 from .stratified import (
     IGRequest,
-    InternalInconsistency,
     Perversity,
     conifold_transition,
     hi_dims,
@@ -152,13 +151,23 @@ def cmd_table(args) -> int:
     return 0
 
 
+# the flags each theorem reads, the required one first; it refuses the others
+_VERIFY_READS = {"hom": ("p", "degrees"), "coh": ("p", "degrees"),
+                 "duality": ("p",), "signature": ("pairing",)}
+
+
 def cmd_verify(args) -> int:
-    space = _load_space(args.input)
     theorem = args.theorem
+    reads = _VERIFY_READS[theorem]
+    for flag in ("p", "degrees", "pairing"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise sio.InputError(
+                f"--{flag} is not read by --theorem {theorem}")
+    if getattr(args, reads[0]) is None:
+        raise sio.InputError(f"--{reads[0]} is required for --theorem {theorem}")
+    space = _load_space(args.input)
     options = {"theorem": theorem, "p": args.p, "degrees": args.degrees}
     if theorem in ("hom", "coh"):
-        if args.p is None:
-            raise sio.InputError("--p is required for --theorem hom/coh")
         degrees = _degrees(None, args.degrees, space.n)
         verdicts = verify_theorem_hom(
             space, Perversity(args.p, space.codim_sigma), degrees)
@@ -178,8 +187,6 @@ def cmd_verify(args) -> int:
         _emit(args, "verify", [args.input], options, result, "\n".join(lines))
         return 0 if ok else 1
     if theorem == "duality":
-        if args.p is None:
-            raise sio.InputError("--p is required for --theorem duality")
         verdict = verify_duality(space, Perversity(args.p, space.codim_sigma))
         result = {
             "ok": verdict.ok,
@@ -192,11 +199,7 @@ def cmd_verify(args) -> int:
                 + ("PASS" if verdict.ok else "FAIL"))
         _emit(args, "verify", [args.input], options, result, text)
         return 0 if verdict.ok else 1
-    if theorem == "signature":
-        if not args.pairing:
-            raise sio.InputError("--pairing is required for --theorem signature")
-        return _signature_report(args, space, "verify", options)
-    raise sio.InputError(f"unknown theorem {theorem!r}")
+    return _signature_report(args, space, "verify", options)
 
 
 def _signature_report(args, space, command: str, options: dict) -> int:
@@ -268,8 +271,8 @@ def cmd_hodge(args) -> int:
         r = rows[str(j)]
         lines.append(f"  j={j}: scattering weight {r['fibred_scattering']}, "
                      f"cusp weight {r['fibred_cusp']}")
-    _emit(args, "hodge", [args.input], {"p": args.p}, {"weights": rows},
-          "\n".join(lines))
+    _emit(args, "hodge", [args.input], {"p": args.p, "degrees": degrees},
+          {"weights": rows}, "\n".join(lines))
     return 0
 
 
@@ -425,9 +428,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except InternalInconsistency as e:
-        sys.stderr.write(f"internal inconsistency: {e}\n")
-        return 3
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from .simplicial import (
     cup_pairing,
 )
 from .spaces import isolated_cone_space, suspension_product_space
-from .stratified import TwoStrataSpace
+from .stratified import TwoStrataSpace, check_lefschetz
 
 
 class InputError(ValueError):
@@ -211,10 +211,15 @@ def load_space(data: dict, where: str = "space",
                base: Path = Path()) -> TwoStrataSpace:
     """Build a space from its JSON object.  A `{"file": …}` link or stratum
     is read from the directory `base` (that of the space file) unless its
-    path is absolute.  A model check that fails (a block shape, the
-    augmentation, a dimension) is reported against `where`."""
+    path is absolute.  A model flagged oriented (the default) must satisfy
+    Poincare-Lefschetz duality (`check_lefschetz`).  A model check that
+    fails (a block shape, the augmentation, a dimension, the duality) is
+    reported against `where`."""
     try:
-        return _space_from(data, where, base)
+        space = _space_from(data, where, base)
+        if space.oriented:
+            check_lefschetz(space)
+        return space
     except InputError:
         raise
     except ValueError as e:
@@ -224,7 +229,10 @@ def load_space(data: dict, where: str = "space",
 def _space_from(data: dict, where: str, base: Path) -> TwoStrataSpace:
     kind = _require(data, "kind", where)
     label = str(data.get("label", ""))
-    oriented = bool(data.get("oriented", True))
+    oriented = data.get("oriented", True)
+    if not isinstance(oriented, bool):
+        raise InputError(f"{where}.oriented: expected true or false, got "
+                         f"{oriented!r}")
     if kind == "suspension_product":
         link = _betti_from(_require(data, "link", where), f"{where}.link",
                            base)

@@ -174,6 +174,10 @@ def test_provenance_block(capsys):
     assert entry["path"] == space_file()
     assert len(entry["sha256"]) == 64
     assert data["options"] == {"p": [0]}
+    code, data, _ = run_json(capsys, "hodge", space_file(), "--p", "0",
+                             "--degree", "1")
+    assert code == 0
+    assert data["options"] == {"p": 0, "degrees": [1]}
 
 
 def test_deterministic_output(capsys):
@@ -241,6 +245,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
                 "sigma": [1, 1]}, "link.betti"),
         ("hi", {"kind": "suspension_product", "link": [1, 1],
                 "sigma": [-1]}, "sigma"),
+        ("hi", {**model, "beta_T": {}, "oriented": "false"}, "oriented"),
     ]
     for weight in ("1/0", "x"):
         code, out, err = run(capsys, "modes", "--torus-dim", "1",
@@ -268,6 +273,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
          "must be nonempty"),
         ({"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, -1],
           "beta_T": {}}, "m_betti"),
+        ({"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, 1],
+          "beta_T": {"0": [[1]], "1": [[5]]}}, "beta_T: Poincare-Lefschetz"),
     ]
     for i, (data, text) in enumerate(probes):
         f = tmp_path / f"probe{i}.json"
@@ -338,18 +345,35 @@ def test_signature_and_verify_signature_share_one_report(capsys):
         assert (sig["command"], ver["command"]) == ("signature", "verify")
 
 
-def test_internal_inconsistency_exits_3(capsys, monkeypatch):
-    import strathom.cli
-    from strathom.stratified import InternalInconsistency
+def test_lefschetz_check_runs_at_load_on_oriented_models(capsys, tmp_path):
+    # one boundary circle cannot bound a surface with H = (1, 1)
+    probe = {"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, 1],
+             "beta_T": {"0": [[1]], "1": [[5]]}}
+    f = tmp_path / "probe.json"
+    f.write_text(json.dumps(probe))
+    code, out, err = run(capsys, "verify", str(f), "--theorem", "duality",
+                         "--p", "0")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert str(f) in err and "beta_T" in err, err
+    f.write_text(json.dumps({**probe, "oriented": False}))
+    code, _, err = run(capsys, "hi", str(f), "--p", "0")
+    assert code == 0, err
 
-    def corrupt(*args):
-        raise InternalInconsistency("shortcut disagrees with assembly")
 
-    monkeypatch.setattr(strathom.cli, "hi_dims", corrupt)
-    code, out, err = run(capsys, "hi", space_file(), "--p", "0")
-    assert code == 3
-    assert "shortcut disagrees" in err and "Traceback" not in err
-    assert out == ""
+def test_verify_refuses_flags_its_theorem_does_not_read(capsys):
+    pairing = str(DATA / "ixs1xt2.json")
+    for theorem, flag, value in (("duality", "--degrees", "0..1"),
+                                 ("signature", "--degrees", "0..1"),
+                                 ("hom", "--pairing", pairing),
+                                 ("coh", "--pairing", pairing),
+                                 ("duality", "--pairing", pairing),
+                                 ("signature", "--p", "0")):
+        argv = ["verify", space_file(), "--theorem", theorem, flag, value]
+        argv += (["--pairing", pairing] if theorem == "signature"
+                 else ["--p", "0"])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", (theorem, flag, err)
+        assert flag in err and theorem in err, (theorem, flag, err)
 
 
 def test_module_entry_point_subprocess():

@@ -7,6 +7,7 @@ from strathom.chains import GradedVS, les_third_dims
 from strathom.qlinalg import MatrixQ, hstack, rank
 from strathom.spaces import (
     cp2_point_space,
+    isolated_cone_space,
     pinched_torus_space,
     random_algebraic_space,
     random_orientable_space,
@@ -20,6 +21,7 @@ from strathom.stratified import (
     Perversity,
     TwoStrataSpace,
     annotate,
+    check_lefschetz,
     compactify_to_isolated,
     cone_formula,
     conifold_transition,
@@ -271,6 +273,20 @@ def test_duality_requires_oriented_flag():
     assert not sp.oriented
     with pytest.raises(ModelError):
         verify_duality(sp, Perversity(0, sp.codim_sigma))
+
+
+def test_lefschetz_check():
+    rng = random.Random(11)
+    models = [s2xt2_space(), pinched_torus_space(), cp2_point_space(),
+              torus_link_space()]
+    models += [random_orientable_space(rng, n_max=8) for _ in range(20)]
+    for sp in models:
+        for model in (sp, conifold_transition(sp), compactify_to_isolated(sp)):
+            check_lefschetz(model)
+    # one boundary circle cannot bound a surface with H = (1, 1)
+    sp = isolated_cone_space([1, 1], [1, 1], {0: [[1]], 1: [[5]]})
+    with pytest.raises(ModelError, match="beta_T.*degree 0"):
+        check_lefschetz(sp)
 
 
 def test_hodge_weights():
