@@ -152,8 +152,8 @@ def cmd_table(args) -> int:
 
 
 # the flags each theorem reads, the required one first; it refuses the others
-_VERIFY_READS = {"hom": ("p", "degrees"), "coh": ("p", "degrees"),
-                 "duality": ("p",), "signature": ("pairing",)}
+_VERIFY_READS = {"hom": ("p", "degrees"), "duality": ("p",),
+                 "signature": ("pairing",)}
 
 
 def cmd_verify(args) -> int:
@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
         raise sio.InputError(f"--{reads[0]} is required for --theorem {theorem}")
     space = _load_space(args.input)
     options = {"theorem": theorem, "p": args.p, "degrees": args.degrees}
-    if theorem in ("hom", "coh"):
+    if theorem == "hom":
         degrees = _degrees(None, args.degrees, space.n)
         verdicts = verify_theorem_hom(
             space, Perversity(args.p, space.codim_sigma), degrees)
@@ -178,8 +178,6 @@ def cmd_verify(args) -> int:
         lines = [f"theorem {theorem} on {args.input} with p = {args.p}:",
                  "  (not independent: HI and IG read the same two rank "
                  "terms, so no degree can fail)"]
-        if theorem == "coh":
-            lines.append("  (the same check as hom: both read IG^(n-1-p-j)_j)")
         for v in verdicts:
             lines.append(f"  j={v.j}: HI={v.lhs}  IG={v.rhs}  "
                          f"{'ok' if v.ok else 'FAIL'}")
@@ -363,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, help="run a theorem verifier")
     p.add_argument("input")
-    p.add_argument("--theorem", choices=["hom", "coh", "duality", "signature"],
+    p.add_argument("--theorem", choices=list(_VERIFY_READS),
                    required=True)
     p.add_argument("--p", type=int)
     p.add_argument("--degrees")

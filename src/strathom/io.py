@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .chains import GradedMap, GradedVS
-from .qlinalg import MatrixQ, as_rational
+from .qlinalg import MatrixQ
 from .simplicial import (
     OrientedPseudomanifoldWithBoundary,
     PairingData,
@@ -60,10 +60,13 @@ def _require_mapping(data: dict, field: str, where: str) -> dict:
 
 
 def _int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{field}: expected an integer, got {value!r}") from None
+    """A JSON integer, or the decimal string of one (a degree key of
+    `beta_T`, as JSON object keys are strings); `true` and `4.5` are not."""
+    if isinstance(value, str) and value.removeprefix("-").isdecimal():
+        value = int(value)
+    if type(value) is not int:
+        raise InputError(f"{field}: expected an integer, got {value!r}")
+    return value
 
 
 def _ints(value, field: str) -> list[int]:
@@ -83,8 +86,9 @@ def _betti(value, field: str) -> list[int]:
 
 
 def _simplex_list(value, field: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(t, list) for t in value):
-        raise InputError(f"{field}: expected a list of vertex lists")
+    if not isinstance(value, list) or not all(isinstance(t, list) and t
+                                              for t in value):
+        raise InputError(f"{field}: expected a list of nonempty vertex lists")
     return value
 
 
@@ -94,7 +98,7 @@ def _rational_out(x: int | Fraction):
 
 def matrix_from_rows(rows, where: str) -> MatrixQ:
     try:
-        return MatrixQ.from_rows([[as_rational(v) for v in row] for row in rows])
+        return MatrixQ.from_rows(rows)
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise InputError(f"{where}: bad matrix entry ({e})") from None
 
@@ -238,7 +242,8 @@ def _space_from(data: dict, where: str, base: Path) -> TwoStrataSpace:
                            base)
         sigma = _betti_from(_require(data, "sigma", where), f"{where}.sigma",
                             base)
-        return suspension_product_space(link, sigma, label=label)
+        return suspension_product_space(link, sigma, oriented=oriented,
+                                        label=label)
     if kind == "isolated_cone":
         link = _betti_from(_require(data, "link", where), f"{where}.link",
                            base)

@@ -3,16 +3,18 @@
 Everything downstream (homology dimensions, Mayer-Vietoris bookkeeping,
 signatures) reduces to ranks, kernels, images and congruence
 diagonalization computed here.  A value is an `int`, or a reduced
-`fractions.Fraction` whose denominator is not 1: `as_rational` enforces
-this on every entry a matrix or subspace stores, and every value handed
-back follows it, so the ±1 boundary matrices of a triangulation hold
-plain `int`s.  One elimination engine serves rank, kernel_basis,
-image_basis, solve and IncrementalSpan: it works on exact Python `int`
-rows (a row holding a `Fraction` is scaled by the lcm of its
-denominators), fraction-free in the sense of Bareiss, and picks Markowitz
-pivots from a lazy heap.  Back-substitution divides in `Fraction` only by
-a non-unit pivot.  There are no floats, no tolerances and no modular
-shortcut anywhere: a rank is a rank.
+`fractions.Fraction` whose denominator is not 1.  A caller's value is
+checked and coerced (`as_rational`) at three doors: `MatrixQ(...)`,
+`IncrementalSpan.add` and `solve`.  A matrix derived from a valid one
+(transpose, submatrix, negation, hstack) inherits the contract without a
+second check, and every value handed back follows it, so the ±1 boundary
+matrices of a triangulation hold plain `int`s.  One elimination engine
+serves rank, kernel_basis, image_basis, solve and IncrementalSpan: it
+works on exact Python `int` rows (a row holding a `Fraction` is scaled by
+the lcm of its denominators), fraction-free in the sense of Bareiss, and
+picks Markowitz pivots from a lazy heap.  Back-substitution divides in
+`Fraction` only by a non-unit pivot.  There are no floats, no tolerances
+and no modular shortcut anywhere: a rank is a rank.
 
 Values are immutable after construction and safe to share across threads;
 all operations are pure functions.
@@ -39,20 +41,22 @@ class NotSymmetric(ValueError):
 
 def as_rational(x) -> int | Fraction:
     """Coerce ints, strings like '3/2' and Fractions to the value contract:
-    an `int` for an integral value, a `Fraction` otherwise."""
+    an `int` for an integral value, a `Fraction` otherwise.  A `bool` is
+    refused."""
     if type(x) is int:
         return x
     if isinstance(x, str):
         x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
 class MatrixQ:
-    """A rows x cols matrix over Q stored sparsely; zeros are never stored."""
+    """A rows x cols matrix over Q stored sparsely; zeros are never stored.
+
+    The constructor checks the shape and every entry's position, and coerces
+    every value to the contract; `_of` adopts entries that already meet it."""
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -74,19 +78,22 @@ class MatrixQ:
         self._e = e
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: dict) -> "MatrixQ":
+        """Adopt `entries` unchecked: nonzero contract values, in range."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._e = entries
+        return m
+
+    @classmethod
     def from_rows(cls, data: Iterable[Iterable]) -> "MatrixQ":
         data = [list(r) for r in data]
-        rows = len(data)
         cols = len(data[0]) if data else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise DimensionMismatch("ragged rows")
-            for j, v in enumerate(row):
-                v = as_rational(v)
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries)
+        if any(len(row) != cols for row in data):
+            raise DimensionMismatch("ragged rows")
+        return cls(len(data), cols, {(i, j): v for i, row in enumerate(data)
+                                     for j, v in enumerate(row)})
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
@@ -110,8 +117,8 @@ class MatrixQ:
         return not self._e
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ(self.cols, self.rows,
-                       {(j, i): v for (i, j), v in self._e.items()})
+        return MatrixQ._of(self.cols, self.rows,
+                           {(j, i): v for (i, j), v in self._e.items()})
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.cols != other.rows:
@@ -145,17 +152,18 @@ class MatrixQ:
         return MatrixQ(self.rows, self.cols, acc)
 
     def __neg__(self) -> "MatrixQ":
-        return MatrixQ(self.rows, self.cols,
-                       {k: -v for k, v in self._e.items()})
+        return MatrixQ._of(self.rows, self.cols,
+                           {k: -v for k, v in self._e.items()})
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "MatrixQ":
         """The given (distinct) rows and columns, in the given order; entries
         outside the selection are dropped."""
         rowpos = {i: k for k, i in enumerate(rows)}
         colpos = {j: k for k, j in enumerate(cols)}
-        return MatrixQ(len(rows), len(cols),
-                       {(rowpos[i], colpos[j]): v for (i, j), v in self._e.items()
-                        if i in rowpos and j in colpos})
+        return MatrixQ._of(len(rows), len(cols),
+                           {(rowpos[i], colpos[j]): v
+                            for (i, j), v in self._e.items()
+                            if i in rowpos and j in colpos})
 
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self._e.items() if jj == j}
@@ -194,7 +202,7 @@ def hstack(mats: list[MatrixQ]) -> MatrixQ:
         for (i, j), v in m.items():
             entries[(i, j + off)] = v
         off += m.cols
-    return MatrixQ(rows, off, entries)
+    return MatrixQ._of(rows, off, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -360,46 +368,16 @@ def rank(m: MatrixQ) -> int:
     return len(pivots)
 
 
-class Subspace:
-    """A subspace of Q^ambient_dim given by an independent list of vectors.
+class Subspace(NamedTuple):
+    """A subspace of Q^ambient_dim given by an independent tuple of sparse
+    {index: value} vectors, as `kernel_basis` and `image_basis` build it."""
 
-    Vectors are stored as sparse {index: value} dicts.
-    """
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: Iterable[Mapping] | None = None,
-                 _trusted: bool = False):
-        self.ambient_dim = ambient_dim
-        vecs = []
-        for v in basis or ():
-            vec = {}
-            for i, x in v.items():
-                if not (0 <= i < ambient_dim):
-                    raise DimensionMismatch(
-                        f"coordinate {i} outside ambient dimension {ambient_dim}")
-                x = as_rational(x)
-                if x:
-                    vec[i] = x
-            vecs.append(vec)
-        self.basis = tuple(vecs)
-        if not _trusted and vecs:
-            if rank(self.as_matrix()) != len(vecs):
-                raise ValueError("basis vectors are linearly dependent")
+    ambient_dim: int
+    basis: tuple[dict, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def as_matrix(self) -> MatrixQ:
-        entries = {}
-        for j, vec in enumerate(self.basis):
-            for i, v in vec.items():
-                entries[(i, j)] = v
-        return MatrixQ(self.ambient_dim, len(self.basis), entries)
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim} in Q^{self.ambient_dim})"
 
 
 def kernel_basis(m: MatrixQ) -> Subspace:
@@ -439,7 +417,7 @@ def kernel_basis(m: MatrixQ) -> Subspace:
                 for kk in users.get(c, ()):
                     heappush(todo, kk)
         vecs.append(x)
-    return Subspace(m.cols, vecs, _trusted=True)
+    return Subspace(m.cols, tuple(vecs))
 
 
 def image_basis(m: MatrixQ) -> Subspace:
@@ -449,8 +427,7 @@ def image_basis(m: MatrixQ) -> Subspace:
     for (i, j), v in m._e.items():
         if j in columns:
             columns[j][i] = v
-    return Subspace(m.rows, [columns[j] for j in sorted(columns)],
-                    _trusted=True)
+    return Subspace(m.rows, tuple(columns[j] for j in sorted(columns)))
 
 
 def sum_dim(a: Subspace, b: Subspace) -> int:

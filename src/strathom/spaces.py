@@ -43,7 +43,8 @@ def _fold_blocks(link_h: GradedVS, sigma0_h: GradedVS,
     return sigma_h, m_h, GradedMap(b_h, m_h, blocks)
 
 
-def suspension_product_space(link_betti, sigma0_betti, label="") -> TwoStrataSpace:
+def suspension_product_space(link_betti, sigma0_betti, oriented=True,
+                             label="") -> TwoStrataSpace:
     """Model of X = S(L) x Sigma0: stratum = two copies of Sigma0, link L."""
     link_h = GradedVS(list(link_betti))
     sigma0_h = GradedVS(list(sigma0_betti))
@@ -52,7 +53,8 @@ def suspension_product_space(link_betti, sigma0_betti, label="") -> TwoStrataSpa
     n = l + s + 1
     sigma_h, m_h, fold = _fold_blocks(link_h, sigma0_h, 2)
     return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h,
-                          m_h=m_h, boundary_restriction=fold, label=label)
+                          m_h=m_h, boundary_restriction=fold,
+                          oriented=oriented, label=label)
 
 
 def isolated_cone_space(link_betti, m_betti, beta_blocks,

@@ -77,23 +77,9 @@ def test_verify_hom(capsys):
 
 
 def test_verify_coh(capsys):
-    code, data, _ = run_json(capsys, "verify", space_file(), "--theorem",
-                             "coh", "--p", "1")
-    assert code == 0
-    assert data["result"]["ok"] is True
-    # coh is an alias of hom: same verdicts for the same p on every model
-    for model in ("s2xt2_space", "pinched_torus_space", "st2xs1_space"):
-        for p in range(-1, 3):
-            path = str(DATA / f"{model}.json")
-            verdicts = []
-            for theorem in ("hom", "coh"):
-                code, data, _ = run_json(capsys, "verify", path, "--theorem",
-                                         theorem, "--p", str(p))
-                verdicts.append((code, data["result"]))
-            assert verdicts[0] == verdicts[1], (model, p)
-    _, text, _ = run(capsys, "verify", space_file(), "--theorem", "coh",
-                     "--p", "1")
-    assert "same check as hom" in text
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", space_file(), "--theorem", "coh", "--p", "1"])
+    assert exc.value.code == 2 and "coh" in capsys.readouterr().err
 
 
 def test_verify_duality(capsys):
@@ -246,7 +232,26 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("hi", {"kind": "suspension_product", "link": [1, 1],
                 "sigma": [-1]}, "sigma"),
         ("hi", {**model, "beta_T": {}, "oriented": "false"}, "oriented"),
+        ("hi", {**model, "beta_T": {}, "n": 4.5}, "n"),
+        ("hi", {"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, True],
+                "beta_T": {}}, "m_betti"),
+        ("hi", {"kind": "isolated_cone", "link": [2, 2], "m_betti": [1, 1],
+                "beta_T": {"0": [[1, True]], "1": [[1, 1]]},
+                "oriented": False}, "beta_T[0]"),
+        ("homology", {**triangle, "top_simplices": [[]]}, "top_simplices"),
     ]
+    # an unoriented suspension product loads without the duality check, and
+    # verify --theorem duality refuses it
+    unoriented = tmp_path / "unoriented.json"
+    unoriented.write_text(json.dumps({"kind": "suspension_product",
+                                      "link": [1, 1], "sigma": [1, 1],
+                                      "oriented": False}))
+    code, out, err = run(capsys, "verify", str(unoriented), "--theorem",
+                         "duality", "--p", "0")
+    assert code == 2 and out == "", err
+    assert "duality requires a closed oriented model" in err, err
+    code, _, err = run(capsys, "hi", str(unoriented), "--p", "0")
+    assert code == 0, err
     for weight in ("1/0", "x"):
         code, out, err = run(capsys, "modes", "--torus-dim", "1",
                              "--weight", weight)
@@ -365,7 +370,6 @@ def test_verify_refuses_flags_its_theorem_does_not_read(capsys):
     for theorem, flag, value in (("duality", "--degrees", "0..1"),
                                  ("signature", "--degrees", "0..1"),
                                  ("hom", "--pairing", pairing),
-                                 ("coh", "--pairing", pairing),
                                  ("duality", "--pairing", pairing),
                                  ("signature", "--p", "0")):
         argv = ["verify", space_file(), "--theorem", theorem, flag, value]
