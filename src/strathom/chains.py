@@ -3,8 +3,9 @@
 This module is the homological middle layer: finitely supported graded
 dimensions (`GradedVS`), degreewise linear maps (`GradedMap`), chain
 complexes with checked square-zero differentials, Betti numbers by rank
-(representative cycles are built only for induced maps), mapping cones,
-tensor products with Koszul signs, truncation / cotruncation of graded data
+(representative cycles, cleared against the boundaries, are built only for
+induced maps and the cup pairing), mapping cones, tensor products with
+Koszul signs, truncation / cotruncation of graded data
 and the long-exact-sequence dimension count used by every Mayer-Vietoris
 assembly downstream.
 
@@ -303,12 +304,24 @@ class HomologyData(NamedTuple):
 def cycle_representatives(d_out: MatrixQ, d_in: MatrixQ) -> list[dict]:
     """Cycles of d_out whose classes form a basis of ker d_out / im d_in.
 
-    A kernel basis of d_out, kept where it extends a basis of im d_in.
+    Cleared: the cycles that vanish on the pivot set P of an echelon basis
+    of im d_in.  A basis of im d_in goes into an `IncrementalSpan`, whose
+    row at pivot p has p as the least index of its support.  Ordered by
+    pivot, the rows restricted to P form a triangular matrix with nonzero
+    diagonal, hence an invertible one.  So for every cycle z there is
+    exactly one boundary b with (z - b)|_P = 0, and z - b is again a cycle
+    since d_out d_in = 0; and a boundary that vanishes on P is zero.  Hence
+    the cycles vanishing on P map isomorphically onto ker d_out / im d_in.
+    They are the kernel of d_out with the columns in P deleted, padded back
+    with zeros, so its kernel basis has dim H vectors and needs no filter.
     """
     span = IncrementalSpan(d_out.cols)
     for v in image_basis(d_in).basis:
         span.add(v)
-    return [v for v in kernel_basis(d_out).basis if span.add(v)]
+    cleared = span.pivots
+    keep = [c for c in range(d_out.cols) if c not in cleared]
+    return [{keep[k]: x for k, x in v.items()} for v in
+            kernel_basis(d_out.submatrix(range(d_out.rows), keep)).basis]
 
 
 def reduced_homology(c: ChainComplex) -> GradedVS:

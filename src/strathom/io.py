@@ -15,7 +15,7 @@ Three input shapes are understood:
   entries are integers or rational strings like ``"3/2"``.
 * pairing files: ``{"degree": m, "matrix": [[...]]}``, or any triangulation
   file with ``boundary``/``orientation`` data, in which case the pairing is
-  computed by the cup product in the middle degree.
+  the cup product in the middle degree, computed only where it is read.
 
 Serialization is canonical: keys sorted, rationals emitted as integers when
 integral and ``"p/q"`` strings otherwise, so byte-identical output means
@@ -36,7 +36,6 @@ from .simplicial import (
     SimplicialComplex,
     StratifiedComplex,
     betti_numbers,
-    cup_pairing,
 )
 from .spaces import isolated_cone_space, suspension_product_space
 from .stratified import TwoStrataSpace, check_lefschetz
@@ -297,13 +296,23 @@ def space_to_dict(space: TwoStrataSpace) -> dict:
 # ---------------------------------------------------------------------------
 # pairings
 
-def load_pairing(data: dict, where: str = "pairing") -> PairingData:
+def load_pairing(data: dict, where: str = "pairing"
+                 ) -> PairingData | OrientedPseudomanifoldWithBoundary:
+    """A pairing matrix, or a validated oriented triangulation of even
+    dimension.  A triangulation's cup pairing is not computed here:
+    `verify_theorem_sig` computes it only where it reads sigma(Mbar)."""
     if "matrix" in data:
         degree = _int(_require(data, "degree", where), f"{where}.degree")
+        if degree < 0:
+            raise InputError(f"{where}.degree: must be nonnegative, got "
+                             f"{degree}")
         m = matrix_from_rows(data["matrix"], f"{where}.matrix")
         if m.rows != m.cols:
             raise InputError(f"{where}.matrix: must be square, got "
                              f"{m.rows}x{m.cols}")
+        if degree % 2 == 0 and not m.is_symmetric():
+            raise InputError(f"{where}.matrix: must be symmetric in even "
+                             f"degree {degree}")
         return PairingData(degree, m, basis_note=str(data.get("basis_note", "")))
     if "vertices" in data:
         pm = load_complex(data, where=where)
@@ -314,7 +323,7 @@ def load_pairing(data: dict, where: str = "pairing") -> PairingData:
         n = pm.complex.dim
         if n % 2:
             raise InputError(f"{where}: no middle degree in odd dimension {n}")
-        return cup_pairing(pm, n // 2)
+        return pm
     raise InputError(f"{where}: expected a pairing matrix or a triangulation")
 
 

@@ -476,6 +476,12 @@ class IncrementalSpan:
     def dim(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self):
+        """The pivot coordinates, a read-only view: the least index of the
+        support of each stored row, one per row."""
+        return self._rows.keys()
+
 
 def solve(m: MatrixQ, b: Mapping) -> dict | None:
     """One solution x of m x = b (free coordinates 0), or None if insoluble."""

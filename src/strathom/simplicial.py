@@ -492,8 +492,11 @@ class PairingData:
 def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingData:
     """The middle-degree cup-product pairing against the fundamental chain.
 
-    Both slots run over a cocycle basis of H^m(K, bd K); the second factor
-    is regarded in absolute cohomology.  Entry (i, j) is
+    Both slots run over a cocycle basis of H^m(K, bd K), the cleared
+    representatives of `cycle_representatives` on the relative coboundaries
+    (cocycles vanishing on the pivots of an echelon basis of the relative
+    coboundaries, so no full cocycle basis is built); the second factor is
+    regarded in absolute cohomology.  Entry (i, j) is
     <a_i cup a_j, fundamental chain> with the ordered front-face/back-face
     cup product in the global vertex order.  The matrix is symmetric for
     even m and its signature is the Novikov signature of the complex.

@@ -268,3 +268,15 @@ def ref_span_verdicts(ambient_dim, vecs):
                     del r[cc]
         out.append(grew)
     return out
+
+
+def ref_cycle_representatives(d_out, d_in):
+    """Cycles of d_out whose classes form a basis of ker d_out / im d_in, by
+    the kernel-then-filter route: a full kernel basis of d_out, each vector
+    kept where it enlarges the span of im d_in and of the vectors kept
+    before it.  Built on the reference engine above, so it shares no
+    elimination code with `strathom.chains.cycle_representatives`."""
+    image = ref_image_basis(d_in, ref_eliminate(ref_rows(d_in))[0])
+    kernel = ref_kernel_basis(d_out, ref_eliminate(ref_rows(d_out))[0])
+    grew = ref_span_verdicts(d_out.cols, image + kernel)
+    return [v for v, g in zip(kernel, grew[len(image):]) if g]

@@ -1,23 +1,44 @@
 import random
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
+from strathom import io as sio
+from strathom.catalog import (
+    circle,
+    cp2_9,
+    cp2_minus_facet,
+    disk2,
+    interval,
+    sphere_boundary,
+    torus7,
+)
 from strathom.chains import (
     ChainComplex,
     ChainMap,
     GradedMap,
     GradedVS,
+    cycle_representatives,
     induced_map,
     les_third_dims,
     mapping_cone,
     reduced_homology,
     tensor_complex,
 )
-from strathom.qlinalg import MatrixQ
+from strathom.qlinalg import IncrementalSpan, MatrixQ, image_basis
+from strathom.simplicial import boundary_matrix, chain_complex_of
 
-from oracles import convolve, rank_int_oracle, scaled
+from oracles import (
+    convolve,
+    rank_int_oracle,
+    ref_cycle_representatives,
+    ref_span_verdicts,
+    scaled,
+)
+
+DATA = Path(__file__).parent.parent / "src" / "strathom" / "data"
 
 
 def circle_complex():
@@ -300,3 +321,60 @@ def test_induced_map_by_hand():
     assert hm.rank(1) == 1
     assert hm.block(1).entry(0, 0) == Fraction(2)
     assert hm.block(0).entry(0, 0) == Fraction(2)
+
+
+def _relative_middle_pair(pm):
+    """(delta^m, delta^(m-1)) on the cochains vanishing on the boundary, m
+    the middle degree: the pair whose cocycles `cup_pairing` pairs."""
+    K, m = pm.complex, pm.complex.dim // 2
+
+    def rel(d):
+        return [i for i, s in enumerate(K.simplices(d))
+                if s not in pm.boundary]
+
+    def delta(d):
+        return boundary_matrix(K, d + 1).submatrix(rel(d), rel(d + 1)) \
+            .transpose()
+
+    return delta(m), delta(m - 1)
+
+
+def _cycle_representative_pairs():
+    # the homology pairs of the catalog complexes (I x S^1 x T^2 is left
+    # out: the reference engine takes seconds on its 3706 simplices) ...
+    for K in (circle(), interval(), sphere_boundary(2), sphere_boundary(3),
+              torus7(), cp2_9(), cp2_minus_facet().complex, disk2().complex):
+        c = chain_complex_of(K)
+        for j in range(K.dim + 1):
+            yield c.differential(j), c.differential(j + 1)
+    # ... and the relative coboundary pairs of both bundled pairing files
+    for stem in ("ixs1xt2", "cp2_minus_ball"):
+        pm = sio.load_pairing(sio.load_json(DATA / f"{stem}.json"))
+        yield _relative_middle_pair(pm)
+
+
+def test_cycle_representatives_against_kernel_then_filter():
+    pairs = list(_cycle_representative_pairs())
+    assert len(pairs) == 29
+    for d_out, d_in in pairs:
+        new = cycle_representatives(d_out, d_in)
+        old = ref_cycle_representatives(d_out, d_in)
+        assert len(new) == len(old)
+        image = list(image_basis(d_in).basis)
+        # the same span mod im d_in: new is independent mod im d_in and
+        # lies in im d_in + span(old)
+        assert ref_span_verdicts(d_out.cols, image + new) == \
+            [True] * (len(image) + len(new))
+        assert ref_span_verdicts(d_out.cols, image + old + new) == \
+            [True] * (len(image) + len(old)) + [False] * len(new)
+        span = IncrementalSpan(d_out.cols)
+        for v in image:
+            span.add(v)
+        cleared = set(span.pivots)
+        for v in new:
+            image_of_v = {}
+            for (i, j), x in d_out.items():
+                if j in v:
+                    image_of_v[i] = image_of_v.get(i, 0) + x * v[j]
+            assert not any(image_of_v.values())
+            assert v and cleared.isdisjoint(v)

@@ -287,6 +287,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, "hi", str(f), "--p", "0")
         assert code == 2 and text in err and "Traceback" not in err, err
         assert err.count(str(f)) == 1, err
+    # a malformed pairing matrix exits 2 naming the field, whatever the space
+    for i, (data, field) in enumerate((
+            ({"degree": -1, "matrix": [[1]]}, "degree"),
+            ({"degree": 2, "matrix": [[1, 2], [3, 1]]}, "matrix"))):
+        f = tmp_path / f"pairing{i}.json"
+        f.write_text(json.dumps(data))
+        for stem in ("s2xt2_space", "st2xs1_space"):
+            code, out, err = run(capsys, "signature", str(DATA / f"{stem}.json"),
+                                 "--pairing", str(f))
+            assert code == 2 and out == "", (field, stem, err)
+            assert f"{f}.{field}" in err and "Traceback" not in err, err
     for i, (verb, data, field) in enumerate(cases):
         f = tmp_path / f"malformed{i}.json"
         f.write_text(json.dumps(data))
@@ -419,3 +430,64 @@ def test_sigma_triangulation_without_sigma_rejected(capsys, tmp_path):
                              "top_simplices": [["a", "b"]]}))
     code, _, err = run(capsys, "ih-direct", str(f), "--p", "0")
     assert code == 2 and "sigma" in err
+
+
+def _witt_result(sigma, mid, ct, hi_x, hi_z, ih_x, ih_z):
+    return {"ok": True, "all_equal": True, "sigma_Mbar": sigma,
+            "sigma_perverse_CT": sigma, "sigma_IH_X": sigma,
+            "sigma_HI_X": sigma, "sigma_Z": sigma,
+            "witt": {"is_witt": True, "reason": "link-dim-odd"},
+            "middle_degree": mid, "ct_image_dim": ct,
+            "hi_middle_dim_X": hi_x, "hi_middle_dim_Z": hi_z,
+            "ih_middle_dim_X": ih_x, "ih_middle_dim_Z": ih_z}
+
+
+# (space, pairing) -> (exit code, --json result), as computed with the
+# pairing built eagerly on load
+_SIGNATURE_RESULTS = {
+    ("s2xt2_space", "ixs1xt2"): (0, _witt_result(0, 2, 0, 4, 6, 2, 0)),
+    ("s2xt2_space", "cp2_minus_ball"): (0, _witt_result(1, 2, 0, 4, 6, 2, 0)),
+    ("pinched_torus_space", "ixs1xt2"): (0, _witt_result(0, 1, 0, 2, 2, 0, 0)),
+    ("pinched_torus_space", "cp2_minus_ball"):
+        (0, _witt_result(0, 1, 0, 2, 2, 0, 0)),
+    **{("st2xs1_space", p): (1, {
+        "ok": False, "error": "the space fails the Witt condition; "
+        "middle-perversity signatures are not defined"})
+       for p in ("ixs1xt2", "cp2_minus_ball")},
+}
+
+
+def test_cup_pairing_runs_only_where_sigma_is_read(capsys, monkeypatch,
+                                                   tmp_path):
+    import strathom
+    from strathom import simplicial
+
+    calls = []
+    original = simplicial.cup_pairing
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in [strathom] + [m for m in vars(strathom).values()
+                             if type(m) is type(strathom)]:
+        if getattr(mod, "cup_pairing", None) is original:
+            monkeypatch.setattr(mod, "cup_pairing", counted)
+    for (space, pairing), (code, result) in _SIGNATURE_RESULTS.items():
+        for verb in (["signature"], ["verify", "--theorem", "signature"]):
+            before = len(calls)
+            got, data, err = run_json(capsys, verb[0], str(DATA / f"{space}.json"),
+                                      *verb[1:], "--pairing",
+                                      str(DATA / f"{pairing}.json"))
+            assert (got, data["result"]) == (code, result), (space, err)
+            # sigma(Mbar) is read only on the Witt space with n = 4
+            assert len(calls) - before == (space == "s2xt2_space"), \
+                (space, pairing, verb)
+    # a broken pairing triangulation still exits 2 on a non-Witt space
+    broken = json.loads((DATA / "cp2_minus_ball.json").read_text())
+    broken["boundary"].append(["1", "2", "zz"])
+    f = tmp_path / "broken.json"
+    f.write_text(json.dumps(broken))
+    code, out, err = run(capsys, "signature", str(DATA / "st2xs1_space.json"),
+                         "--pairing", str(f))
+    assert code == 2 and out == "" and "'zz'" in err, err
