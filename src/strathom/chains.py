@@ -3,11 +3,11 @@
 This module is the homological middle layer: finitely supported graded
 dimensions (`GradedVS`), degreewise linear maps (`GradedMap`), chain
 complexes with checked square-zero differentials, Betti numbers by rank
-(representative cycles, cleared against the boundaries, are built only for
-induced maps and the cup pairing), mapping cones, tensor products with
-Koszul signs, truncation / cotruncation of graded data
-and the long-exact-sequence dimension count used by every Mayer-Vietoris
-assembly downstream.
+(one cleared column reduction per differential; representative cycles,
+cleared against the boundaries, are built only for induced maps and the
+cup pairing), mapping cones, tensor products with Koszul signs,
+truncation / cotruncation of graded data and the long-exact-sequence
+dimension count used by every Mayer-Vietoris assembly downstream.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
 bases in degree j follow the one Kunneth layout `GradedVS.tensor_blocks`
@@ -28,6 +28,7 @@ from .qlinalg import (
     DimensionMismatch,
     IncrementalSpan,
     MatrixQ,
+    column_lows,
     hstack,
     image_basis,
     kernel_basis,
@@ -248,10 +249,24 @@ class ChainComplex:
     def homology(self) -> GradedVS:
         """Betti numbers by rank: dim H_j = n_j - rank d_j - rank d_{j+1}.
 
-        Each differential is eliminated once; the result is memoized.
+        Each rank is one cleared left-to-right column reduction
+        (`column_lows`), top-down: the columns of d_j at the lows of
+        d_{j+1} are skipped (clearing, Chen-Kerber 2011).  Every low of
+        d_{j+1} indexes a column of d_j that lies in the span of the earlier
+        columns of d_j: the reduced column R of d_{j+1} with low l is a
+        boundary, so d_j R = 0, and R has a nonzero entry at l and none
+        below it, which writes column l of d_j as a combination of columns
+        < l.  So that column reduces to zero and skipping it changes no low
+        of d_j.  The lows of d_j clear d_{j-1} only: when d_{j-1} is zero
+        they clear nothing, and they say nothing about d_{j-2}.  The result
+        is memoized.
         """
         if self._homology_cache is None:
-            r = {j: rank(m) for j, m in self.differentials.items()}
+            r, cleared = {}, {}
+            for j in sorted(self.differentials, reverse=True):
+                lows = column_lows(self.differentials[j], cleared.get(j, ()))
+                r[j] = len(lows)
+                cleared[j - 1] = set(lows.values())
             self._homology_cache = GradedVS(
                 {j: self.spaces[j] - r.get(j, 0) - r.get(j + 1, 0)
                  for j in self.spaces.degrees()})

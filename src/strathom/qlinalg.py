@@ -9,7 +9,8 @@ checked and coerced (`as_rational`) at three doors: `MatrixQ(...)`,
 (transpose, submatrix, negation, hstack) inherits the contract without a
 second check, and every value handed back follows it, so the ±1 boundary
 matrices of a triangulation hold plain `int`s.  One elimination engine
-serves rank, kernel_basis, image_basis, solve and IncrementalSpan: it
+serves rank, kernel_basis, image_basis, solve and IncrementalSpan (under
+`column_lows`, the left-to-right column reduction of persistence): it
 works on exact Python `int` rows (a row holding a `Fraction` is scaled by
 the lcm of its denominators), fraction-free in the sense of Bareiss, and
 picks Markowitz pivots from a lazy heap.  Back-substitution divides in
@@ -25,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 # Fraction is always reduced with positive denominator and canonical zero;
 # the package adds one rule: an integral value is stored as an `int`.
@@ -479,8 +480,35 @@ class IncrementalSpan:
     @property
     def pivots(self):
         """The pivot coordinates, a read-only view: the least index of the
-        support of each stored row, one per row."""
+        support of each stored row, one per row, in the order the rows were
+        stored."""
         return self._rows.keys()
+
+
+def column_lows(m: MatrixQ, skip: Container[int] = ()) -> dict[int, int]:
+    """The lows of the left-to-right column reduction of `m`: {column: low
+    row} for every column whose reduced form is nonzero.
+
+    The columns, except those in `skip`, go into an `IncrementalSpan` from
+    left to right with their rows reversed (row i at coordinate
+    m.rows - 1 - i), so reducing at the least coordinate is reducing at the
+    largest row: the row that a stored vector pivots on is the low, the
+    largest row index of the reduced column, and the lows are distinct.  A
+    column is accepted iff it is not in the span of the earlier fed columns,
+    so with `skip` empty the number of lows is rank m.  A skipped column
+    that lies in the span of the earlier columns changes neither the
+    accepted columns nor their lows.
+    """
+    cols: list[dict] = [{} for _ in range(m.cols)]
+    top = m.rows - 1
+    for (i, j), v in m._e.items():
+        cols[j][top - i] = v
+    span = IncrementalSpan(m.rows)
+    lows = {}
+    for j, col in enumerate(cols):
+        if j not in skip and span.add(col):
+            lows[j] = top - next(reversed(span.pivots))
+    return lows
 
 
 def solve(m: MatrixQ, b: Mapping) -> dict | None:

@@ -15,9 +15,11 @@ entirely inside the singular set are quotiented away, which is what makes
 the cone formula come out right in every degree for arbitrarily large
 perversity values; see the module's tests for the cone/suspension family
 this is pinned against.  Each `StratifiedComplex` memoizes what the oracle
-reads: the Sigma-face dimension of every simplex, one boundary matrix per
-degree, and one rank pair per (degree, clamped allowability threshold), so
-a sweep over perversities builds and eliminates each problem once.
+reads: the Sigma-face dimension of every simplex, and per degree the
+(face dimension of the column, face dimension of its low) pairs of one
+cleared column reduction of the truncated boundary, ordered by face
+dimension.  Every rank pair (rank C_d, rank D_d) of every perversity is a
+count over those pairs, so a sweep builds and reduces each degree once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .chains import ChainComplex, GradedVS, cycle_representatives
-from .qlinalg import MatrixQ, rank
+from .qlinalg import MatrixQ, column_lows
 
 Simplex = tuple[int, ...]  # vertex indices, strictly increasing
 
@@ -106,15 +108,30 @@ class SimplicialComplex:
         return f"SimplicialComplex(f={self.f_vector()})"
 
 
-def boundary_matrix(s: SimplicialComplex, d: int) -> MatrixQ:
-    """Matrix of the boundary operator C_d -> C_{d-1} with standard signs."""
+def boundary_matrix(s: SimplicialComplex, d: int,
+                    rows: Sequence[int] | None = None,
+                    cols: Sequence[int] | None = None) -> MatrixQ:
+    """Matrix of the boundary operator C_d -> C_{d-1} with standard signs.
+
+    `rows` and `cols`, if given, are the indices of the (d - 1)- and
+    d-simplices to keep, in the order of the matrix rows and columns; the
+    faces outside `rows` are dropped."""
+    if rows is None:
+        lower = s._index.get(d - 1, {})
+    else:
+        below = s.simplices(d - 1)
+        lower = {below[i]: k for k, i in enumerate(rows)}
+    simplices = s.simplices(d)
+    if cols is None:
+        cols = range(len(simplices))
     entries = {}
-    lower = s._index.get(d - 1, {})
-    for col, simplex in enumerate(s.simplices(d)):
+    for col, j in enumerate(cols):
+        simplex = simplices[j]
         for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1:]
-            entries[(lower[face], col)] = -1 if i % 2 else 1
-    return MatrixQ(s.n_simplices(d - 1), s.n_simplices(d), entries)
+            row = lower.get(simplex[:i] + simplex[i + 1:])
+            if row is not None:
+                entries[(row, col)] = -1 if i % 2 else 1
+    return MatrixQ(len(lower), len(cols), entries)
 
 
 def chain_complex_of(s: SimplicialComplex) -> ChainComplex:
@@ -265,13 +282,32 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
     the truncated boundary on allowable chains, dim IC_d = #allowable_d -
     rank C_d and the boundary has rank rank D_d - rank C_d on IC_d.
 
-    The ranks are memoized on `st` under (d, t), with the threshold clamped
-    to t = clamp(d - codim + p, -1, d - 1).  The key is exact: a
-    non-interior d-simplex has Sigma-face dimension in {-1, ..., d - 1}
-    (-1 for no singular vertex), so thresholds outside that range select
-    the same allowable columns.  The rows of C_d are the non-interior
-    (d - 1)-simplices above the threshold clamp(t - 1, -1, d - 2), which t
-    fixes too.  Each boundary matrix is built once per degree.
+    Both ranks come from one column reduction per degree, for every
+    perversity.  Write f for the Sigma-face dimension (-1 for no singular
+    vertex, d for an interior d-simplex) and t = clamp(d - codim + p, -1,
+    d - 1) for the threshold: the allowable d-simplices are those with
+    f <= t.  Order the non-interior (d - 1)-simplices (rows) and
+    d-simplices (columns) of the boundary matrix by (f, index).  D_d(t) is
+    then a block of leading columns, and C_d(t), whose rows are those with
+    f > max(-1, t - 1), the lower-left block below it.  Adding a column to
+    a later one keeps the rank of every lower-left block, and once the
+    lows are distinct that rank is the number of reduced columns in the
+    block whose low lies in it (pairing lemma of Cohen-Steiner, Edelsbrunner
+    and Morozov, Vines and vineyards, 2006).  So with `column_lows`,
+
+        rank D_d(t) = #{accepted c : f(c) <= t},
+        rank C_d(t) = #{accepted c : f(c) <= t, f(low c) > max(-1, t - 1)}.
+
+    The degrees run top-down with clearing: the columns of degree d at the
+    lows of degree d + 1 are skipped.  An interior simplex has only
+    interior faces, so the full boundary of a reduced (d + 1)-column is
+    the truncated one plus interior summands, and its truncated boundary
+    in degree d is zero: the reduced column is a cycle of the truncated
+    boundary, with a nonzero entry at its low and none after it, so the
+    column of degree d at that low lies in the span of the earlier ones,
+    reduces to zero, and skipping it changes no low.  `st` memoizes the
+    face dimensions and one list of (f(c), f(low c)) pairs per degree, so
+    a sweep over perversities reduces each degree once.
     """
     K = st.complex
     memo = st._ih_memo
@@ -280,33 +316,36 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
         face_dims = [[sum(v in sigma for v in simplex) - 1
                       for simplex in K.simplices(d)]
                      for d in range(K.dim + 1)]
-        memo = st._ih_memo = (face_dims, {}, {})
-    face_dims, boundaries, rank_pairs = memo
+        order = [[i for _, i in sorted((f, i) for i, f in enumerate(fd)
+                                       if f < d)]
+                 for d, fd in enumerate(face_dims)]
+        low_pairs: dict[int, list[tuple[int, int]]] = {}
+        cleared = ()
+        for d in range(K.dim, 0, -1):
+            rows, cols = order[d - 1], order[d]
+            lows = column_lows(boundary_matrix(K, d, rows, cols), cleared)
+            low_pairs[d] = [(face_dims[d][cols[c]], face_dims[d - 1][rows[r]])
+                            for c, r in lows.items()]
+            cleared = set(lows.values())
+        memo = st._ih_memo = (face_dims, low_pairs)
+    face_dims, low_pairs = memo
 
-    # IC_d = allowable chains whose truncated boundary is again allowable.
-    # On the allowable columns, C_d holds the non-interior rows outside the
-    # allowable set and D_d all non-interior rows; IC_d = ker C_d.  The rows
-    # of C_d are a subset of those of D_d, so rank [C_d; D_d] = rank D_d and
-    # rank(D_d restricted to ker C_d) = rank D_d - rank C_d.
+    # IC_d = allowable chains whose truncated boundary is again allowable:
+    # IC_d = ker C_d, and rank(D_d restricted to ker C_d) = rank D_d -
+    # rank C_d, as the rows of C_d are a subset of those of D_d.
     ic_dim: dict[int, int] = {}
     ranks: dict[int, int] = {}
     for d in range(K.dim + 1):
         t = max(-1, min(d - st.codim + p_at_c, d - 1))
-        cols = [i for i, f in enumerate(face_dims[d]) if f <= t]
-        ic_dim[d] = len(cols)
-        if d == 0 or not cols:
+        ic_dim[d] = sum(f <= t for f in face_dims[d])
+        if d == 0:
             continue
-        pair = rank_pairs.get((d, t))
-        if pair is None:
-            bd = boundaries.get(d)
-            if bd is None:
-                bd = boundaries[d] = boundary_matrix(K, d)
-            below, t_below = face_dims[d - 1], max(-1, t - 1)
-            keep = [i for i, f in enumerate(below) if f < d - 1]
-            bad = [i for i in keep if below[i] > t_below]
-            pair = rank_pairs[(d, t)] = (rank(bd.submatrix(bad, cols)),
-                                         rank(bd.submatrix(keep, cols)))
-        r_bad, r_all = pair
+        t_below = max(-1, t - 1)
+        r_all = r_bad = 0
+        for f, f_low in low_pairs[d]:
+            if f <= t:
+                r_all += 1
+                r_bad += f_low > t_below
         ic_dim[d] -= r_bad
         ranks[d] = r_all - r_bad
 
@@ -506,21 +545,19 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
     if 2 * degree != n:
         raise ValueError(f"degree {degree} is not the middle of dimension {n}")
 
-    def rel_cols(d: int) -> list[int]:
-        return [i for i, s in enumerate(K.simplices(d)) if s not in m.boundary]
+    # the indices of the simplices off the boundary: relative cochain bases
+    rel = {d: [i for i, s in enumerate(K.simplices(d)) if s not in m.boundary]
+           for d in (degree - 1, degree, degree + 1)}
 
     def rel_delta(d: int) -> MatrixQ:
         """delta: relative C^d -> relative C^{d+1} (transpose of boundary)."""
-        return boundary_matrix(K, d + 1).submatrix(
-            rel_cols(d), rel_cols(d + 1)).transpose()
+        return boundary_matrix(K, d + 1, rel[d], rel[d + 1]).transpose()
 
     reps_rel = cycle_representatives(rel_delta(degree), rel_delta(degree - 1))
-    cols = rel_cols(degree)
 
     # cocycles as {simplex index: coefficient} over all degree-m simplices
-    cocycles = []
-    for v in reps_rel:
-        cocycles.append({cols[k]: x for k, x in v.items()})
+    cols = rel[degree]
+    cocycles = [{cols[k]: x for k, x in v.items()} for v in reps_rel]
 
     fund = m.fundamental_chain()
     tops = K.simplices(n)

@@ -15,12 +15,20 @@ equal value for value.
 
 The matrix helpers in between (`vstack`, `block_diag`, `scaled`) assemble
 package `MatrixQ` values for tests; no command of the package needs them.
+
+`ref_ih_direct` is the brute-force intersection homology by a second
+route: the package's Markowitz `rank` on two submatrices of the full
+boundary matrix per degree and threshold.  It shares that engine with the
+package, but not the cleared column reduction `ih_direct` reads its ranks
+from.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from strathom.qlinalg import DimensionMismatch, MatrixQ
+from strathom.chains import GradedVS
+from strathom.qlinalg import DimensionMismatch, MatrixQ, rank
+from strathom.simplicial import boundary_matrix
 
 
 def det_dense(rows):
@@ -270,6 +278,32 @@ def ref_span_verdicts(ambient_dim, vecs):
     return out
 
 
+def ref_column_lows(m):
+    """The persistence reduction over `Fraction`: each column of m, left to
+    right, has earlier reduced columns with its low (largest nonzero row)
+    subtracted until its low is new or it is zero; {column: low} of the
+    nonzero reduced columns."""
+    reduced = {}
+    lows = {}
+    for j in range(m.cols):
+        col = {i: Fraction(v) for (i, jj), v in m.items() if jj == j}
+        while col:
+            low = max(col)
+            k = lows.get(low)
+            if k is None:
+                lows[low] = j
+                reduced[j] = col
+                break
+            f = col[low] / reduced[k][low]
+            for i, v in reduced[k].items():
+                nv = col.get(i, Fraction(0)) - f * v
+                if nv:
+                    col[i] = nv
+                else:
+                    col.pop(i, None)
+    return {j: low for low, j in lows.items()}
+
+
 def ref_cycle_representatives(d_out, d_in):
     """Cycles of d_out whose classes form a basis of ker d_out / im d_in, by
     the kernel-then-filter route: a full kernel basis of d_out, each vector
@@ -280,3 +314,33 @@ def ref_cycle_representatives(d_out, d_in):
     kernel = ref_kernel_basis(d_out, ref_eliminate(ref_rows(d_out))[0])
     grew = ref_span_verdicts(d_out.cols, image + kernel)
     return [v for v, g in zip(kernel, grew[len(image):]) if g]
+
+
+# ---------------------------------------------------------------------------
+# intersection homology by ranks of submatrices
+
+def ref_ih_direct(st, p_at_c):
+    """`strathom.simplicial.ih_direct` by its definition: in each degree d,
+    with t = clamp(d - codim + p, -1, d - 1), the allowable columns are the
+    d-simplices with Sigma-face dimension f <= t, D_d holds all non-interior
+    (d - 1)-simplices as rows and C_d those with f > max(-1, t - 1); the
+    ranks come from `rank` on those submatrices of `boundary_matrix`."""
+    K = st.complex
+    face_dims = [[sum(v in st.sigma for v in simplex) - 1
+                  for simplex in K.simplices(d)] for d in range(K.dim + 1)]
+    ic_dim, ranks = {}, {}
+    for d in range(K.dim + 1):
+        t = max(-1, min(d - st.codim + p_at_c, d - 1))
+        cols = [i for i, f in enumerate(face_dims[d]) if f <= t]
+        ic_dim[d] = len(cols)
+        if d == 0 or not cols:
+            continue
+        bd = boundary_matrix(K, d)
+        below, t_below = face_dims[d - 1], max(-1, t - 1)
+        keep = [i for i, f in enumerate(below) if f < d - 1]
+        bad = [i for i in keep if below[i] > t_below]
+        r_bad = rank(bd.submatrix(bad, cols))
+        ic_dim[d] -= r_bad
+        ranks[d] = rank(bd.submatrix(keep, cols)) - r_bad
+    return GradedVS({d: ic_dim[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
+                     for d in range(K.dim + 1)})

@@ -11,6 +11,7 @@ from strathom.catalog import (
     cp2_9,
     cp2_minus_facet,
     disk2,
+    i_x_s1_x_t2,
     interval,
     sphere_boundary,
     torus7,
@@ -27,7 +28,7 @@ from strathom.chains import (
     reduced_homology,
     tensor_complex,
 )
-from strathom.qlinalg import IncrementalSpan, MatrixQ, image_basis
+from strathom.qlinalg import IncrementalSpan, MatrixQ, image_basis, rank
 from strathom.simplicial import boundary_matrix, chain_complex_of
 
 from oracles import (
@@ -259,6 +260,95 @@ def test_cone_les_identity_for_nonzero_maps():
     hf = induced_map(inc)
     for j in range(0, 3):
         assert cone.homology()[j] == hf.coker_dim(j) + hf.kernel_dim(j - 1)
+
+
+def _plain_homology(c):
+    """Betti numbers from `rank` of every differential, uncleared."""
+    r = {j: rank(c.differential(j)) for j in range(c.spaces.top + 2)}
+    return GradedVS({j: c.spaces[j] - r[j] - r[j + 1]
+                     for j in c.spaces.degrees()})
+
+
+def _catalog_complexes():
+    return [circle(), interval(), sphere_boundary(2), sphere_boundary(3),
+            torus7(), cp2_9(), cp2_minus_facet().complex, disk2().complex,
+            i_x_s1_x_t2().complex]
+
+
+def _with_zero_differential(rng):
+    """Random complexes with one differential set to zero between two
+    nonzero ones, and the smallest such complex."""
+    yield ChainComplex(GradedVS([1, 2, 2, 1]),
+                       {3: MatrixQ.from_rows([[1], [0]]),
+                        1: MatrixQ.from_rows([[1, 0]])})
+    found = 0
+    while found < 15:
+        c, _ = _random_complex(rng, max_top=4, max_dim=3)
+        inner = [j for j in c.differentials
+                 if j - 1 in c.differentials and j + 1 in c.differentials]
+        if inner:
+            j = rng.choice(inner)
+            found += 1
+            yield ChainComplex(c.spaces, {k: m for k, m in
+                                          c.differentials.items() if k != j})
+
+
+def _rational_complexes(rng):
+    """Tensor products and mapping cones of random complexes whose
+    differentials are scaled by non-integral rationals."""
+    def rational():
+        c, _ = _random_complex(rng, max_top=2, max_dim=2)
+        return ChainComplex(c.spaces, {
+            j: scaled(m, Fraction(rng.choice([2, 3, -5]), 7))
+            for j, m in c.differentials.items()})
+    for _ in range(10):
+        a, b = rational(), rational()
+        yield tensor_complex(a, b)
+        ident = ChainMap(a, a, {j: scaled(MatrixQ.identity(a.spaces[j]),
+                                          Fraction(3, 4))
+                                for j in a.spaces.degrees()})
+        yield mapping_cone(ident)
+        yield mapping_cone(ChainMap(a, tensor_complex(a, b)))
+
+
+def test_cleared_homology_matches_plain_ranks():
+    rng = random.Random(31)
+    complexes = [chain_complex_of(K) for K in _catalog_complexes()]
+    complexes += list(_with_zero_differential(rng))
+    complexes += list(_rational_complexes(rng))
+    complexes += [_random_complex(rng)[0] for _ in range(30)]
+    assert any(isinstance(v, Fraction) for c in complexes
+               for m in c.differentials.values() for _, v in m.items())
+    for c in complexes:
+        assert c.homology() == _plain_homology(c), c
+    assert complexes[len(_catalog_complexes())].homology() == \
+        GradedVS([0, 1, 1, 0])
+
+
+def test_cleared_rejections_are_betti_numbers(monkeypatch):
+    # with clearing, the columns of d_j fed to the span and rejected by it
+    # are n_j - rank d_{j+1} - rank d_j = b_j of them
+    from strathom import chains
+    pm = sio.load_pairing(sio.load_json(DATA / "ixs1xt2.json"))
+    complexes = _catalog_complexes() + [pm.complex]
+    rejected = []
+    real_add, real_lows = IncrementalSpan.add, chains.column_lows
+
+    def add(self, vec):
+        grew = real_add(self, vec)
+        rejected[-1] += not grew
+        return grew
+
+    def lows(m, skip=()):
+        rejected.append(0)
+        return real_lows(m, skip)
+
+    monkeypatch.setattr(IncrementalSpan, "add", add)
+    monkeypatch.setattr(chains, "column_lows", lows)
+    for K in complexes:
+        rejected.clear()
+        betti = chain_complex_of(K).homology()
+        assert rejected == [betti[j] for j in range(K.dim, 0, -1)], K
 
 
 def test_truncate_graded():

@@ -11,6 +11,7 @@ from strathom.qlinalg import (
     MatrixQ,
     NotSymmetric,
     Subspace,
+    column_lows,
     hstack,
     image_basis,
     kernel_basis,
@@ -27,6 +28,7 @@ from oracles import (
     block_diag,
     rank_by_minors,
     rank_int_oracle,
+    ref_column_lows,
     ref_eliminate,
     ref_image_basis,
     ref_kernel_basis,
@@ -221,6 +223,28 @@ def test_engine_matches_fraction_reference_on_boundary_matrices(name):
         if name != "i_x_s1_x_t2":  # dense modular ranks are too slow there
             dense = [[int(x) for x in row] for row in bd.to_rows()]
             assert rank(bd) == rank_int_oracle(dense)
+
+
+def test_column_lows_match_the_persistence_reduction():
+    rng = random.Random(29)
+    mats = [M(_random_rows(rng, pool, rng.randrange(1, 25),
+                           rng.randrange(1, 25), rng.choice([0.5, 0.8])))
+            for pool in POOLS for _ in range(12)]
+    mats += [boundary_matrix(cx, d) for cx in (torus7(), cp2_9())
+             for d in range(1, cx.dim + 1)]
+    mats.append(MatrixQ.zeros(3, 4))
+    for m in mats:
+        lows = column_lows(m)
+        assert lows == ref_column_lows(m)
+        assert len(lows) == rank(m) == len(set(lows.values()))
+        # skipping columns in the span of the earlier ones changes no low
+        rejected = [j for j in range(m.cols) if j not in lows]
+        skip = set(rng.sample(rejected, rng.randrange(len(rejected) + 1)))
+        assert column_lows(m, skip) == lows
+        # skipping an accepted column drops it, and may move later lows
+        if lows:
+            j = rng.choice(sorted(lows))
+            assert j not in column_lows(m, {j})
 
 
 def test_kernel_and_image_really_are_kernel_and_image():

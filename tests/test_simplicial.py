@@ -19,6 +19,8 @@ from strathom.simplicial import (
     suspension,
 )
 
+from oracles import ref_ih_direct
+
 
 def circle3():
     return SimplicialComplex("abc", ["ab", "bc", "ac"])
@@ -175,33 +177,71 @@ def test_ih_direct_memo_matches_fresh_complex_per_p():
 
 
 def test_ih_direct_sweep_builds_each_problem_once(monkeypatch):
-    built, ranked = Counter(), [0]
-    boundary_matrix, rank = simplicial.boundary_matrix, simplicial.rank
+    built, reduced = Counter(), [0]
+    boundary_matrix = simplicial.boundary_matrix
+    column_lows = simplicial.column_lows
 
-    def counting_boundary(cx, d):
+    def counting_boundary(cx, d, *selection):
         built[d] += 1
-        return boundary_matrix(cx, d)
+        return boundary_matrix(cx, d, *selection)
 
-    def counting_rank(m):
-        ranked[0] += 1
-        return rank(m)
+    def counting_lows(m, skip=()):
+        reduced[0] += 1
+        return column_lows(m, skip)
 
     monkeypatch.setattr(simplicial, "boundary_matrix", counting_boundary)
-    monkeypatch.setattr(simplicial, "rank", counting_rank)
+    monkeypatch.setattr(simplicial, "column_lows", counting_lows)
     for st, ps in _memo_families():
         built.clear()
-        ranked[0] = 0
+        reduced[0] = 0
         for p in ps:
             ih_direct(st, p)
-        keys = {(d, max(-1, min(d - st.codim + p, d - 1)))
-                for p in ps for d in range(1, st.complex.dim + 1)}
-        assert max(built.values()) == 1, (st, built)
-        assert ranked[0] <= 2 * len(keys), (st, ranked[0], len(keys))
+        # one truncated boundary and one reduction per degree 1..dim
+        assert built == Counter(range(1, st.complex.dim + 1)), (st, built)
+        assert reduced[0] == st.complex.dim, (st, reduced[0])
         # a second sweep is answered from the memo alone
-        before = (sum(built.values()), ranked[0])
+        before = (sum(built.values()), reduced[0])
         for p in ps:
             ih_direct(st, p)
-        assert (sum(built.values()), ranked[0]) == before, st
+        assert (sum(built.values()), reduced[0]) == before, st
+
+
+def _random_sigma_families(rng):
+    """Catalog cones and staircase products with a random singular vertex
+    set and codimension."""
+    bases = [cone(catalog.torus7()).complex,
+             cone(catalog.sphere_boundary(2)).complex,
+             suspension(catalog.circle(4)).complex,
+             product_complex(catalog.circle(), catalog.circle()),
+             product_complex(catalog.interval(), catalog.torus7()),
+             product_complex(cone(catalog.circle()).complex, catalog.circle())]
+    for cx in bases:
+        for _ in range(3):
+            sigma = rng.sample(cx.vertices,
+                               rng.randrange(len(cx.vertices) // 2 + 1))
+            yield StratifiedComplex(cx, sigma, rng.randrange(1, cx.dim + 2))
+
+
+def test_ih_direct_matches_submatrix_ranks():
+    rng = random.Random(11)
+    families = [st for st, _ in _memo_families()]
+    families += list(_random_sigma_families(rng))
+    for st in families:
+        for p in range(-4, 6):
+            assert ih_direct(st, p) == ref_ih_direct(st, p), (st, p)
+
+
+def test_boundary_matrix_selection_is_the_submatrix():
+    rng = random.Random(3)
+    pms = [catalog.cp2_minus_facet(), catalog.i_x_s1_x_t2(), catalog.disk2()]
+    for cx in [pm.complex for pm in pms] + [torus7(), sphere2()]:
+        for d in range(1, cx.dim + 1):
+            full = simplicial.boundary_matrix(cx, d)
+            for _ in range(4):
+                rows = rng.sample(range(full.rows), rng.randrange(full.rows + 1))
+                cols = rng.sample(range(full.cols), rng.randrange(full.cols + 1))
+                assert simplicial.boundary_matrix(cx, d, rows, cols) == \
+                    full.submatrix(rows, cols), (cx, d)
 
 
 def test_product_complex_circle_circle():
