@@ -30,7 +30,6 @@ from .qlinalg import (
     MatrixQ,
     column_lows,
     hstack,
-    image_basis,
     kernel_basis,
     rank,
     solve,
@@ -320,8 +319,9 @@ def cycle_representatives(d_out: MatrixQ, d_in: MatrixQ) -> list[dict]:
     """Cycles of d_out whose classes form a basis of ker d_out / im d_in.
 
     Cleared: the cycles that vanish on the pivot set P of an echelon basis
-    of im d_in.  A basis of im d_in goes into an `IncrementalSpan`, whose
-    row at pivot p has p as the least index of its support.  Ordered by
+    of im d_in.  The columns of d_in go into an `IncrementalSpan`, whose
+    row at pivot p has p as the least index of its support; P depends only
+    on im d_in, not on which spanning vectors were fed.  Ordered by
     pivot, the rows restricted to P form a triangular matrix with nonzero
     diagonal, hence an invertible one.  So for every cycle z there is
     exactly one boundary b with (z - b)|_P = 0, and z - b is again a cycle
@@ -330,8 +330,11 @@ def cycle_representatives(d_out: MatrixQ, d_in: MatrixQ) -> list[dict]:
     They are the kernel of d_out with the columns in P deleted, padded back
     with zeros, so its kernel basis has dim H vectors and needs no filter.
     """
+    columns: list[dict] = [{} for _ in range(d_in.cols)]
+    for (i, j), v in d_in.items():
+        columns[j][i] = v
     span = IncrementalSpan(d_out.cols)
-    for v in image_basis(d_in).basis:
+    for v in columns:
         span.add(v)
     cleared = span.pivots
     keep = [c for c in range(d_out.cols) if c not in cleared]

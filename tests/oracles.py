@@ -5,22 +5,25 @@ from dense determinant expansion over all square submatrices (small inputs)
 or from dense Gaussian elimination modulo several primes (larger inputs),
 and both paths avoid the sparse elimination engine under test.
 
-The reference elimination engine at the end (`ref_eliminate` and the bases
+The reference elimination engine at the end (`ref_echelon` and the bases
 built on it) is the exception: it is the rational `Fraction` form of the
-package's integer engine and follows the same pivot rule, so it pins the
-pivot sequence and the bases exactly but is not an independent check.  It
-still takes and returns `Fraction` values throughout (`ref_rows` converts),
-while the package stores an integral value as an `int`; the two compare
-equal value for value.
+package's reduction loop and follows the same rule, each row reduced at its
+least column, so it pins the pivots and the bases exactly but is not an
+independent check.  It still takes and returns `Fraction` values
+throughout (`ref_rows` converts), while the package stores an integral
+value as an `int`; the two compare equal value for value.
 
 The matrix helpers in between (`vstack`, `block_diag`, `scaled`) assemble
 package `MatrixQ` values for tests; no command of the package needs them.
 
 `ref_ih_direct` is the brute-force intersection homology by a second
-route: the package's Markowitz `rank` on two submatrices of the full
-boundary matrix per degree and threshold.  It shares that engine with the
-package, but not the cleared column reduction `ih_direct` reads its ranks
-from.
+route: the package's `rank` on two submatrices of the full boundary matrix
+per degree and threshold.  That `rank` runs on `IncrementalSpan`, the same
+reduction loop as the cleared column reduction (`column_lows`) that
+`ih_direct` reads its ranks from, so the two share their arithmetic; what
+they do not share is the route: rows of each submatrix against one
+left-to-right pass over the columns of the whole boundary matrix, read
+through the pairing lemma.
 """
 
 from fractions import Fraction
@@ -154,80 +157,71 @@ def ref_rows(m):
     return rows
 
 
-def ref_eliminate(rows, avoid=frozenset()):
-    """Sparse Gaussian elimination over `Fraction`, pivots chosen by a
-    Markowitz `min` scan over all columns (a sparsest column, then the
-    sparsest row holding it, ties on index).
+def _ref_add(rows, vec):
+    """Reduce the `Fraction` vector `vec` at its least coordinate against the
+    echelon `rows` ({pivot: row}); store it and return True if it is not in
+    their span, else return False."""
+    r = {i: Fraction(v) for i, v in vec.items() if v}
+    while r:
+        c = min(r)
+        pivot = rows.get(c)
+        if pivot is None:
+            rows[c] = r
+            return True
+        f = r[c] / pivot[c]
+        for cc, v in pivot.items():
+            nv = r.get(cc, 0) - f * v
+            if nv:
+                r[cc] = nv
+            elif cc in r:
+                del r[cc]
+    return False
 
-    NOT independent of `strathom.qlinalg._eliminate`: it follows the same
-    pivot rule on purpose, so the two must agree on the pivot sequence and on
-    every basis built from it; only its arithmetic (rational rows, divided by
-    the pivot) and its column choice (a full scan, not a heap) differ.
-    Returns (pivots, leftovers) like the engine.
+
+def ref_echelon(rows):
+    """{pivot column: row} of the `Fraction` row dicts fed last to first
+    through `_ref_add`, the loop of `ref_span_verdicts`.
+
+    NOT independent of `strathom.qlinalg._echelon`: it follows the same rule
+    on purpose (each row reduced at its least column), so the two agree on
+    the pivots and on every row up to a nonzero scalar; only its arithmetic
+    (rational rows, divided by the pivot) differs.
     """
-    live = {r: row for r, row in enumerate(rows) if row}
-    col_index = {}
-    for r, row in live.items():
-        for c in row:
-            if c not in avoid:
-                col_index.setdefault(c, set()).add(r)
-    pivots = []
-    while col_index:
-        c = min(col_index, key=lambda cc: (len(col_index[cc]), cc))
-        r = min(col_index[c], key=lambda rr: (len(live[rr]), rr))
-        prow = live.pop(r)
-        for cc in prow:
-            if cc in avoid:
-                continue
-            col_index[cc].discard(r)
-            if not col_index[cc]:
-                del col_index[cc]
-        pv = prow[c]
-        for rr in sorted(col_index.get(c, ())):
-            row = live[rr]
-            f = row[c] / pv
-            for cc, v in prow.items():
-                nv = row.get(cc, Fraction(0)) - f * v
-                if nv:
-                    if cc not in row and cc not in avoid:
-                        col_index.setdefault(cc, set()).add(rr)
-                    row[cc] = nv
-                elif cc in row:
-                    del row[cc]
-                    if cc not in avoid:
-                        col_index[cc].discard(rr)
-                        if not col_index[cc]:
-                            del col_index[cc]
-            if not row:
-                del live[rr]
-        pivots.append((c, prow))
-    return pivots, [row for row in live.values() if row]
+    out = {}
+    for row in reversed(rows):
+        _ref_add(out, row)
+    return out
 
 
 def ref_kernel_basis(m, pivots):
-    """Kernel vectors of m by back-substitution over its `ref_eliminate`
-    pivots."""
-    pivot_set = {c for c, _ in pivots}
-    vecs = []
-    for f in (j for j in range(m.cols) if j not in pivot_set):
-        x = {f: Fraction(1)}
-        for c, row in reversed(pivots):
-            s = sum((v * x[cc] for cc, v in row.items() if cc != c and cc in x),
-                    Fraction(0))
-            if s:
-                x[c] = -s / row[c]
-        vecs.append(x)
-    return vecs
+    """Kernel vectors of m, one per free column f (1 at f, 0 at the other
+    free columns), by back-substitution over its `ref_echelon` rows by
+    descending pivot, for all free columns at once: at[c] maps f to the
+    c-coordinate of the vector of f."""
+    free = [j for j in range(m.cols) if j not in pivots]
+    at = {f: {f: Fraction(1)} for f in free}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        acc = {}
+        for cc, v in row.items():
+            for f, y in at.get(cc, {}).items():
+                acc[f] = acc.get(f, 0) + v * y
+        at[c] = {f: -s / row[c] for f, s in acc.items() if s}
+    vecs = {f: {} for f in free}
+    for c, column in at.items():
+        for f, y in column.items():
+            vecs[f][c] = y
+    return [vecs[f] for f in free]
 
 
 def ref_image_basis(m, pivots):
-    """The columns of m at its `ref_eliminate` pivot columns, in column
+    """The columns of m at its `ref_echelon` pivot columns, in column
     order."""
-    columns = {c: {} for c, _ in pivots}
+    columns = {c: {} for c in sorted(pivots)}
     for (i, j), v in m.items():
         if j in columns:
             columns[j][i] = v
-    return [columns[c] for c in sorted(columns)]
+    return list(columns.values())
 
 
 def ref_solve(m, b):
@@ -237,11 +231,12 @@ def ref_solve(m, b):
     for i, v in b.items():
         if v:
             rows[i][bcol] = Fraction(v)
-    pivots, leftovers = ref_eliminate(rows, avoid=frozenset({bcol}))
-    if any(row.get(bcol) for row in leftovers):
+    pivots = ref_echelon(rows)
+    if bcol in pivots:
         return None
     x = {}
-    for c, row in reversed(pivots):
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
         s = row.get(bcol, Fraction(0))
         for cc, v in row.items():
             if cc != c and cc != bcol and cc in x:
@@ -257,24 +252,8 @@ def ref_span_verdicts(ambient_dim, vecs):
     rows = {}
     out = []
     for vec in vecs:
-        r = {i: Fraction(v) for i, v in vec.items() if v}
-        assert all(0 <= i < ambient_dim for i in r)
-        grew = False
-        while r:
-            c = min(r)
-            pivot = rows.get(c)
-            if pivot is None:
-                rows[c] = r
-                grew = True
-                break
-            f = r[c] / pivot[c]
-            for cc, v in pivot.items():
-                nv = r.get(cc, Fraction(0)) - f * v
-                if nv:
-                    r[cc] = nv
-                elif cc in r:
-                    del r[cc]
-        out.append(grew)
+        assert all(0 <= i < ambient_dim for i, v in vec.items() if v)
+        out.append(_ref_add(rows, vec))
     return out
 
 
@@ -310,8 +289,8 @@ def ref_cycle_representatives(d_out, d_in):
     kept where it enlarges the span of im d_in and of the vectors kept
     before it.  Built on the reference engine above, so it shares no
     elimination code with `strathom.chains.cycle_representatives`."""
-    image = ref_image_basis(d_in, ref_eliminate(ref_rows(d_in))[0])
-    kernel = ref_kernel_basis(d_out, ref_eliminate(ref_rows(d_out))[0])
+    image = ref_image_basis(d_in, ref_echelon(ref_rows(d_in)))
+    kernel = ref_kernel_basis(d_out, ref_echelon(ref_rows(d_out)))
     grew = ref_span_verdicts(d_out.cols, image + kernel)
     return [v for v, g in zip(kernel, grew[len(image):]) if g]
 

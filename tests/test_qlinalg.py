@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,8 +20,7 @@ from strathom.qlinalg import (
     signature_sym,
     solve,
     sum_dim,
-    _eliminate,
-    _sparse_rows,
+    _echelon,
 )
 from strathom.simplicial import boundary_matrix
 
@@ -29,7 +29,7 @@ from oracles import (
     rank_by_minors,
     rank_int_oracle,
     ref_column_lows,
-    ref_eliminate,
+    ref_echelon,
     ref_image_basis,
     ref_kernel_basis,
     ref_rows,
@@ -125,11 +125,13 @@ def test_rank_matches_modular_oracle_on_larger_matrices():
         rows = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(c)]
                 for _ in range(r)]
         assert rank(M(rows)) == rank_int_oracle(rows)
+        _assert_pivots_and_solvability_match_oracle(M(rows), rng)
     for pool in POOLS:
         for _ in range(8):
             rows = _random_rows(rng, pool, rng.randrange(5, 31),
                                 rng.randrange(5, 31), rng.choice([0.5, 0.8]))
             assert rank(M(rows)) == rank_int_oracle(_integer_rows(rows))
+            _assert_pivots_and_solvability_match_oracle(M(rows), rng)
 
 
 def _random_rows(rng, pool, r, c, zero_share):
@@ -148,24 +150,49 @@ def _random_rows(rng, pool, r, c, zero_share):
 
 
 def _integer_rows(rows):
-    """The rows times the lcm 14 of the pools' denominators: same rank."""
-    out = [[Fraction(x) * 14 for x in row] for row in rows]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
+    """Each row times the lcm of its denominators: the same rank on every
+    set of columns."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def _assert_pivots_and_solvability_match_oracle(m, rng):
+    """Against the modular rank oracle: `image_basis` holds exactly the
+    columns that raise the rank of the columns before them, and `solve`
+    fails exactly when b raises the rank of m."""
+    rows = _integer_rows(m.to_rows())
+    prefix = [rank_int_oracle([row[:j] for row in rows])
+              for j in range(m.cols + 1)]
+    independent = [m.column(j) for j in range(m.cols)
+                   if prefix[j + 1] > prefix[j]]
+    assert list(image_basis(m).basis) == independent
+    x = {j: rng.choice([1, -1, 2, Fraction(1, 3)]) for j in range(m.cols)
+         if rng.random() < 0.5}
+    image = m @ MatrixQ(m.cols, 1, {(j, 0): v for j, v in x.items()})
+    for b in ({i: v for (i, _), v in image.items()},
+              {i: rng.choice([1, -3, Fraction(1, 2)]) for i in range(m.rows)
+               if rng.random() < 0.3}):
+        augmented = _integer_rows([row + [b.get(i, 0)]
+                                   for i, row in enumerate(m.to_rows())])
+        insoluble = rank_int_oracle(augmented) > prefix[m.cols]
+        assert (solve(m, b) is None) == insoluble
 
 
 def _assert_engine_matches_reference(m, rng):
-    """The integer engine and the Fraction reference (same pivot rule) agree
-    on the pivot sequence, the pivot rows up to a nonzero scalar, the kernel
+    """The integer engine and the Fraction reference (same reduction rule)
+    agree on the pivots, the echelon rows up to a nonzero scalar, the kernel
     and image bases, `solve` and the `IncrementalSpan` verdicts."""
-    pivots, leftovers = _eliminate(_sparse_rows(m))
-    ref, ref_left = ref_eliminate(ref_rows(m))
-    assert not leftovers and not ref_left
-    assert [c for c, _ in pivots] == [c for c, _ in ref]
-    for (c, row), (_, ref_row) in zip(pivots, ref):
+    rows = _echelon(m)
+    ref = ref_echelon(ref_rows(m))
+    assert rows.keys() == ref.keys()
+    for c, row in rows.items():
         assert all(type(v) is int for v in row.values())
-        scale = Fraction(row[c]) / ref_row[c]
-        assert row == {k: v * scale for k, v in ref_row.items()}
+        scale = Fraction(row[c]) / ref[c][c]
+        assert row == {k: v * scale for k, v in ref[c].items()}
     assert list(kernel_basis(m).basis) == ref_kernel_basis(m, ref)
     assert list(image_basis(m).basis) == ref_image_basis(m, ref)
 
@@ -427,8 +454,12 @@ def test_entry_iteration_order_does_not_matter():
     m1 = MatrixQ(3, 3, entries)
     m2 = MatrixQ(3, 3, dict(reversed(list(entries.items()))))
     assert rank(m1) == rank(m2) == 2
-    assert [sorted(v.items()) for v in kernel_basis(m1).basis] == \
-        [sorted(v.items()) for v in kernel_basis(m2).basis]
+    for basis in (kernel_basis, image_basis):
+        assert [sorted(v.items()) for v in basis(m1).basis] == \
+            [sorted(v.items()) for v in basis(m2).basis]
+    assert solve(m1, {0: 3, 1: 6, 2: 1}) == solve(m2, {0: 3, 1: 6, 2: 1}) \
+        == {0: 3, 2: 1}
+    assert solve(m1, {0: 1, 1: 1}) is solve(m2, {0: 1, 1: 1}) is None
 
 
 def test_shape_errors():
