@@ -15,9 +15,7 @@ from .chains import (
     GradedMap,
     GradedVS,
     induced_map,
-    les_third_dims,
     mapping_cone,
-    reduced_homology,
     tensor_complex,
 )
 from .modes import ModeReport, ModeSpec, surface_ext_dims, total_ext_dims
@@ -61,7 +59,6 @@ from .stratified import (
     conifold_transition,
     gamma_rank,
     hi_dims,
-    hi_extreme,
     hodge_weights,
     ig_dims,
     ih_ct_dims,

@@ -5,9 +5,9 @@ dimensions (`GradedVS`), degreewise linear maps (`GradedMap`), chain
 complexes with checked square-zero differentials, Betti numbers by rank
 (one cleared column reduction per differential; representative cycles,
 cleared against the boundaries, are built only for induced maps and the
-cup pairing), mapping cones, tensor products with Koszul signs,
-truncation / cotruncation of graded data and the long-exact-sequence
-dimension count used by every Mayer-Vietoris assembly downstream.
+cup pairing), mapping cones, tensor products with Koszul signs and
+truncation of graded data.  The Mayer-Vietoris dimensions downstream are
+rank arithmetic on the boundary restriction, in `stratified`.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
 bases in degree j follow the one Kunneth layout `GradedVS.tensor_blocks`
@@ -31,7 +31,6 @@ from .qlinalg import (
     column_lows,
     hstack,
     kernel_basis,
-    rank,
     solve,
 )
 
@@ -43,20 +42,13 @@ class GradedVS:
 
     def __init__(self, dims: Mapping[int, int] | Iterable[int] | None = None):
         d = {}
-        if dims is None:
-            pass
-        elif isinstance(dims, Mapping):
-            for j, n in dims.items():
-                if n < 0:
-                    raise ValueError(f"negative dimension {n} in degree {j}")
-                if n:
-                    d[int(j)] = int(n)
-        else:
-            for j, n in enumerate(dims):
-                if n < 0:
-                    raise ValueError(f"negative dimension {n} in degree {j}")
-                if n:
-                    d[j] = int(n)
+        pairs = (dims.items() if isinstance(dims, Mapping)
+                 else enumerate(dims or ()))
+        for j, n in pairs:
+            if n < 0:
+                raise ValueError(f"negative dimension {n} in degree {j}")
+            if n:
+                d[int(j)] = int(n)
         self._dims = d
 
     def __getitem__(self, j: int) -> int:
@@ -68,9 +60,6 @@ class GradedVS:
     @property
     def top(self) -> int:
         return max(self._dims) if self._dims else -1
-
-    def total_dim(self) -> int:
-        return sum(self._dims.values())
 
     def euler(self) -> int:
         return sum((-1) ** j * n for j, n in self._dims.items())
@@ -114,10 +103,6 @@ class GradedVS:
     def truncate_le(self, cut: int) -> "GradedVS":
         """Keep degrees <= cut, zero elsewhere."""
         return GradedVS({j: n for j, n in self._dims.items() if j <= cut})
-
-    def truncate_ge(self, cut: int) -> "GradedVS":
-        """Keep degrees >= cut, zero elsewhere."""
-        return GradedVS({j: n for j, n in self._dims.items() if j >= cut})
 
     def __add__(self, other: "GradedVS") -> "GradedVS":
         out = dict(self._dims)
@@ -164,16 +149,7 @@ class GradedMap:
         self._blocks = b
 
     def block(self, j: int) -> MatrixQ:
-        return self._blocks.get(j, MatrixQ.zeros(self.target[j], self.source[j]))
-
-    def rank(self, j: int) -> int:
-        return rank(self.block(j))
-
-    def kernel_dim(self, j: int) -> int:
-        return self.source[j] - self.rank(j)
-
-    def coker_dim(self, j: int) -> int:
-        return self.target[j] - self.rank(j)
+        return self._blocks.get(j, MatrixQ(self.target[j], self.source[j]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GradedMap)
@@ -186,23 +162,6 @@ class GradedMap:
 
     def __repr__(self) -> str:
         return f"GradedMap({self.source!r} -> {self.target!r})"
-
-
-def les_third_dims(beta: GradedMap) -> GradedVS:
-    """Dimension of the third term of the long exact sequence through beta.
-
-    For ... -> B_j --beta--> C_j -> H_j -> B_{j-1} --beta--> C_{j-1} -> ...
-    over a field, dim H_j = dim coker(beta_j) + dim ker(beta_{j-1}); degree
-    -1 contributes nothing.  Each degree is ranked once.
-    """
-    degs = set(beta.source.degrees()) | set(beta.target.degrees())
-    if not degs:
-        return GradedVS()
-    lo, hi = min(degs), max(degs) + 1
-    r = {j: beta.rank(j) for j in range(lo, hi + 1)}
-    return GradedVS({j: beta.target[j] - r[j]
-                     + (beta.source[j - 1] - r[j - 1] if j > lo else 0)
-                     for j in range(lo, hi + 1)})
 
 
 class ChainComplex:
@@ -236,14 +195,7 @@ class ChainComplex:
 
     def differential(self, j: int) -> MatrixQ:
         return self.differentials.get(
-            j, MatrixQ.zeros(self.spaces[j - 1], self.spaces[j]))
-
-    @property
-    def top(self) -> int:
-        return self.spaces.top
-
-    def euler(self) -> int:
-        return self.spaces.euler()
+            j, MatrixQ(self.spaces[j - 1], self.spaces[j]))
 
     def homology(self) -> GradedVS:
         """Betti numbers by rank: dim H_j = n_j - rank d_j - rank d_{j+1}.
@@ -342,28 +294,6 @@ def cycle_representatives(d_out: MatrixQ, d_in: MatrixQ) -> list[dict]:
             kernel_basis(d_out.submatrix(range(d_out.rows), keep)).basis]
 
 
-def reduced_homology(c: ChainComplex) -> GradedVS:
-    """Homology with one dimension removed in degree 0 by the augmentation.
-
-    Requires a nonempty degree-0 space and an augmentation-compatible d_1
-    (all column sums of d_1 vanish), which holds for every simplicial chain
-    complex.
-    """
-    if c.spaces[0] < 1:
-        raise ValueError("reduced homology needs a nonempty degree-0 space")
-    d1 = c.differential(1)
-    colsums: dict[int, int | Fraction] = {}
-    for (i, j), v in d1.items():
-        colsums[j] = colsums.get(j, 0) + v
-    if any(colsums.values()):
-        raise ValueError("d_1 is not compatible with the augmentation")
-    h = c.homology()
-    out = {j: h[j] for j in h.degrees()}
-    out[0] = h[0] - 1
-    assert out[0] >= 0
-    return GradedVS(out)
-
-
 class ChainMap:
     """A degreewise map of chain complexes commuting with the differentials."""
 
@@ -390,7 +320,7 @@ class ChainMap:
 
     def block(self, j: int) -> MatrixQ:
         return self._blocks.get(
-            j, MatrixQ.zeros(self.target.spaces[j], self.source.spaces[j]))
+            j, MatrixQ(self.target.spaces[j], self.source.spaces[j]))
 
     def __repr__(self) -> str:
         return f"ChainMap({self.source!r} -> {self.target!r})"

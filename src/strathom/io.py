@@ -31,6 +31,7 @@ from pathlib import Path
 from .chains import GradedMap, GradedVS
 from .qlinalg import MatrixQ
 from .simplicial import (
+    OrientationError,
     OrientedPseudomanifoldWithBoundary,
     PairingData,
     SimplicialComplex,
@@ -114,7 +115,9 @@ def load_complex(data: dict, where: str = "triangulation"):
 
     Returns an OrientedPseudomanifoldWithBoundary when boundary or
     orientation data is present, a StratifiedComplex when sigma is present,
-    and a bare SimplicialComplex otherwise.
+    and a bare SimplicialComplex otherwise.  A construction check that
+    fails is reported against `where`, and against the field when it
+    concerns one field only.
     """
     vertices = _require(data, "vertices", where)
     if not isinstance(vertices, list):
@@ -123,8 +126,14 @@ def load_complex(data: dict, where: str = "triangulation"):
                          f"{where}.top_simplices")
     if not tops:
         raise InputError(f"{where}: top_simplices must be a nonempty list")
-    cx = SimplicialComplex([str(v) for v in vertices],
-                           [[str(v) for v in t] for t in tops])
+    labels = [str(v) for v in vertices]
+    try:
+        cx = SimplicialComplex(labels, [[str(v) for v in t] for t in tops])
+    except ValueError as e:
+        # the labels are checked first, so duplicates are what failed
+        field = ("vertices" if len(set(labels)) < len(labels)
+                 else "top_simplices")
+        raise InputError(f"{where}.{field}: {e}") from None
     if "sigma" in data and ("boundary" in data or "orientation" in data):
         raise InputError(
             f"{where}: sigma and boundary/orientation are mutually exclusive "
@@ -137,14 +146,23 @@ def load_complex(data: dict, where: str = "triangulation"):
                 raise InputError(
                     f"{where}: orientation has {len(signs)} signs for "
                     f"{len(tops)} top simplices")
+            if any(x not in (1, -1) for x in signs):
+                raise InputError(f"{where}.orientation: signs must be +-1")
             vidx = {v: i for i, v in enumerate(cx.vertices)}
             orientation = {}
             for t, s in zip(tops, signs):
                 key = tuple(sorted(vidx[str(v)] for v in t))
                 orientation[key] = s
         boundary = _simplex_list(data.get("boundary", []), f"{where}.boundary")
-        return OrientedPseudomanifoldWithBoundary(
-            cx, boundary_simplices=boundary, orientation=orientation)
+        try:
+            return OrientedPseudomanifoldWithBoundary(
+                cx, boundary_simplices=boundary, orientation=orientation)
+        except OrientationError as e:
+            # coface counts, orientability and the fundamental chain read
+            # the complex and its boundary and orientation together
+            raise InputError(f"{where}: {e}") from None
+        except ValueError as e:
+            raise InputError(f"{where}.boundary: {e}") from None
     if "sigma" in data:
         if not isinstance(data["sigma"], list):
             raise InputError(f"{where}.sigma: expected a list of vertex labels")
@@ -156,7 +174,13 @@ def load_complex(data: dict, where: str = "triangulation"):
                 if set(cx.labels(s)) <= sigma_set:
                     sigma_dim = max(sigma_dim, d)
         codim = _int(data.get("codim", cx.dim - sigma_dim), f"{where}.codim")
-        return StratifiedComplex(cx, sigma, codim)
+        if codim < 1:
+            raise InputError(f"{where}.codim: codimension must be >= 1, got "
+                             f"{codim}")
+        try:
+            return StratifiedComplex(cx, sigma, codim)
+        except ValueError as e:
+            raise InputError(f"{where}.sigma: {e}") from None
     return cx
 
 
@@ -313,7 +337,7 @@ def load_pairing(data: dict, where: str = "pairing"
         if degree % 2 == 0 and not m.is_symmetric():
             raise InputError(f"{where}.matrix: must be symmetric in even "
                              f"degree {degree}")
-        return PairingData(degree, m, basis_note=str(data.get("basis_note", "")))
+        return PairingData(degree, m)
     if "vertices" in data:
         pm = load_complex(data, where=where)
         if not isinstance(pm, OrientedPseudomanifoldWithBoundary):

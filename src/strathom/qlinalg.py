@@ -15,9 +15,10 @@ denominators), fraction-free in the sense of Bareiss, always at the least
 coordinate of the support.  rank, kernel_basis, image_basis and solve feed
 it the rows of a matrix, so their pivots are the leftmost independent
 columns; `column_lows`, the left-to-right column reduction of persistence,
-feeds it the columns.  Back-substitution divides in `Fraction` only by a
-non-unit pivot.  There are no floats, no tolerances and no modular
-shortcut anywhere: a rank is a rank.
+feeds it the columns.  `solve` reads a kernel vector of [m | b], so one
+back-substitution serves `kernel_basis` and `solve`; it divides in
+`Fraction` only by a non-unit pivot.  There are no floats, no tolerances
+and no modular shortcut anywhere: a rank is a rank.
 
 Values are immutable after construction and safe to share across threads;
 all operations are pure functions.
@@ -101,10 +102,6 @@ class MatrixQ:
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
         return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls(rows, cols)
 
     def entry(self, i: int, j: int) -> int | Fraction:
         return self._e.get((i, j), 0)
@@ -295,10 +292,6 @@ class IncrementalSpan:
         return False
 
     @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    @property
     def pivots(self):
         """The pivot coordinates, a read-only view: the least index of the
         support of each stored row, one per row, in the order the rows were
@@ -306,9 +299,8 @@ class IncrementalSpan:
         return self._rows.keys()
 
 
-def _echelon(m: MatrixQ, rhs: Mapping | None = None) -> dict[int, dict]:
-    """The rows of `m`, with `rhs` ({row: value}) as an extra last column
-    `m.cols` when given, fed last to first through an `IncrementalSpan`:
+def _echelon(m: MatrixQ) -> dict[int, dict]:
+    """The rows of `m` fed last to first through an `IncrementalSpan`:
     {pivot column: integer row}.  A row holds only its pivot and larger
     columns, and the pivots are the columns outside the span of the columns
     before them, whatever the order of the rows.
@@ -321,9 +313,7 @@ def _echelon(m: MatrixQ, rhs: Mapping | None = None) -> dict[int, dict]:
     rows = [{} for _ in range(m.rows)]
     for (i, j), v in m._e.items():
         rows[i][j] = v
-    for i, v in (rhs or {}).items():
-        rows[i][m.cols] = v
-    span = IncrementalSpan(m.cols + (rhs is not None))
+    span = IncrementalSpan(m.cols)
     for row in reversed(rows):
         span.add(row)
     return span._rows
@@ -352,23 +342,20 @@ class Subspace(NamedTuple):
         return len(self.basis)
 
 
-def kernel_basis(m: MatrixQ) -> Subspace:
-    """A basis of {v : m v = 0}; its size is cols - rank.  The vector of a
-    free (non-pivot) column f is 1 at f and 0 at every other free column."""
+def _kernel_vectors(rows: dict[int, dict], free: Iterable[int]) -> list[dict]:
+    """For each free (non-pivot) column f of the echelon `rows`, the kernel
+    vector that is 1 at f and 0 at every other free column."""
     # an echelon row holds only its pivot and larger columns, so
     # back-substitution runs by descending pivot.  It visits only the rows
     # holding a coordinate already set: users[cc] lists -c for every row
     # with pivot c holding cc, so a min-heap pops the largest pivot first
-    rows = _echelon(m)
     users: dict[int, list[int]] = {}
     for c, row in rows.items():
         for cc in row:
             if cc != c:
                 users.setdefault(cc, []).append(-c)
     vecs = []
-    for f in range(m.cols):
-        if f in rows:
-            continue
+    for f in free:
         x = {f: 1}
         todo = list(users.get(f, ()))
         heapify(todo)
@@ -388,7 +375,15 @@ def kernel_basis(m: MatrixQ) -> Subspace:
                 for k in users.get(c, ()):
                     heappush(todo, k)
         vecs.append(x)
-    return Subspace(m.cols, tuple(vecs))
+    return vecs
+
+
+def kernel_basis(m: MatrixQ) -> Subspace:
+    """A basis of {v : m v = 0}; its size is cols - rank.  The vector of a
+    free (non-pivot) column f is 1 at f and 0 at every other free column."""
+    rows = _echelon(m)
+    return Subspace(m.cols, tuple(_kernel_vectors(
+        rows, (f for f in range(m.cols) if f not in rows))))
 
 
 def image_basis(m: MatrixQ) -> Subspace:
@@ -440,29 +435,24 @@ def column_lows(m: MatrixQ, skip: Container[int] = ()) -> dict[int, int]:
 
 
 def solve(m: MatrixQ, b: Mapping) -> dict | None:
-    """One solution x of m x = b (free coordinates 0), or None if insoluble."""
-    rhs = {}
+    """One solution x of m x = b (free coordinates 0), or None if insoluble.
+
+    x is the negated kernel vector of [m | b] at the column m.cols of b; it
+    exists exactly when that column is not a pivot, that is when b lies in
+    the span of the columns of m."""
+    aug = dict(m._e)
     for i, v in b.items():
         v = as_rational(v)
         if v:
             if not (0 <= i < m.rows):
                 raise DimensionMismatch("right-hand side outside row range")
-            rhs[i] = v
-    # b is the last column: insoluble exactly when it is a pivot, that is
-    # outside the span of the columns of m
-    rows = _echelon(m, rhs)
+            aug[(i, m.cols)] = v
+    rows = _echelon(MatrixQ._of(m.rows, m.cols + 1, aug))
     if m.cols in rows:
         return None
-    x: dict = {}
-    for c in sorted(rows, reverse=True):
-        row = rows[c]
-        s = row.get(m.cols, 0)
-        for cc, v in row.items():
-            if cc in x:
-                s -= v * x[cc]
-        if s:
-            x[c] = _quotient(s, row[c])
-    return x
+    x = _kernel_vectors(rows, [m.cols])[0]
+    del x[m.cols]
+    return {c: -v for c, v in x.items()}
 
 
 class Signature(NamedTuple):

@@ -47,7 +47,7 @@ class SimplicialComplex:
     listed lexicographically.
     """
 
-    __slots__ = ("vertices", "_by_dim", "_index", "_simplex_set")
+    __slots__ = ("vertices", "_by_dim", "_index")
 
     def __init__(self, vertices: Sequence[str], top_simplices: Iterable[Sequence[str]]):
         self.vertices = tuple(str(v) for v in vertices)
@@ -70,7 +70,6 @@ class SimplicialComplex:
         self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
         self._index = {d: {s: k for k, s in enumerate(v)}
                        for d, v in self._by_dim.items()}
-        self._simplex_set = closure
 
     @property
     def dim(self) -> int:
@@ -82,11 +81,8 @@ class SimplicialComplex:
     def n_simplices(self, d: int) -> int:
         return len(self._by_dim.get(d, ()))
 
-    def index_of(self, s: Simplex) -> int:
-        return self._index[len(s) - 1][s]
-
     def has_simplex(self, s: Simplex) -> bool:
-        return s in self._simplex_set
+        return s in self._index.get(len(s) - 1, ())
 
     def labels(self, s: Simplex) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in s)
@@ -180,39 +176,35 @@ class StratifiedComplex:
                 f"codim={self.codim})")
 
 
+def _apex_join(s: SimplicialComplex, apexes: Sequence[str],
+               verb: str) -> StratifiedComplex:
+    """Join every simplex of `s` to each apex, each label primed until it is
+    new; the apexes are the singular set, of codimension dim s + 1."""
+    if s.dim < 0:
+        raise ValueError(f"cannot {verb} the empty complex")
+    taken = set(s.vertices)
+    fresh = []
+    for apex in apexes:
+        while apex in taken:
+            apex += "'"
+        taken.add(apex)
+        fresh.append(apex)
+    # joining to every simplex keeps lower-dimensional maximal ones too
+    tops = [s.labels(t) + (apex,) for d in range(s.dim + 1)
+            for t in s.simplices(d) for apex in fresh]
+    joined = SimplicialComplex(s.vertices + tuple(fresh), tops)
+    return StratifiedComplex(joined, fresh, s.dim + 1)
+
+
 def cone(s: SimplicialComplex, apex: str = "*") -> StratifiedComplex:
     """Cone with one new apex vertex; the apex is the singular set."""
-    if s.dim < 0:
-        raise ValueError("cannot cone the empty complex")
-    while apex in s.vertices:
-        apex += "'"
-    vertices = s.vertices + (apex,)
-    # joining apex to every simplex keeps lower-dimensional maximal ones too
-    all_tops = []
-    for d in range(s.dim + 1):
-        for t in s.simplices(d):
-            all_tops.append(s.labels(t) + (apex,))
-    return StratifiedComplex(SimplicialComplex(vertices, all_tops),
-                             [apex], s.dim + 1)
+    return _apex_join(s, [apex], "cone")
 
 
 def suspension(s: SimplicialComplex, north: str = "N*",
                south: str = "S*") -> StratifiedComplex:
     """Suspension with two new apexes; both are flagged singular."""
-    if s.dim < 0:
-        raise ValueError("cannot suspend the empty complex")
-    while north in s.vertices:
-        north += "'"
-    while south in s.vertices or south == north:
-        south += "'"
-    vertices = s.vertices + (north, south)
-    all_tops = []
-    for d in range(s.dim + 1):
-        for t in s.simplices(d):
-            all_tops.append(s.labels(t) + (north,))
-            all_tops.append(s.labels(t) + (south,))
-    return StratifiedComplex(SimplicialComplex(vertices, all_tops),
-                             [north, south], s.dim + 1)
+    return _apex_join(s, [north, south], "suspend")
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +402,7 @@ class OrientedPseudomanifoldWithBoundary:
 
     def __init__(self, complex: SimplicialComplex,
                  boundary_simplices: Iterable[Sequence[str]] = (),
-                 orientation: Mapping[Simplex, int] | Sequence[int] | None = None):
+                 orientation: Mapping[Simplex, int] | None = None):
         self.complex = complex
         n = complex.dim
         vidx = {v: i for i, v in enumerate(complex.vertices)}
@@ -443,10 +435,8 @@ class OrientedPseudomanifoldWithBoundary:
 
         if orientation is None:
             signs = self._propagate(tops, cofaces)
-        elif isinstance(orientation, Mapping):
-            signs = {t: int(orientation[t]) for t in tops}
         else:
-            signs = {t: int(x) for t, x in zip(tops, orientation, strict=True)}
+            signs = {t: int(orientation[t]) for t in tops}
         if any(x not in (1, -1) for x in signs.values()):
             raise OrientationError("orientation signs must be +-1")
         self.orientation = signs
@@ -495,10 +485,6 @@ class OrientedPseudomanifoldWithBoundary:
                     "fundamental chain boundary leaks outside the boundary "
                     f"subcomplex at {self.complex.labels(face)}")
 
-    def fundamental_chain(self) -> dict[int, int]:
-        return {self.complex.index_of(t): s
-                for t, s in self.orientation.items()}
-
     def reversed_orientation(self) -> "OrientedPseudomanifoldWithBoundary":
         flipped = {t: -s for t, s in self.orientation.items()}
         out = object.__new__(OrientedPseudomanifoldWithBoundary)
@@ -513,16 +499,15 @@ class OrientedPseudomanifoldWithBoundary:
 
 
 class PairingData:
-    """A middle-degree pairing matrix together with its provenance note."""
+    """A middle-degree pairing matrix and its degree."""
 
-    __slots__ = ("degree", "matrix", "basis_note")
+    __slots__ = ("degree", "matrix")
 
-    def __init__(self, degree: int, matrix: MatrixQ, basis_note: str = ""):
+    def __init__(self, degree: int, matrix: MatrixQ):
         if matrix.rows != matrix.cols:
             raise ValueError("pairing matrix must be square")
         self.degree = degree
         self.matrix = matrix
-        self.basis_note = basis_note
 
     def __repr__(self) -> str:
         return f"PairingData(degree={self.degree}, size={self.matrix.rows})"
@@ -559,13 +544,10 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
     cols = rel[degree]
     cocycles = [{cols[k]: x for k, x in v.items()} for v in reps_rel]
 
-    fund = m.fundamental_chain()
-    tops = K.simplices(n)
     midx = K._index.get(degree, {})
     r = len(cocycles)
     entries = {}
-    for ti, coeff in fund.items():
-        t = tops[ti]
+    for t, coeff in m.orientation.items():
         front = midx[t[:degree + 1]]
         back = midx[t[degree:]]
         for i, a in enumerate(cocycles):
@@ -583,9 +565,7 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
                 elif key in entries:
                     del entries[key]
     matrix = MatrixQ(r, r, entries)
-    note = (f"H^{degree}(K, bd) rank {r}; rows and columns index relative "
-            "cocycle representatives, second slot taken in absolute cohomology")
     if degree % 2 == 0 and not matrix.is_symmetric():
         raise OrientationError("even-degree cup pairing came out asymmetric; "
                                "the input is not a coherent pseudomanifold")
-    return PairingData(degree, matrix, note)
+    return PairingData(degree, matrix)

@@ -7,8 +7,8 @@ and the map induced on homology by restricting Mbar to its boundary collar
 L x Sigma.  Everything else - intersection homology of the conifold
 transition for any integer perversity, the mixed IG groups, reduced
 intersection-space homology, canonical-map ranks between adjacent
-perversities, duality and extreme-perversity shortcuts, Hodge weight
-conversions - is assembled from that data by exact linear algebra.
+perversities, duality, Hodge weight conversions - is assembled from
+that data by exact linear algebra.
 
 Kunneth coordinates.  The boundary homology B_j = H_j(L x Sigma) is the
 block sum over t of H_{j-t}(L) (x) H_t(Sigma), in the layout that
@@ -50,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chains import GradedMap, GradedVS, les_third_dims
+from .chains import GradedMap, GradedVS
 from .qlinalg import rank
 
 
@@ -228,8 +228,8 @@ def ih_ct_dims(space: TwoStrataSpace, q_at_c: int) -> GradedVS:
     Mayer-Vietoris over M and the cone neighborhood of the stratum: with
     a = c - 2 - q, IH^q_j = coker beta_j^(a) + ker beta_{j-1}^(a).  For q
     below 0 the tail is empty and this is H(Mbar); for q at least c-1 it is
-    the whole block and this is H(Mbar, boundary).  Those are the values of
-    `hi_extreme`, which the tests compare against from outside.
+    the whole block and this is H(Mbar, boundary).  The tests compare both
+    extremes with a long-exact-sequence reference (`tests/oracles.py`).
     """
     a = space.c - 2 - q_at_c
     return GradedVS({j: _coker(space, j, a) + _ker(space, j - 1, a)
@@ -292,27 +292,6 @@ def hi_dims(space: TwoStrataSpace, p: Perversity) -> GradedVS:
     k = space.l - p.value
     return GradedVS({j: _coker(space, j, j - k) + _ker(space, j - 1, j - 1 - k)
                      for j in range(0, space.n + 1)})
-
-
-def hi_extreme(space: TwoStrataSpace, p: Perversity) -> GradedVS:
-    """Extreme-perversity shortcut for reduced intersection-space homology.
-
-    Negative perversity: homology of the pair (Mbar, boundary), computed
-    from the long exact sequence through the boundary restriction.  At or
-    above l: homology of Mbar itself.  Nothing in the package calls it; it
-    is the reference the tests compare `hi_dims` against, though not an
-    independent one: link homology stops at degree l, so at these
-    perversities `hi_dims` reduces to the same rank arithmetic.
-    """
-    if p.codim != space.codim_sigma:
-        raise ModelError("perversity at the wrong codimension")
-    if p.value < 0:
-        return les_third_dims(space.boundary_restriction)
-    if p.value >= space.l:
-        return space.m_h
-    raise ModelError(
-        f"perversity value {p.value} is not extreme for link dimension "
-        f"{space.l}")
 
 
 def check_lefschetz(space: TwoStrataSpace) -> None:

@@ -24,6 +24,12 @@ reduction loop as the cleared column reduction (`column_lows`) that
 they do not share is the route: rows of each submatrix against one
 left-to-right pass over the columns of the whole boundary matrix, read
 through the pairing lemma.
+
+`ref_hi_extreme` gives intersection-space homology at the extreme
+perversities from the long exact sequence of the pair (Mbar, boundary)
+(`ref_les_third_dims`), with the package's `rank` on each whole block of
+the boundary restriction.  It is not independent of `hi_dims` either: at
+those perversities `hi_dims` reduces to the same rank arithmetic.
 """
 
 from fractions import Fraction
@@ -32,6 +38,7 @@ from itertools import combinations
 from strathom.chains import GradedVS
 from strathom.qlinalg import DimensionMismatch, MatrixQ, rank
 from strathom.simplicial import boundary_matrix
+from strathom.stratified import ModelError
 
 
 def det_dense(rows):
@@ -323,3 +330,43 @@ def ref_ih_direct(st, p_at_c):
         ranks[d] = rank(bd.submatrix(keep, cols)) - r_bad
     return GradedVS({d: ic_dim[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
                      for d in range(K.dim + 1)})
+
+
+# ---------------------------------------------------------------------------
+# extreme perversities by the long exact sequence
+
+def ref_les_third_dims(beta):
+    """Dimension of the third term of the long exact sequence through the
+    graded map beta.
+
+    For ... -> B_j --beta--> C_j -> H_j -> B_{j-1} --beta--> C_{j-1} -> ...
+    over a field, dim H_j = dim coker(beta_j) + dim ker(beta_{j-1}); degree
+    -1 contributes nothing.  Each degree is ranked once, with `rank` on the
+    whole block."""
+    degs = set(beta.source.degrees()) | set(beta.target.degrees())
+    if not degs:
+        return GradedVS()
+    lo, hi = min(degs), max(degs) + 1
+    r = {j: rank(beta.block(j)) for j in range(lo, hi + 1)}
+    return GradedVS({j: beta.target[j] - r[j]
+                     + (beta.source[j - 1] - r[j - 1] if j > lo else 0)
+                     for j in range(lo, hi + 1)})
+
+
+def ref_hi_extreme(space, p):
+    """Reduced intersection-space homology at an extreme perversity.
+
+    Negative perversity: homology of the pair (Mbar, boundary), from the
+    long exact sequence through the boundary restriction.  At or above l:
+    homology of Mbar itself.  Not an independent reference: link homology
+    stops at degree l, so at these perversities `hi_dims` reduces to the
+    same rank arithmetic on the boundary restriction."""
+    if p.codim != space.codim_sigma:
+        raise ModelError("perversity at the wrong codimension")
+    if p.value < 0:
+        return ref_les_third_dims(space.boundary_restriction)
+    if p.value >= space.l:
+        return space.m_h
+    raise ModelError(
+        f"perversity value {p.value} is not extreme for link dimension "
+        f"{space.l}")

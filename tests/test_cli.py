@@ -287,6 +287,29 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, "hi", str(f), "--p", "0")
         assert code == 2 and text in err and "Traceback" not in err, err
         assert err.count(str(f)) == 1, err
+    # triangulation checks name the file once, then the field they concern
+    sphere = {"vertices": ["a", "b", "c", "d"],
+              "top_simplices": [["a", "b", "c"], ["a", "b", "d"],
+                                ["a", "c", "d"], ["b", "c", "d"]]}
+    ih_direct = ("ih-direct", "--p", "0")
+    probes = [
+        (ih_direct, {**triangle, "sigma": ["a"], "codim": 0}, ".codim"),
+        (ih_direct, {**triangle, "vertices": ["a", "b", "c", "a"],
+                     "sigma": ["a"]}, ".vertices"),
+        (ih_direct, {**triangle, "sigma": ["z"]}, ".sigma"),
+        (ih_direct, {**triangle, "top_simplices": [["a", "a", "c"]],
+                     "sigma": ["a"]}, ".top_simplices"),
+        (("homology",), {**sphere, "orientation": [2, 1, 1, 1]},
+         ".orientation"),
+        (("homology",), {**sphere, "orientation": [1, 1, 1, 1]},
+         ": fundamental chain boundary leaks"),
+    ]
+    for i, ((verb, *flags), data, text) in enumerate(probes):
+        f = tmp_path / f"triangulation{i}.json"
+        f.write_text(json.dumps(data))
+        code, _, err = run(capsys, verb, str(f), *flags)
+        assert code == 2 and f"{f}{text}" in err, err
+        assert "Traceback" not in err and err.count(str(f)) == 1, err
     # a malformed pairing matrix exits 2 naming the field, whatever the space
     for i, (data, field) in enumerate((
             ({"degree": -1, "matrix": [[1]]}, "degree"),

@@ -109,7 +109,7 @@ def test_suspension_product_kind_with_inline_complex():
     by_file = sio.load_space({**data, "link": {
         "file": str(DATA / "cp2_minus_ball.json")}})
     assert by_file.link_h == GradedVS([1, 0, 1])
-    assert hi_dims(by_file, Perversity(0, by_file.codim_sigma)).total_dim() > 0
+    assert not hi_dims(by_file, Perversity(0, by_file.codim_sigma)).is_zero()
 
 
 def test_missing_fields_name_the_field():

@@ -57,7 +57,7 @@ def _in_contract(v):
 
 
 def test_rank_trivial_cases():
-    assert rank(MatrixQ.zeros(3, 3)) == 0
+    assert rank(MatrixQ(3, 3)) == 0
     assert rank(MatrixQ.identity(3)) == 3
     assert rank(M([[1, 2], [2, 4]])) == 1
 
@@ -77,7 +77,7 @@ def test_kernel_trivial_cases():
 
 
 def test_image_trivial_cases():
-    assert image_basis(MatrixQ.zeros(2, 2)).dim == 0
+    assert image_basis(MatrixQ(2, 2)).dim == 0
     im = image_basis(MatrixQ.identity(2))
     assert im.dim == 2
     im = image_basis(M([[1], [2]]))
@@ -103,7 +103,7 @@ def test_rank_plus_nullity_and_transpose_rank():
         r = rng.randrange(0, 5)
         c = rng.randrange(0, 5)
         rows = [[rng.randrange(-3, 4) for _ in range(c)] for _ in range(r)]
-        m = M(rows) if r and c else MatrixQ.zeros(r, c)
+        m = M(rows) if r and c else MatrixQ(r, c)
         assert rank(m) + kernel_basis(m).dim == m.cols
         assert rank(m) == rank(m.transpose())
         if r and c:
@@ -220,7 +220,7 @@ def _assert_engine_matches_reference(m, rng):
     span = IncrementalSpan(m.rows)
     verdicts = [span.add(v) for v in vecs]
     assert verdicts == ref_span_verdicts(m.rows, vecs)
-    assert span.dim == sum(verdicts) == rank(
+    assert len(span.pivots) == sum(verdicts) == rank(
         MatrixQ(m.rows, len(cols), {(i, j): v for j, col in enumerate(cols)
                                     for i, v in col.items()}))
 
@@ -235,7 +235,7 @@ def test_engine_matches_fraction_reference_on_random_matrices():
             m = M(rows)
             _assert_engine_matches_reference(m, rng)
             assert rank(m) == rank_int_oracle(_integer_rows(rows))
-    _assert_engine_matches_reference(MatrixQ.zeros(3, 4), rng)
+    _assert_engine_matches_reference(MatrixQ(3, 4), rng)
 
 
 @pytest.mark.parametrize("name", ["torus7", "cp2_9", "i_x_s1_x_t2"])
@@ -259,7 +259,7 @@ def test_column_lows_match_the_persistence_reduction():
             for pool in POOLS for _ in range(12)]
     mats += [boundary_matrix(cx, d) for cx in (torus7(), cp2_9())
              for d in range(1, cx.dim + 1)]
-    mats.append(MatrixQ.zeros(3, 4))
+    mats.append(MatrixQ(3, 4))
     for m in mats:
         lows = column_lows(m)
         assert lows == ref_column_lows(m)
@@ -310,7 +310,7 @@ def test_signature_examples():
     assert signature_sym(M([[1]])) == (1, 0, 0)
     assert signature_sym(M([[0, 1], [1, 0]])) == (1, 1, 0)
     assert signature_sym(M([[2, 0, 0], [0, -3, 0], [0, 0, 5]])) == (2, 1, 0)
-    assert signature_sym(MatrixQ.zeros(2, 2)) == (0, 0, 2)
+    assert signature_sym(MatrixQ(2, 2)) == (0, 0, 2)
     with pytest.raises(NotSymmetric):
         signature_sym(M([[0, 1], [2, 0]]))
     with pytest.raises(NotSymmetric):
@@ -441,8 +441,8 @@ def test_submatrix_selects_in_the_given_order():
     a = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert a.submatrix([2, 0], [1, 2]) == M([[8, 9], [2, 3]])
     assert a.submatrix([0, 1, 2], [2, 0]) == M([[3, 1], [6, 4], [9, 7]])
-    assert a.submatrix([], [0, 1]) == MatrixQ.zeros(0, 2)
-    assert a.submatrix(range(3), []) == MatrixQ.zeros(3, 0)
+    assert a.submatrix([], [0, 1]) == MatrixQ(0, 2)
+    assert a.submatrix(range(3), []) == MatrixQ(3, 0)
     # entries in unselected rows or columns are dropped, not shifted in
     sparse = MatrixQ(3, 3, {(0, 0): 1, (1, 2): 5, (2, 1): -1})
     assert sparse.submatrix([1, 2], [0, 1]) == M([[0, 0], [0, -1]])
