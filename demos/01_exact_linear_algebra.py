@@ -7,7 +7,7 @@ diagonalization, so there is never a tolerance to tune.
 
 from fractions import Fraction
 
-from strathom import MatrixQ, kernel_basis, rank, signature_sym
+from strathom.qlinalg import MatrixQ, kernel_basis, rank, signature_sym
 
 # ranks and kernels are exact: no epsilon can make this matrix rank 2
 m = MatrixQ.from_rows([[1, 2], [2, 4]])

@@ -6,15 +6,10 @@ facts are what the stratified dimension calculus leans on, so they get
 their own demonstration.
 """
 
-from strathom import (
-    ChainMap,
-    GradedVS,
-    MatrixQ,
-    chain_complex_of,
-    mapping_cone,
-    tensor_complex,
-)
 from strathom.catalog import circle, torus7
+from strathom.chains import ChainMap, GradedVS, mapping_cone, tensor_complex
+from strathom.qlinalg import MatrixQ
+from strathom.simplicial import chain_complex_of
 
 s1 = chain_complex_of(circle())
 t2 = chain_complex_of(torus7())

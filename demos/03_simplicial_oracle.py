@@ -7,9 +7,10 @@ simplicial chains directly and must land on the same numbers, with and
 without barycentric subdivision.
 """
 
-from strathom import barycentric_subdivide, cone, cone_formula, ih_direct
 from strathom.catalog import torus7
 from strathom.chains import GradedVS
+from strathom.simplicial import barycentric_subdivide, cone, ih_direct
+from strathom.stratified import cone_formula
 
 torus_betti = GradedVS([1, 2, 1])
 ct = cone(torus7())

@@ -7,7 +7,8 @@ mixed groups assembled from adjacent columns equal the reduced homology of
 the intersection spaces of the original space, degree by degree.
 """
 
-from strathom import (
+from strathom.spaces import s2xt2_space
+from strathom.stratified import (
     IGRequest,
     Perversity,
     conifold_transition,
@@ -17,7 +18,6 @@ from strathom import (
     verify_duality,
     verify_theorem_hom,
 )
-from strathom.spaces import s2xt2_space
 
 sp = s2xt2_space()
 print("model:", sp)

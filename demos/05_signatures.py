@@ -6,8 +6,9 @@ cohomology, evaluated against the fundamental chain.  For product link
 bundles every perverse signature collapses to it.
 """
 
-from strathom import cup_pairing, novikov_signature, verify_theorem_sig, witt_check
 from strathom.catalog import cp2_minus_facet, i_x_s1_x_t2
+from strathom.signatures import novikov_signature, verify_theorem_sig, witt_check
+from strathom.simplicial import cup_pairing
 from strathom.spaces import cp2_point_space, s2xt2_space, torus_link_space
 
 # the cylinder I x S^1 x T^2: everything restricts from the boundary, the

@@ -8,8 +8,9 @@ must equal the reduced homology of the weight-0 intersection space - two
 computations that share no code.
 """
 
-from strathom import ModeSpec, Perversity, hi_dims, hodge_weights, total_ext_dims
+from strathom.modes import ModeSpec, total_ext_dims
 from strathom.spaces import s2xt2_space
+from strathom.stratified import Perversity, hi_dims, hodge_weights
 
 spec = ModeSpec(torus_dim=2, mode_cutoff=8)
 rep = total_ext_dims(spec)

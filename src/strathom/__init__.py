@@ -7,65 +7,37 @@ public values are immutable and all operations are pure functions.  The
 result and request records (`Perversity`, `SpaceReport`, `ModeSpec`, ...)
 are `typing.NamedTuple`s: immutable tuples that compare equal to a plain
 tuple holding the same fields.
+
+Import names from their module (`from strathom.qlinalg import MatrixQ`).
+Each command runs in a fresh interpreter, so `import strathom` registers
+every module in `sys.modules` without running it (`LazyLoader`), and a
+module's code runs when one of its attributes is first read.  A verb then
+runs only the layers it calls: `hi` runs `qlinalg`, `chains`, `stratified`,
+`io` and `cli`; `homology` runs `simplicial` in place of `stratified`.
+Registration, not function-local imports, keeps every module object in
+place from the start, so a tool that rebinds module attributes from outside
+(the span tracer of the benchmark reads `sys.modules["strathom.<layer>"]`)
+finds each layer after `import strathom.cli`; reading one loads it.  The
+entry point `cli` is imported as usual: registered ahead, it would be run
+twice by `python -m strathom.cli`.
 """
 
-from .chains import (
-    ChainComplex,
-    ChainMap,
-    GradedMap,
-    GradedVS,
-    induced_map,
-    mapping_cone,
-    tensor_complex,
-)
-from .modes import ModeReport, ModeSpec, surface_ext_dims, total_ext_dims
-from .qlinalg import (
-    MatrixQ,
-    Subspace,
-    image_basis,
-    kernel_basis,
-    rank,
-    signature_sym,
-    sum_dim,
-)
-from .signatures import (
-    SignatureReport,
-    WittVerdict,
-    novikov_signature,
-    verify_theorem_sig,
-    witt_check,
-)
-from .simplicial import (
-    OrientedPseudomanifoldWithBoundary,
-    PairingData,
-    SimplicialComplex,
-    StratifiedComplex,
-    barycentric_subdivide,
-    chain_complex_of,
-    cone,
-    cup_pairing,
-    ih_direct,
-    product_complex,
-    suspension,
-)
-from .stratified import (
-    IGRequest,
-    Perversity,
-    SpaceReport,
-    TwoStrataSpace,
-    check_lefschetz,
-    compactify_to_isolated,
-    cone_formula,
-    conifold_transition,
-    gamma_rank,
-    hi_dims,
-    hodge_weights,
-    ig_dims,
-    ih_ct_dims,
-    ih_space_dims,
-    ih_table,
-    verify_duality,
-    verify_theorem_hom,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+
+def _register_lazily(name: str) -> None:
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    # as a package attribute, `from . import name` binds it without a load
+    globals()[name] = module
+
+
+for _name in ("catalog", "chains", "io", "modes", "qlinalg", "signatures",
+              "simplicial", "spaces", "stratified"):
+    _register_lazily(_name)

@@ -19,26 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import io as sio
-from .modes import ModeSpec, total_ext_dims
-from .signatures import TheoremNotApplicable, verify_theorem_sig
-from .simplicial import (
-    StratifiedComplex,
-    barycentric_subdivide,
-    betti_numbers,
-    ih_direct,
-)
-from .stratified import (
-    IGRequest,
-    Perversity,
-    conifold_transition,
-    hi_dims,
-    hodge_weights,
-    ig_dims,
-    ih_ct_dims,
-    ih_table,
-    verify_duality,
-    verify_theorem_hom,
-)
+from . import modes, signatures, simplicial, stratified
 
 _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
@@ -101,7 +82,7 @@ def _dims_text(title: str, dims: list[int]) -> str:
 
 
 def cmd_homology(args) -> int:
-    dims = betti_numbers(
+    dims = simplicial.betti_numbers(
         sio.load_complex(sio.load_json(args.input), where=args.input))
     _emit(args, "homology", [args.input], {}, {"betti": dims},
           _dims_text(f"homology of {args.input}", dims))
@@ -111,7 +92,8 @@ def cmd_homology(args) -> int:
 def cmd_ih(args) -> int:
     space = _load_space(args.input)
     qs = _values(args.q, args.q_range, "q", "q-range")
-    rows = {str(q): list(ih_ct_dims(space, q).as_tuple(0, space.n)) for q in qs}
+    rows = {str(q): list(stratified.ih_ct_dims(space, q).as_tuple(0, space.n))
+            for q in qs}
     text = "\n".join(_dims_text(f"IH^(q={q})(CT) of {args.input}", rows[str(q)])
                      for q in qs)
     _emit(args, "ih", [args.input], {"q": qs}, {"ih_ct": rows}, text)
@@ -121,8 +103,9 @@ def cmd_ih(args) -> int:
 def cmd_hi(args) -> int:
     space = _load_space(args.input)
     ps = _values(args.p, args.p_range, "p", "p-range")
-    rows = {str(p): list(hi_dims(space, Perversity(p, space.codim_sigma))
-                         .as_tuple(0, space.n)) for p in ps}
+    rows = {str(p): list(stratified.hi_dims(
+        space, stratified.Perversity(p, space.codim_sigma))
+        .as_tuple(0, space.n)) for p in ps}
     text = "\n".join(
         _dims_text(f"reduced HI^(p={p}) of {args.input}", rows[str(p)])
         for p in ps)
@@ -133,7 +116,8 @@ def cmd_hi(args) -> int:
 def cmd_ig(args) -> int:
     space = _load_space(args.input)
     degrees = _degrees(args.degree, args.degrees, space.n)
-    out = {str(j): ig_dims(space, IGRequest(args.k, j)) for j in degrees}
+    out = {str(j): stratified.ig_dims(space, stratified.IGRequest(args.k, j))
+           for j in degrees}
     body = "  ".join(f"{j}:{out[str(j)]}" for j in degrees)
     text = f"IG^({args.k})_j(CT) of {args.input}\n  degree:dim  {body}"
     _emit(args, "ig", [args.input], {"k": args.k, "degrees": list(degrees)},
@@ -145,7 +129,7 @@ def cmd_table(args) -> int:
     space = _load_space(args.input)
     rng = parse_range(args.q_range) if args.q_range else \
         range(-1, space.c)
-    rep = ih_table(space, rng.start, rng.stop - 1)
+    rep = stratified.ih_table(space, rng.start, rng.stop - 1)
     _emit(args, "table", [args.input], {"q_range": [rng.start, rng.stop - 1]},
           rep.to_dict(), f"IH^q_j(CT) of {args.input}\n" + rep.render())
     return 0
@@ -169,8 +153,8 @@ def cmd_verify(args) -> int:
     options = {"theorem": theorem, "p": args.p, "degrees": args.degrees}
     if theorem == "hom":
         degrees = _degrees(None, args.degrees, space.n)
-        verdicts = verify_theorem_hom(
-            space, Perversity(args.p, space.codim_sigma), degrees)
+        verdicts = stratified.verify_theorem_hom(
+            space, stratified.Perversity(args.p, space.codim_sigma), degrees)
         ok = all(v.ok for v in verdicts)
         result = {"ok": ok,
                   "verdicts": [{"j": v.j, "lhs": v.lhs, "rhs": v.rhs,
@@ -185,7 +169,8 @@ def cmd_verify(args) -> int:
         _emit(args, "verify", [args.input], options, result, "\n".join(lines))
         return 0 if ok else 1
     if theorem == "duality":
-        verdict = verify_duality(space, Perversity(args.p, space.codim_sigma))
+        verdict = stratified.verify_duality(
+            space, stratified.Perversity(args.p, space.codim_sigma))
         result = {
             "ok": verdict.ok,
             "hi_pairs": [{"j": v.j, "lhs": v.lhs, "rhs": v.rhs, "ok": v.ok}
@@ -206,8 +191,8 @@ def _signature_report(args, space, command: str, options: dict) -> int:
     paths = [args.input, args.pairing]
     pairing = sio.load_pairing(sio.load_json(args.pairing), where=args.pairing)
     try:
-        rep = verify_theorem_sig(space, pairing)
-    except TheoremNotApplicable as e:
+        rep = signatures.verify_theorem_sig(space, pairing)
+    except signatures.TheoremNotApplicable as e:
         _emit(args, command, paths, options, {"ok": False, "error": str(e)},
               f"not applicable: {e}")
         return 1
@@ -233,14 +218,14 @@ def _signature_report(args, space, command: str, options: dict) -> int:
 
 def cmd_ih_direct(args) -> int:
     obj = sio.load_complex(sio.load_json(args.input), where=args.input)
-    if not isinstance(obj, StratifiedComplex):
+    if not isinstance(obj, simplicial.StratifiedComplex):
         raise sio.InputError(
             f"{args.input}: ih-direct needs a triangulation with a sigma field")
     for _ in range(args.subdivide):
-        obj = barycentric_subdivide(obj)
+        obj = simplicial.barycentric_subdivide(obj)
     ps = _values(args.p, args.p_range, "p", "p-range")
-    rows = {str(p): list(ih_direct(obj, p).as_tuple(0, obj.complex.dim))
-            for p in ps}
+    rows = {str(p): list(simplicial.ih_direct(obj, p)
+                         .as_tuple(0, obj.complex.dim)) for p in ps}
     text = "\n".join(
         _dims_text(f"IH^(p={p}) of {args.input} "
                    f"(subdivided {args.subdivide}x)", rows[str(p)])
@@ -259,10 +244,10 @@ def cmd_hodge(args) -> int:
     if args.p is None:
         raise sio.InputError("--p is required for hodge")
     degrees = _degrees(args.degree, args.degrees, space.n)
-    p = Perversity(args.p, space.codim_sigma)
+    p = stratified.Perversity(args.p, space.codim_sigma)
     rows = {}
     for j in degrees:
-        c_fs, c_fc = hodge_weights(p, space.l, space.n, j)
+        c_fs, c_fc = stratified.hodge_weights(p, space.l, space.n, j)
         rows[str(j)] = {"fibred_scattering": str(c_fs), "fibred_cusp": str(c_fc)}
     lines = [f"extended-harmonic weights for {args.input} with p = {args.p}:"]
     for j in degrees:
@@ -280,9 +265,9 @@ def cmd_modes(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise sio.InputError(
             f"--weight: {args.weight!r} is not a rational number") from None
-    spec = ModeSpec(torus_dim=args.torus_dim, weight=weight,
-                    mode_cutoff=args.mode_cutoff)
-    rep = total_ext_dims(spec)
+    spec = modes.ModeSpec(torus_dim=args.torus_dim, weight=weight,
+                          mode_cutoff=args.mode_cutoff)
+    rep = modes.total_ext_dims(spec)
     text = "\n".join([
         f"extended harmonic forms on R x S^1 x T^{args.torus_dim}:",
         _dims_text("  surface factor", list(rep.surface_dims)),
@@ -298,7 +283,7 @@ def cmd_modes(args) -> int:
 
 def cmd_conifold_transition(args) -> int:
     space = _load_space(args.input)
-    out = sio.space_to_dict(conifold_transition(space))
+    out = sio.space_to_dict(stratified.conifold_transition(space))
     if args.json:
         _emit(args, "conifold-transition", [args.input], {}, out, "")
     else:

@@ -28,18 +28,9 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from . import simplicial, spaces, stratified
 from .chains import GradedMap, GradedVS
 from .qlinalg import MatrixQ
-from .simplicial import (
-    OrientationError,
-    OrientedPseudomanifoldWithBoundary,
-    PairingData,
-    SimplicialComplex,
-    StratifiedComplex,
-    betti_numbers,
-)
-from .spaces import isolated_cone_space, suspension_product_space
-from .stratified import TwoStrataSpace, check_lefschetz
 
 
 class InputError(ValueError):
@@ -128,7 +119,8 @@ def load_complex(data: dict, where: str = "triangulation"):
         raise InputError(f"{where}: top_simplices must be a nonempty list")
     labels = [str(v) for v in vertices]
     try:
-        cx = SimplicialComplex(labels, [[str(v) for v in t] for t in tops])
+        cx = simplicial.SimplicialComplex(labels,
+                                          [[str(v) for v in t] for t in tops])
     except ValueError as e:
         # the labels are checked first, so duplicates are what failed
         field = ("vertices" if len(set(labels)) < len(labels)
@@ -155,9 +147,9 @@ def load_complex(data: dict, where: str = "triangulation"):
                 orientation[key] = s
         boundary = _simplex_list(data.get("boundary", []), f"{where}.boundary")
         try:
-            return OrientedPseudomanifoldWithBoundary(
+            return simplicial.OrientedPseudomanifoldWithBoundary(
                 cx, boundary_simplices=boundary, orientation=orientation)
-        except OrientationError as e:
+        except simplicial.OrientationError as e:
             # coface counts, orientability and the fundamental chain read
             # the complex and its boundary and orientation together
             raise InputError(f"{where}: {e}") from None
@@ -178,14 +170,14 @@ def load_complex(data: dict, where: str = "triangulation"):
             raise InputError(f"{where}.codim: codimension must be >= 1, got "
                              f"{codim}")
         try:
-            return StratifiedComplex(cx, sigma, codim)
+            return simplicial.StratifiedComplex(cx, sigma, codim)
         except ValueError as e:
             raise InputError(f"{where}.sigma: {e}") from None
     return cx
 
 
 def complex_to_dict(obj) -> dict:
-    if isinstance(obj, OrientedPseudomanifoldWithBoundary):
+    if isinstance(obj, simplicial.OrientedPseudomanifoldWithBoundary):
         cx = obj.complex
         n = cx.dim
         tops = list(cx.simplices(n))
@@ -197,7 +189,7 @@ def complex_to_dict(obj) -> dict:
         maximal_bd = sorted(s for s in obj.boundary if len(s) == n)
         out["boundary"] = [list(cx.labels(s)) for s in maximal_bd]
         return out
-    if isinstance(obj, StratifiedComplex):
+    if isinstance(obj, simplicial.StratifiedComplex):
         cx = obj.complex
         return {
             "vertices": list(cx.vertices),
@@ -227,15 +219,16 @@ def _betti_from(node, where: str, base: Path) -> list[int]:
             return _betti(node["betti"], f"{where}.betti")
         if "file" in node:
             path = str(base / str(node["file"]))
-            return betti_numbers(load_complex(load_json(path), where=path))
+            return simplicial.betti_numbers(
+                load_complex(load_json(path), where=path))
         if "vertices" in node:
-            return betti_numbers(load_complex(node, where=where))
+            return simplicial.betti_numbers(load_complex(node, where=where))
     raise InputError(f"{where}: expected a Betti list, a complex, or a file "
                      "reference")
 
 
 def load_space(data: dict, where: str = "space",
-               base: Path = Path()) -> TwoStrataSpace:
+               base: Path = Path()) -> stratified.TwoStrataSpace:
     """Build a space from its JSON object.  A `{"file": …}` link or stratum
     is read from the directory `base` (that of the space file) unless its
     path is absolute.  A model flagged oriented (the default) must satisfy
@@ -245,7 +238,7 @@ def load_space(data: dict, where: str = "space",
     try:
         space = _space_from(data, where, base)
         if space.oriented:
-            check_lefschetz(space)
+            stratified.check_lefschetz(space)
         return space
     except InputError:
         raise
@@ -253,7 +246,8 @@ def load_space(data: dict, where: str = "space",
         raise InputError(f"{where}: {e}") from None
 
 
-def _space_from(data: dict, where: str, base: Path) -> TwoStrataSpace:
+def _space_from(data: dict, where: str,
+                base: Path) -> stratified.TwoStrataSpace:
     kind = _require(data, "kind", where)
     label = str(data.get("label", ""))
     oriented = data.get("oriented", True)
@@ -265,8 +259,8 @@ def _space_from(data: dict, where: str, base: Path) -> TwoStrataSpace:
                            base)
         sigma = _betti_from(_require(data, "sigma", where), f"{where}.sigma",
                             base)
-        return suspension_product_space(link, sigma, oriented=oriented,
-                                        label=label)
+        return spaces.suspension_product_space(link, sigma, oriented=oriented,
+                                               label=label)
     if kind == "isolated_cone":
         link = _betti_from(_require(data, "link", where), f"{where}.link",
                            base)
@@ -274,8 +268,8 @@ def _space_from(data: dict, where: str, base: Path) -> TwoStrataSpace:
         beta = {_int(j, f"{where}.beta_T"):
                 matrix_from_rows(rows, f"{where}.beta_T[{j}]")
                 for j, rows in _require_mapping(data, "beta_T", where).items()}
-        return isolated_cone_space(link, m_betti, beta, oriented=oriented,
-                                   label=label)
+        return spaces.isolated_cone_space(link, m_betti, beta,
+                                          oriented=oriented, label=label)
     if kind == "algebraic":
         n, l, s = (_int(_require(data, f, where), f"{where}.{f}")
                    for f in ("n", "l", "s"))
@@ -289,14 +283,14 @@ def _space_from(data: dict, where: str, base: Path) -> TwoStrataSpace:
             m = matrix_from_rows(rows, f"{where}.beta_T[{j}]")
             if not m.is_zero():
                 blocks[degree] = m
-        return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h,
-                              sigma_h=sigma_h, m_h=m_h,
-                              boundary_restriction=GradedMap(b_h, m_h, blocks),
-                              oriented=oriented, label=label)
+        return stratified.TwoStrataSpace(
+            n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h, m_h=m_h,
+            boundary_restriction=GradedMap(b_h, m_h, blocks),
+            oriented=oriented, label=label)
     raise InputError(f"{where}: unknown kind {kind!r}")
 
 
-def space_to_dict(space: TwoStrataSpace) -> dict:
+def space_to_dict(space: stratified.TwoStrataSpace) -> dict:
     b = space.boundary_h()
     beta = {}
     for j in b.degrees():
@@ -321,7 +315,8 @@ def space_to_dict(space: TwoStrataSpace) -> dict:
 # pairings
 
 def load_pairing(data: dict, where: str = "pairing"
-                 ) -> PairingData | OrientedPseudomanifoldWithBoundary:
+                 ) -> (simplicial.PairingData
+                       | simplicial.OrientedPseudomanifoldWithBoundary):
     """A pairing matrix, or a validated oriented triangulation of even
     dimension.  A triangulation's cup pairing is not computed here:
     `verify_theorem_sig` computes it only where it reads sigma(Mbar)."""
@@ -337,10 +332,10 @@ def load_pairing(data: dict, where: str = "pairing"
         if degree % 2 == 0 and not m.is_symmetric():
             raise InputError(f"{where}.matrix: must be symmetric in even "
                              f"degree {degree}")
-        return PairingData(degree, m)
+        return simplicial.PairingData(degree, m)
     if "vertices" in data:
         pm = load_complex(data, where=where)
-        if not isinstance(pm, OrientedPseudomanifoldWithBoundary):
+        if not isinstance(pm, simplicial.OrientedPseudomanifoldWithBoundary):
             raise InputError(
                 f"{where}: triangulation needs boundary or orientation data "
                 "to define a pairing")

@@ -127,7 +127,8 @@ def boundary_matrix(s: SimplicialComplex, d: int,
             row = lower.get(simplex[:i] + simplex[i + 1:])
             if row is not None:
                 entries[(row, col)] = -1 if i % 2 else 1
-    return MatrixQ(len(lower), len(cols), entries)
+    # +-1 at distinct (face, simplex) positions inside the shape
+    return MatrixQ._of(len(lower), len(cols), entries)
 
 
 def chain_complex_of(s: SimplicialComplex) -> ChainComplex:

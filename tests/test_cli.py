@@ -427,6 +427,8 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["hi"]["0"] == [0, 2, 4, 2, 0]
+    # runpy warns when the module it runs is already in sys.modules
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
@@ -445,6 +447,49 @@ def test_cli_import_skips_dataclasses_and_inspect():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the layers whose functions the benchmark's span tracer wraps; it reads
+# each from sys.modules right after `import strathom.cli`
+_TRACER_LAYERS = {"cli", "io", "stratified", "qlinalg", "chains",
+                  "simplicial", "signatures", "modes"}
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["hi", "s2xt2_space.json", "--p", "0"],
+     {"chains", "cli", "io", "qlinalg", "stratified"}),
+    (["homology", "ixs1xt2.json"],
+     {"chains", "cli", "io", "qlinalg", "simplicial"}),
+], ids=["hi", "homology"])
+def test_a_verb_runs_only_the_layers_it_calls(argv, ran):
+    """`import strathom.cli` registers every layer and runs only `cli`;
+    `cli.main` then runs the modules its verb reads.  A registered module
+    that never ran is still an `importlib.util._LazyModule`."""
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
+    probe = (
+        "import importlib.util, json, sys\n"
+        "def layers(lazy):\n"
+        "    return sorted(n.removeprefix('strathom.')\n"
+        "                  for n, m in sys.modules.items()\n"
+        "                  if n.startswith('strathom.') and\n"
+        "                  isinstance(m, importlib.util._LazyModule) == lazy)\n"
+        "import strathom.cli\n"
+        "on_import = layers(False), layers(True)\n"
+        "code = strathom.cli.main(sys.argv[1:])\n"
+        "sys.stderr.write(json.dumps([on_import, code, layers(False)]))\n")
+    argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, env=env)
+    (ran_on_import, waiting), code, ran_by_verb = json.loads(proc.stderr)
+    assert code == 0
+    assert ran_on_import == ["cli"]
+    assert _TRACER_LAYERS <= set(ran_on_import + waiting)
+    assert set(ran_by_verb) == ran
 
 
 def test_sigma_triangulation_without_sigma_rejected(capsys, tmp_path):
@@ -482,8 +527,7 @@ _SIGNATURE_RESULTS = {
 
 def test_cup_pairing_runs_only_where_sigma_is_read(capsys, monkeypatch,
                                                    tmp_path):
-    import strathom
-    from strathom import simplicial
+    from strathom import signatures, simplicial
 
     calls = []
     original = simplicial.cup_pairing
@@ -492,10 +536,10 @@ def test_cup_pairing_runs_only_where_sigma_is_read(capsys, monkeypatch,
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod in [strathom] + [m for m in vars(strathom).values()
-                             if type(m) is type(strathom)]:
-        if getattr(mod, "cup_pairing", None) is original:
-            monkeypatch.setattr(mod, "cup_pairing", counted)
+    # signatures binds its own reference when it first runs; patching it
+    # first runs it with the original bound, so undoing restores it
+    for mod in (signatures, simplicial):
+        monkeypatch.setattr(mod, "cup_pairing", counted)
     for (space, pairing), (code, result) in _SIGNATURE_RESULTS.items():
         for verb in (["signature"], ["verify", "--theorem", "signature"]):
             before = len(calls)
