@@ -2,12 +2,12 @@
 
 This module is the homological middle layer: finitely supported graded
 dimensions (`GradedVS`), degreewise linear maps (`GradedMap`), chain
-complexes with checked square-zero differentials, Betti numbers by rank
-(one cleared column reduction per differential; representative cycles,
-cleared against the boundaries, are built only for induced maps and the
-cup pairing), mapping cones, tensor products with Koszul signs and
-truncation of graded data.  The Mayer-Vietoris dimensions downstream are
-rank arithmetic on the boundary restriction, in `stratified`.
+complexes with checked square-zero differentials, Betti numbers by rank,
+mapping cones, tensor products with Koszul signs and truncation of graded
+data.  `cleared_lows` is the one cleared column reduction: homology counts
+its lows, `ih_direct` reads them, and the representative cycles of induced
+maps and the cup pairing vanish on them.  The Mayer-Vietoris dimensions
+downstream are rank arithmetic on the boundary restriction, in `stratified`.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
 bases in degree j follow the one Kunneth layout `GradedVS.tensor_blocks`
@@ -22,11 +22,10 @@ compares equal to a plain tuple holding the same fields.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .qlinalg import (
     DimensionMismatch,
-    IncrementalSpan,
     MatrixQ,
     column_lows,
     hstack,
@@ -104,12 +103,6 @@ class GradedVS:
         """Keep degrees <= cut, zero elsewhere."""
         return GradedVS({j: n for j, n in self._dims.items() if j <= cut})
 
-    def __add__(self, other: "GradedVS") -> "GradedVS":
-        out = dict(self._dims)
-        for j, n in other._dims.items():
-            out[j] = out.get(j, 0) + n
-        return GradedVS(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedVS) and self._dims == other._dims
 
@@ -164,6 +157,28 @@ class GradedMap:
         return f"GradedMap({self.source!r} -> {self.target!r})"
 
 
+def cleared_lows(degrees: Iterable[int], differential: Callable[[int], MatrixQ]
+                 ) -> dict[int, dict[int, int]]:
+    """The lows {column: low row} (`column_lows`) of d_j for each j in
+    `degrees`, reduced top-down with clearing (Chen-Kerber 2011); d_j is
+    built by `differential(j)` only when degree j is reduced.
+
+    Clearing: the columns of d_j at the lows of d_{j+1} are skipped.  The
+    rows of d_{j+1} index the columns of d_j, and d_j d_{j+1} = 0.  Every
+    low of d_{j+1} indexes a column of d_j that lies in the span of the
+    earlier columns of d_j: the reduced column R of d_{j+1} with low l is a
+    boundary, so d_j R = 0, and R has a nonzero entry at l and none below
+    it, which writes column l of d_j as a combination of columns < l.  So
+    that column reduces to zero and skipping it changes no low of d_j: the
+    lows are those of the plain reduction, rank d_j of them.
+    """
+    lows: dict[int, dict[int, int]] = {}
+    for j in sorted(degrees, reverse=True):
+        above = lows.get(j + 1, {})
+        lows[j] = column_lows(differential(j), set(above.values()))
+    return lows
+
+
 class ChainComplex:
     """A chain complex of finite-dimensional rational vector spaces.
 
@@ -173,7 +188,7 @@ class ChainComplex:
     complexes); a violating complex cannot be built.
     """
 
-    __slots__ = ("spaces", "differentials", "_homology_cache")
+    __slots__ = ("spaces", "differentials", "_lows")
 
     def __init__(self, spaces: GradedVS,
                  differentials: Mapping[int, MatrixQ] | None = None):
@@ -191,37 +206,22 @@ class ChainComplex:
             if prev is not None and not (prev @ m).is_zero():
                 raise ValueError(f"d_{j-1} o d_{j} != 0")
         self.differentials = diffs
-        self._homology_cache = None
+        self._lows = None
 
     def differential(self, j: int) -> MatrixQ:
         return self.differentials.get(
             j, MatrixQ(self.spaces[j - 1], self.spaces[j]))
 
     def homology(self) -> GradedVS:
-        """Betti numbers by rank: dim H_j = n_j - rank d_j - rank d_{j+1}.
-
-        Each rank is one cleared left-to-right column reduction
-        (`column_lows`), top-down: the columns of d_j at the lows of
-        d_{j+1} are skipped (clearing, Chen-Kerber 2011).  Every low of
-        d_{j+1} indexes a column of d_j that lies in the span of the earlier
-        columns of d_j: the reduced column R of d_{j+1} with low l is a
-        boundary, so d_j R = 0, and R has a nonzero entry at l and none
-        below it, which writes column l of d_j as a combination of columns
-        < l.  So that column reduces to zero and skipping it changes no low
-        of d_j.  The lows of d_j clear d_{j-1} only: when d_{j-1} is zero
-        they clear nothing, and they say nothing about d_{j-2}.  The result
-        is memoized.
-        """
-        if self._homology_cache is None:
-            r, cleared = {}, {}
-            for j in sorted(self.differentials, reverse=True):
-                lows = column_lows(self.differentials[j], cleared.get(j, ()))
-                r[j] = len(lows)
-                cleared[j - 1] = set(lows.values())
-            self._homology_cache = GradedVS(
-                {j: self.spaces[j] - r.get(j, 0) - r.get(j + 1, 0)
-                 for j in self.spaces.degrees()})
-        return self._homology_cache
+        """Betti numbers by rank: dim H_j = n_j - rank d_j - rank d_{j+1},
+        rank d_j the number of lows of d_j in `cleared_lows`.  The lows are
+        memoized; `homology_data` reads them."""
+        if self._lows is None:
+            self._lows = cleared_lows(self.differentials,
+                                      self.differentials.__getitem__)
+        r = {j: len(lows) for j, lows in self._lows.items()}
+        return GradedVS({j: self.spaces[j] - r.get(j, 0) - r.get(j + 1, 0)
+                         for j in self.spaces.degrees()})
 
     def homology_data(self) -> "HomologyData":
         """Betti numbers plus representative cycles, for `induced_map`."""
@@ -229,7 +229,7 @@ class ChainComplex:
         reps = {}
         for j in betti.degrees():
             chosen = cycle_representatives(self.differential(j),
-                                           self.differential(j + 1))
+                                           self._lows.get(j + 1, {}))
             assert len(chosen) == betti[j]
             reps[j] = MatrixQ(self.spaces[j], betti[j],
                               {(i, col): v for col, vec in enumerate(chosen)
@@ -267,28 +267,23 @@ class HomologyData(NamedTuple):
         return {i: v for i, v in x.items() if i < reps.cols and v}
 
 
-def cycle_representatives(d_out: MatrixQ, d_in: MatrixQ) -> list[dict]:
-    """Cycles of d_out whose classes form a basis of ker d_out / im d_in.
+def cycle_representatives(d_out: MatrixQ,
+                          lows_in: Mapping[int, int]) -> list[dict]:
+    """Cycles of d_out whose classes form a basis of ker d_out / im d_in,
+    given the lows {column: low row} of d_in (`column_lows`).
 
-    Cleared: the cycles that vanish on the pivot set P of an echelon basis
-    of im d_in.  The columns of d_in go into an `IncrementalSpan`, whose
-    row at pivot p has p as the least index of its support; P depends only
-    on im d_in, not on which spanning vectors were fed.  Ordered by
-    pivot, the rows restricted to P form a triangular matrix with nonzero
-    diagonal, hence an invertible one.  So for every cycle z there is
-    exactly one boundary b with (z - b)|_P = 0, and z - b is again a cycle
-    since d_out d_in = 0; and a boundary that vanishes on P is zero.  Hence
-    the cycles vanishing on P map isomorphically onto ker d_out / im d_in.
-    They are the kernel of d_out with the columns in P deleted, padded back
+    Cleared: the cycles that vanish on the set L of the lows.  The reduced
+    columns of d_in with a low span im d_in, and the one with low l is
+    nonzero at l and zero at every row after l.  Ordered by low, these
+    columns restricted to L form a triangular matrix with nonzero diagonal,
+    hence an invertible one.  So for every cycle z there is exactly one
+    boundary b with (z - b)|_L = 0, and z - b is again a cycle since
+    d_out d_in = 0; and a boundary that vanishes on L is zero.  Hence the
+    cycles vanishing on L map isomorphically onto ker d_out / im d_in.
+    They are the kernel of d_out with the columns in L deleted, padded back
     with zeros, so its kernel basis has dim H vectors and needs no filter.
     """
-    columns: list[dict] = [{} for _ in range(d_in.cols)]
-    for (i, j), v in d_in.items():
-        columns[j][i] = v
-    span = IncrementalSpan(d_out.cols)
-    for v in columns:
-        span.add(v)
-    cleared = span.pivots
+    cleared = set(lows_in.values())
     keep = [c for c in range(d_out.cols) if c not in cleared]
     return [{keep[k]: x for k, x in v.items()} for v in
             kernel_basis(d_out.submatrix(range(d_out.rows), keep)).basis]

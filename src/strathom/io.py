@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import simplicial, spaces, stratified
 from .chains import GradedMap, GradedVS
-from .qlinalg import MatrixQ
+from .qlinalg import DimensionMismatch, MatrixQ
 
 
 class InputError(ValueError):
@@ -233,8 +233,8 @@ def load_space(data: dict, where: str = "space",
     is read from the directory `base` (that of the space file) unless its
     path is absolute.  A model flagged oriented (the default) must satisfy
     Poincare-Lefschetz duality (`check_lefschetz`).  A model check that
-    fails (a block shape, the augmentation, a dimension, the duality) is
-    reported against `where`."""
+    fails (the augmentation, a dimension, the duality) is reported against
+    `where`, a block of the wrong shape against `where.beta_T`."""
     try:
         space = _space_from(data, where, base)
         if space.oriented:
@@ -242,6 +242,8 @@ def load_space(data: dict, where: str = "space",
         return space
     except InputError:
         raise
+    except DimensionMismatch as e:
+        raise InputError(f"{where}.beta_T: {e}") from None
     except ValueError as e:
         raise InputError(f"{where}: {e}") from None
 

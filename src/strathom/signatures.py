@@ -139,9 +139,10 @@ def verify_theorem_sig(
     pairing is skew and all signatures vanish.  `pairing` is a pairing
     matrix or an oriented triangulation of even dimension; the cup pairing
     of a triangulation is computed only when sigma is read, i.e. for a
-    Witt space with n divisible by 4.  The five signature entries are equal
-    by the product-bundle reduction; the middle-degree dimensions are
-    computed by the independent Mayer-Vietoris machinery.
+    Witt space with n divisible by 4, after its degree is checked against
+    n / 2.  The five signature entries are equal by the product-bundle
+    reduction; the middle-degree dimensions are computed by the
+    independent Mayer-Vietoris machinery.
     """
     witt = witt_check(space)
     if not witt.is_witt:
@@ -152,12 +153,13 @@ def verify_theorem_sig(
     mid = n // 2
     sigma = 0
     if n % 4 == 0:
-        if isinstance(pairing, OrientedPseudomanifoldWithBoundary):
-            pairing = cup_pairing(pairing, pairing.complex.dim // 2)
-        sigma = novikov_signature(pairing)
-        if pairing.degree != mid:
+        triangulated = isinstance(pairing, OrientedPseudomanifoldWithBoundary)
+        degree = pairing.complex.dim // 2 if triangulated else pairing.degree
+        if degree != mid:
             raise TheoremNotApplicable(
-                f"pairing is in degree {pairing.degree}, middle degree is {mid}")
+                f"pairing is in degree {degree}, middle degree is {mid}")
+        sigma = novikov_signature(
+            cup_pairing(pairing, mid) if triangulated else pairing)
 
     m_x = Perversity(middle_perversities(space.codim_sigma)[0],
                      space.codim_sigma)

@@ -16,10 +16,12 @@ the cone formula come out right in every degree for arbitrarily large
 perversity values; see the module's tests for the cone/suspension family
 this is pinned against.  Each `StratifiedComplex` memoizes what the oracle
 reads: the Sigma-face dimension of every simplex, and per degree the
-(face dimension of the column, face dimension of its low) pairs of one
-cleared column reduction of the truncated boundary, ordered by face
-dimension.  Every rank pair (rank C_d, rank D_d) of every perversity is a
-count over those pairs, so a sweep builds and reduces each degree once.
+(face dimension of the column, face dimension of its low) pairs of the
+truncated boundary, ordered by face dimension: the differential of the
+relative complex C(K)/C(Sigma), reduced by the one clearing routine
+`chains.cleared_lows`.  Every rank pair (rank C_d, rank D_d) of every
+perversity is a count over those pairs, so a sweep builds and reduces each
+degree once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .chains import ChainComplex, GradedVS, cycle_representatives
+from .chains import ChainComplex, GradedVS, cleared_lows, cycle_representatives
 from .qlinalg import MatrixQ, column_lows
 
 Simplex = tuple[int, ...]  # vertex indices, strictly increasing
@@ -286,21 +288,16 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
     a later one keeps the rank of every lower-left block, and once the
     lows are distinct that rank is the number of reduced columns in the
     block whose low lies in it (pairing lemma of Cohen-Steiner, Edelsbrunner
-    and Morozov, Vines and vineyards, 2006).  So with `column_lows`,
+    and Morozov, Vines and vineyards, 2006).  So, with those lows,
 
         rank D_d(t) = #{accepted c : f(c) <= t},
         rank C_d(t) = #{accepted c : f(c) <= t, f(low c) > max(-1, t - 1)}.
 
-    The degrees run top-down with clearing: the columns of degree d at the
-    lows of degree d + 1 are skipped.  An interior simplex has only
-    interior faces, so the full boundary of a reduced (d + 1)-column is
-    the truncated one plus interior summands, and its truncated boundary
-    in degree d is zero: the reduced column is a cycle of the truncated
-    boundary, with a nonzero entry at its low and none after it, so the
-    column of degree d at that low lies in the span of the earlier ones,
-    reduces to zero, and skipping it changes no low.  `st` memoizes the
-    face dimensions and one list of (f(c), f(low c)) pairs per degree, so
-    a sweep over perversities reduces each degree once.
+    The lows come from `cleared_lows`: an interior simplex has only
+    interior faces, so the truncated boundary, in (f, index) order in every
+    degree, is the differential of the quotient complex C(K)/C(Sigma).
+    `st` memoizes the face dimensions and one list of (f(c), f(low c))
+    pairs per degree, so a sweep builds and reduces each degree once.
     """
     K = st.complex
     memo = st._ih_memo
@@ -312,14 +309,12 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
         order = [[i for _, i in sorted((f, i) for i, f in enumerate(fd)
                                        if f < d)]
                  for d, fd in enumerate(face_dims)]
-        low_pairs: dict[int, list[tuple[int, int]]] = {}
-        cleared = ()
-        for d in range(K.dim, 0, -1):
-            rows, cols = order[d - 1], order[d]
-            lows = column_lows(boundary_matrix(K, d, rows, cols), cleared)
-            low_pairs[d] = [(face_dims[d][cols[c]], face_dims[d - 1][rows[r]])
-                            for c, r in lows.items()]
-            cleared = set(lows.values())
+        lows = cleared_lows(range(1, K.dim + 1), lambda d: boundary_matrix(
+            K, d, order[d - 1], order[d]))
+        low_pairs = {d: [(face_dims[d][order[d][c]],
+                          face_dims[d - 1][order[d - 1][r]])
+                         for c, r in lows_d.items()]
+                     for d, lows_d in lows.items()}
         memo = st._ih_memo = (face_dims, low_pairs)
     face_dims, low_pairs = memo
 
@@ -519,12 +514,12 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
 
     Both slots run over a cocycle basis of H^m(K, bd K), the cleared
     representatives of `cycle_representatives` on the relative coboundaries
-    (cocycles vanishing on the pivots of an echelon basis of the relative
-    coboundaries, so no full cocycle basis is built); the second factor is
-    regarded in absolute cohomology.  Entry (i, j) is
-    <a_i cup a_j, fundamental chain> with the ordered front-face/back-face
-    cup product in the global vertex order.  The matrix is symmetric for
-    even m and its signature is the Novikov signature of the complex.
+    (cocycles vanishing on the lows of delta^{m-1}, so no full cocycle
+    basis is built); the second factor is regarded in absolute cohomology.
+    Entry (i, j) is <a_i cup a_j, fundamental chain> with the ordered
+    front-face/back-face cup product in the global vertex order.  The
+    matrix is symmetric for even m and its signature is the Novikov
+    signature of the complex.
     """
     K = m.complex
     n = K.dim
@@ -539,7 +534,8 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
         """delta: relative C^d -> relative C^{d+1} (transpose of boundary)."""
         return boundary_matrix(K, d + 1, rel[d], rel[d + 1]).transpose()
 
-    reps_rel = cycle_representatives(rel_delta(degree), rel_delta(degree - 1))
+    reps_rel = cycle_representatives(rel_delta(degree),
+                                     column_lows(rel_delta(degree - 1)))
 
     # cocycles as {simplex index: coefficient} over all degree-m simplices
     cols = rel[degree]

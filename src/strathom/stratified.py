@@ -110,12 +110,15 @@ class TwoStrataSpace:
                  oriented: bool = True, label: str = ""):
         if n != l + s + 1:
             raise ModelError(f"n = {n} but l + s + 1 = {l + s + 1}")
-        if l < 0 or s < 0:
-            raise ModelError("negative link or stratum dimension")
-        if link_h[0] < 1 or sigma_h[0] < 1:
-            raise ModelError("link and stratum must be nonempty")
-        if link_h.top > l or sigma_h.top > s:
-            raise ModelError("homology above the dimension of the space")
+        for name, dim, field, h in (("l", l, "link_betti", link_h),
+                                    ("s", s, "sigma_betti", sigma_h)):
+            if dim < 0:
+                raise ModelError(f"{name}: negative dimension {dim}")
+            if h[0] < 1:
+                raise ModelError(f"{field}: must be nonempty (b_0 >= 1)")
+            if h.top > dim:
+                raise ModelError(f"{field}: homology in degree {h.top}, above "
+                                 f"the dimension {name} = {dim}")
         if m_h[0] < 1:
             raise ModelError("regular part must be nonempty")
         if m_h.top > n:

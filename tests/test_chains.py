@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -26,7 +27,13 @@ from strathom.chains import (
     mapping_cone,
     tensor_complex,
 )
-from strathom.qlinalg import IncrementalSpan, MatrixQ, image_basis, rank
+from strathom.qlinalg import (
+    IncrementalSpan,
+    MatrixQ,
+    column_lows,
+    image_basis,
+    rank,
+)
 from strathom.simplicial import boundary_matrix, chain_complex_of
 
 from oracles import (
@@ -417,7 +424,8 @@ def test_cycle_representatives_against_kernel_then_filter():
     pairs = list(_cycle_representative_pairs())
     assert len(pairs) == 29
     for d_out, d_in in pairs:
-        new = cycle_representatives(d_out, d_in)
+        lows_in = column_lows(d_in)
+        new = cycle_representatives(d_out, lows_in)
         old = ref_cycle_representatives(d_out, d_in)
         assert len(new) == len(old)
         image = list(image_basis(d_in).basis)
@@ -427,10 +435,7 @@ def test_cycle_representatives_against_kernel_then_filter():
             [True] * (len(image) + len(new))
         assert ref_span_verdicts(d_out.cols, image + old + new) == \
             [True] * (len(image) + len(old)) + [False] * len(new)
-        span = IncrementalSpan(d_out.cols)
-        for v in image:
-            span.add(v)
-        cleared = set(span.pivots)
+        cleared = set(lows_in.values())
         for v in new:
             image_of_v = {}
             for (i, j), x in d_out.items():
@@ -438,3 +443,42 @@ def test_cycle_representatives_against_kernel_then_filter():
                     image_of_v[i] = image_of_v.get(i, 0) + x * v[j]
             assert not any(image_of_v.values())
             assert v and cleared.isdisjoint(v)
+
+
+def _definitions(tree):
+    """(name, node) of every module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_one_clearing_routine_and_one_span_driver():
+    """The clearing lemma is stated and used in one place: `column_lows` is
+    given a skip set only by `chains.cleared_lows`, and `IncrementalSpan`,
+    the reduction loop under every rank and low, is named only inside
+    `qlinalg`."""
+    src = Path(__file__).parent.parent / "src" / "strathom"
+    span_modules, skip_callers = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "IncrementalSpan":
+                span_modules.add(path.stem)
+        for where, fn in _definitions(tree):
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = call.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if name == "column_lows" and (len(call.args) > 1
+                                              or call.keywords):
+                    skip_callers.add(f"{path.stem}.{where}")
+    assert span_modules == {"qlinalg"}
+    assert skip_callers == {"chains.cleared_lows"}

@@ -153,6 +153,17 @@ def test_conifold_transition_round_trip(capsys, tmp_path):
     assert json.loads(out2) == original
 
 
+def test_conifold_transition_json_result_is_the_plain_output(capsys):
+    for stem in ("s2xt2_space", "pinched_torus_space", "st2xs1_space"):
+        path = str(DATA / f"{stem}.json")
+        code, plain, err = run(capsys, "conifold-transition", path)
+        assert code == 0, err
+        code, data, err = run_json(capsys, "conifold-transition", path)
+        assert code == 0, err
+        assert data["command"] == "conifold-transition"
+        assert data["result"] == json.loads(plain), stem
+
+
 def test_provenance_block(capsys):
     code, data, _ = run_json(capsys, "hi", space_file(), "--p", "0")
     assert code == 0
@@ -264,12 +275,18 @@ def test_input_errors_exit_2(capsys, tmp_path):
             main(["modes", *argv])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and flag in err, (flag, err)
-    for argv in (("ig", space_file(), "--k", "1"),
-                 ("hodge", space_file(), "--p", "0")):
-        code, out, err = run(capsys, *argv, "--degree", "1",
-                             "--degrees", "0..2")
+    both = ("--degree", "1", "--degrees", "0..2")
+    for argv, text in (
+            (("ig", space_file(), "--k", "1", *both), "--degree or --degrees"),
+            (("hodge", space_file(), "--p", "0", *both),
+             "--degree or --degrees"),
+            (("hi", space_file()), "missing --p or --p-range"),
+            (("hodge", space_file()), "--p is required for hodge"),
+            (("verify", space_file(), "--theorem", "duality"),
+             "--p is required for --theorem duality")):
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", (argv, err)
-        assert "--degree or --degrees" in err, (argv, err)
+        assert text in err and "Traceback" not in err, (argv, err)
     # model checks name the file once, whichever kind built the model
     probes = [
         ({"kind": "isolated_cone", "link": [1, 2], "m_betti": [1, 1],
@@ -280,6 +297,18 @@ def test_input_errors_exit_2(capsys, tmp_path):
           "beta_T": {}}, "m_betti"),
         ({"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, 1],
           "beta_T": {"0": [[1]], "1": [[5]]}}, "beta_T: Poincare-Lefschetz"),
+        ({**model, "beta_T": {}, "link_betti": [2, 2, 1]},
+         ": link_betti: homology in degree 2, above the dimension l = 1"),
+        ({**model, "beta_T": {}, "sigma_betti": [1, 0, 0, 1]},
+         ": sigma_betti: homology in degree 3, above the dimension s = 2"),
+        ({**model, "beta_T": {}, "n": 1, "l": 2, "s": -2},
+         ": s: negative dimension -2"),
+        ({**model, "beta_T": {}, "n": 1, "l": -1, "s": 1},
+         ": l: negative dimension -1"),
+        ({**model, "beta_T": {"1": [[1, 0]]}},
+         ".beta_T: block in degree 1 is 1x2, expected 3x6"),
+        ({**model, "m_betti": [0, 1], "beta_T": {"0": [[1, 1]]}},
+         ".beta_T: block in degree 0 is 1x2, expected 0x2"),
     ]
     for i, (data, text) in enumerate(probes):
         f = tmp_path / f"probe{i}.json"
@@ -303,6 +332,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
          ".orientation"),
         (("homology",), {**sphere, "orientation": [1, 1, 1, 1]},
          ": fundamental chain boundary leaks"),
+        # the 5-vertex Moebius band, with its five boundary edges
+        (("homology",), {"vertices": ["0", "1", "2", "3", "4"],
+                         "top_simplices": [["0", "1", "2"], ["1", "2", "3"],
+                                           ["2", "3", "4"], ["3", "4", "0"],
+                                           ["4", "0", "1"]],
+                         "boundary": [["0", "2"], ["1", "3"], ["2", "4"],
+                                      ["3", "0"], ["4", "1"]]},
+         ": complex is not orientable"),
+        (("homology",), {**sphere, "boundary": [["a", "b", "c", "d"]]},
+         ".boundary: boundary simplex ('a', 'b', 'c', 'd') not in complex"),
+        (("homology",), {**triangle, "top_simplices": []},
+         ": top_simplices must be a nonempty list"),
+        (("homology",), [triangle], ": expected a JSON object"),
     ]
     for i, ((verb, *flags), data, text) in enumerate(probes):
         f = tmp_path / f"triangulation{i}.json"
@@ -558,3 +600,29 @@ def test_cup_pairing_runs_only_where_sigma_is_read(capsys, monkeypatch,
     code, out, err = run(capsys, "signature", str(DATA / "st2xs1_space.json"),
                          "--pairing", str(f))
     assert code == 2 and out == "" and "'zz'" in err, err
+
+
+def test_signature_checks_the_pairing_degree_first(capsys, monkeypatch,
+                                                   tmp_path):
+    """On the Witt space S^2 x T^2 (n = 4) a pairing off the middle degree
+    2 is refused as such, exit 1, and a triangulation of the wrong
+    dimension has no cup pairing built."""
+    from strathom import signatures
+
+    def refuse(*args):
+        raise AssertionError("cup pairing built before the degree check")
+
+    monkeypatch.setattr(signatures, "cup_pairing", refuse)
+    matrix = {"degree": 1, "matrix": [[0, 1], [-1, 0]]}
+    sphere = {"vertices": ["a", "b", "c", "d"], "boundary": [],
+              "top_simplices": [["a", "b", "c"], ["a", "b", "d"],
+                                ["a", "c", "d"], ["b", "c", "d"]]}
+    for i, data in enumerate((matrix, sphere)):
+        f = tmp_path / f"pairing{i}.json"
+        f.write_text(json.dumps(data))
+        for verb in (["signature"], ["verify", "--theorem", "signature"]):
+            code, out, err = run_json(capsys, verb[0], space_file(), *verb[1:],
+                                      "--pairing", str(f))
+            assert (code, out["result"]) == (1, {
+                "ok": False,
+                "error": "pairing is in degree 1, middle degree is 2"}), err

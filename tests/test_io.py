@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from strathom import io as sio
-from strathom.catalog import cp2_minus_facet, torus7
+from strathom.catalog import circle, cp2_minus_facet, torus7
 from strathom.chains import GradedVS
 from strathom.qlinalg import rank
 from strathom.simplicial import (
@@ -14,6 +14,9 @@ from strathom.simplicial import (
     chain_complex_of,
     cone,
     cup_pairing,
+    ih_direct,
+    product_complex,
+    suspension,
 )
 from strathom.spaces import s2xt2_space, torus_link_space
 from strathom.stratified import Perversity, hi_dims, ih_ct_dims
@@ -64,12 +67,21 @@ def test_bundled_cp2_and_product():
 
 
 def test_complex_round_trip():
-    st = cone(torus7())
-    data = sio.complex_to_dict(st)
-    again = sio.load_complex(data)
-    assert isinstance(again, StratifiedComplex)
-    assert again.codim == st.codim
-    assert again.complex.f_vector() == st.complex.f_vector()
+    # a cone, the same cone with a codim other than the default, and the
+    # transition triangulation S(T^2) x S^1 with its two singular circles
+    coned = cone(torus7())
+    prod = product_complex(suspension(torus7()).complex, circle())
+    sigma = [v for v in prod.vertices if v.split(",")[0] in ("N*", "S*")]
+    for st in (coned, StratifiedComplex(coned.complex, ["*"], 2),
+               StratifiedComplex(prod, sigma, 3)):
+        data = sio.complex_to_dict(st)
+        again = sio.load_complex(json.loads(sio.dump_canonical(data)))
+        assert isinstance(again, StratifiedComplex)
+        assert again.codim == st.codim
+        assert again.sigma_labels() == st.sigma_labels()
+        assert again.complex.f_vector() == st.complex.f_vector()
+        for p in range(-1, st.codim + 2):
+            assert ih_direct(again, p) == ih_direct(st, p), (st, p)
 
 
 def test_oriented_round_trip():

@@ -59,6 +59,12 @@ def test_novikov_signature_empty_pairing():
     assert novikov_signature(p) == 0
 
 
+def test_novikov_signature_refuses_odd_degree():
+    skew = PairingData(1, MatrixQ.from_rows([[0, 1], [-1, 0]]))
+    with pytest.raises(TheoremNotApplicable, match="odd middle degree 1"):
+        novikov_signature(skew)
+
+
 def test_novikov_orientation_reversal_flips_sign():
     pm = cp2_minus_facet()
     assert novikov_signature(cup_pairing(pm, 2)) == \

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from strathom import catalog, simplicial
+from strathom import catalog, chains, simplicial
 from strathom.chains import GradedVS
 from strathom.simplicial import (
     OrientationError,
@@ -179,7 +179,7 @@ def test_ih_direct_memo_matches_fresh_complex_per_p():
 def test_ih_direct_sweep_builds_each_problem_once(monkeypatch):
     built, reduced = Counter(), [0]
     boundary_matrix = simplicial.boundary_matrix
-    column_lows = simplicial.column_lows
+    column_lows = chains.column_lows
 
     def counting_boundary(cx, d, *selection):
         built[d] += 1
@@ -190,7 +190,7 @@ def test_ih_direct_sweep_builds_each_problem_once(monkeypatch):
         return column_lows(m, skip)
 
     monkeypatch.setattr(simplicial, "boundary_matrix", counting_boundary)
-    monkeypatch.setattr(simplicial, "column_lows", counting_lows)
+    monkeypatch.setattr(chains, "column_lows", counting_lows)
     for st, ps in _memo_families():
         built.clear()
         reduced[0] = 0
