@@ -9,8 +9,6 @@ the intersection spaces of the original space, degree by degree.
 
 from strathom.spaces import s2xt2_space
 from strathom.stratified import (
-    IGRequest,
-    Perversity,
     conifold_transition,
     hi_dims,
     ig_dims,
@@ -25,20 +23,20 @@ print()
 print(ih_table(sp, -1, 2).render())
 print()
 
-print("reduced HI at p(2)=0:", hi_dims(sp, Perversity(0, 2)).as_tuple(0, 4))
+print("reduced HI at p(2)=0:", hi_dims(sp, 0).as_tuple(0, 4))
 print("mixed groups IG^(3-j)_j:",
-      tuple(ig_dims(sp, IGRequest(3 - j, j)) for j in range(5)))
+      tuple(ig_dims(sp, 3 - j, j) for j in range(5)))
 print()
 
 for p in range(-2, 4):
-    verdicts = verify_theorem_hom(sp, Perversity(p, 2), range(0, 5))
+    verdicts = verify_theorem_hom(sp, p, range(0, 5))
     status = "ok" if all(v.ok for v in verdicts) else "FAIL"
     print(f"HI^({p}) vs IG sweep: "
           + " ".join(f"{v.lhs}={v.rhs}" for v in verdicts) + f"  {status}")
 print()
 
 print("duality p(2)=0 vs q(2)=0 (self-dual here):",
-      "ok" if verify_duality(sp, Perversity(0, 2)).ok else "FAIL")
+      "ok" if verify_duality(sp, 0).ok else "FAIL")
 
 ct = conifold_transition(sp)
 print("transition swaps link and stratum:", ct)

@@ -10,7 +10,7 @@ computations that share no code.
 
 from strathom.modes import ModeSpec, total_ext_dims
 from strathom.spaces import s2xt2_space
-from strathom.stratified import Perversity, hi_dims, hodge_weights
+from strathom.stratified import hi_dims, hodge_weights
 
 spec = ModeSpec(torus_dim=2, mode_cutoff=8)
 rep = total_ext_dims(spec)
@@ -25,10 +25,10 @@ print()
 
 # weight 0 on the scattering side corresponds to perversity 0 at the
 # codimension-2 stratum: (l - 1)/2 - p = 0
-c_fs, c_fc = hodge_weights(Perversity(0, 2), l=1, n=4, j=2)
+c_fs, c_fc = hodge_weights(0, l=1, n=4, j=2)
 print("weights at p(2)=0, middle degree: scattering", c_fs, "| cusp", c_fc)
 
-hi = hi_dims(s2xt2_space(), Perversity(0, 2))
+hi = hi_dims(s2xt2_space(), 0)
 print()
 print("harmonic counts:", rep.total_dims)
 print("reduced HI:     ", hi.as_tuple(0, 4))

@@ -4,9 +4,10 @@ two-strata pseudomanifolds with product link bundles.
 
 Everything is computed over the rationals with no floating point; all
 public values are immutable and all operations are pure functions.  The
-result and request records (`Perversity`, `SpaceReport`, `ModeSpec`, ...)
-are `typing.NamedTuple`s: immutable tuples that compare equal to a plain
-tuple holding the same fields.
+result and request records (`SpaceReport`, `ModeSpec`, `DegreeVerdict`,
+...) are `typing.NamedTuple`s: immutable tuples that compare equal to a
+plain tuple holding the same fields.  A perversity is a plain `int`, its
+value at the one singular stratum.
 
 Import names from their module (`from strathom.qlinalg import MatrixQ`).
 Each command runs in a fresh interpreter, so `import strathom` registers

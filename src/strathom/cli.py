@@ -103,9 +103,8 @@ def cmd_ih(args) -> int:
 def cmd_hi(args) -> int:
     space = _load_space(args.input)
     ps = _values(args.p, args.p_range, "p", "p-range")
-    rows = {str(p): list(stratified.hi_dims(
-        space, stratified.Perversity(p, space.codim_sigma))
-        .as_tuple(0, space.n)) for p in ps}
+    rows = {str(p): list(stratified.hi_dims(space, p).as_tuple(0, space.n))
+            for p in ps}
     text = "\n".join(
         _dims_text(f"reduced HI^(p={p}) of {args.input}", rows[str(p)])
         for p in ps)
@@ -116,8 +115,7 @@ def cmd_hi(args) -> int:
 def cmd_ig(args) -> int:
     space = _load_space(args.input)
     degrees = _degrees(args.degree, args.degrees, space.n)
-    out = {str(j): stratified.ig_dims(space, stratified.IGRequest(args.k, j))
-           for j in degrees}
+    out = {str(j): stratified.ig_dims(space, args.k, j) for j in degrees}
     body = "  ".join(f"{j}:{out[str(j)]}" for j in degrees)
     text = f"IG^({args.k})_j(CT) of {args.input}\n  degree:dim  {body}"
     _emit(args, "ig", [args.input], {"k": args.k, "degrees": list(degrees)},
@@ -133,6 +131,11 @@ def cmd_table(args) -> int:
     _emit(args, "table", [args.input], {"q_range": [rng.start, rng.stop - 1]},
           rep.to_dict(), f"IH^q_j(CT) of {args.input}\n" + rep.render())
     return 0
+
+
+def _verdicts(verdicts) -> list[dict]:
+    return [{"j": v.j, "lhs": v.lhs, "rhs": v.rhs, "ok": v.ok}
+            for v in verdicts]
 
 
 # the flags each theorem reads, the required one first; it refuses the others
@@ -153,12 +156,9 @@ def cmd_verify(args) -> int:
     options = {"theorem": theorem, "p": args.p, "degrees": args.degrees}
     if theorem == "hom":
         degrees = _degrees(None, args.degrees, space.n)
-        verdicts = stratified.verify_theorem_hom(
-            space, stratified.Perversity(args.p, space.codim_sigma), degrees)
+        verdicts = stratified.verify_theorem_hom(space, args.p, degrees)
         ok = all(v.ok for v in verdicts)
-        result = {"ok": ok,
-                  "verdicts": [{"j": v.j, "lhs": v.lhs, "rhs": v.rhs,
-                                "ok": v.ok} for v in verdicts]}
+        result = {"ok": ok, "verdicts": _verdicts(verdicts)}
         lines = [f"theorem {theorem} on {args.input} with p = {args.p}:",
                  "  (not independent: HI and IG read the same two rank "
                  "terms, so no degree can fail)"]
@@ -169,15 +169,9 @@ def cmd_verify(args) -> int:
         _emit(args, "verify", [args.input], options, result, "\n".join(lines))
         return 0 if ok else 1
     if theorem == "duality":
-        verdict = stratified.verify_duality(
-            space, stratified.Perversity(args.p, space.codim_sigma))
-        result = {
-            "ok": verdict.ok,
-            "hi_pairs": [{"j": v.j, "lhs": v.lhs, "rhs": v.rhs, "ok": v.ok}
-                         for v in verdict.hi_pairs],
-            "ih_pairs": [{"j": v.j, "lhs": v.lhs, "rhs": v.rhs, "ok": v.ok}
-                         for v in verdict.ih_pairs],
-        }
+        verdict = stratified.verify_duality(space, args.p)
+        result = {"ok": verdict.ok, "hi_pairs": _verdicts(verdict.hi_pairs),
+                  "ih_pairs": _verdicts(verdict.ih_pairs)}
         text = (f"duality on {args.input} with p = {args.p}: "
                 + ("PASS" if verdict.ok else "FAIL"))
         _emit(args, "verify", [args.input], options, result, text)
@@ -244,10 +238,9 @@ def cmd_hodge(args) -> int:
     if args.p is None:
         raise sio.InputError("--p is required for hodge")
     degrees = _degrees(args.degree, args.degrees, space.n)
-    p = stratified.Perversity(args.p, space.codim_sigma)
     rows = {}
     for j in degrees:
-        c_fs, c_fc = stratified.hodge_weights(p, space.l, space.n, j)
+        c_fs, c_fc = stratified.hodge_weights(args.p, space.l, space.n, j)
         rows[str(j)] = {"fibred_scattering": str(c_fs), "fibred_cusp": str(c_fc)}
     lines = [f"extended-harmonic weights for {args.input} with p = {args.p}:"]
     for j in degrees:

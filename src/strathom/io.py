@@ -67,12 +67,16 @@ def _ints(value, field: str) -> list[int]:
 
 
 def _betti(value, field: str) -> list[int]:
-    """A Betti list: integers, none of them negative."""
+    """A Betti list of a nonempty space: integers, none of them negative,
+    b_0 at least 1.  Checked here, before a model is built from it, so the
+    refusal names the field of the file's own kind."""
     betti = _ints(value, field)
     for degree, b in enumerate(betti):
         if b < 0:
             raise InputError(f"{field}: negative Betti number {b} in degree "
                              f"{degree}")
+    if not betti or betti[0] < 1:
+        raise InputError(f"{field}: must be nonempty (b_0 >= 1)")
     return betti
 
 

@@ -50,11 +50,8 @@ class ModeReport(NamedTuple):
     rejected_modes: tuple[tuple[int, str], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "surface_dims": list(self.surface_dims),
-            "total_dims": list(self.total_dims),
-            "rejected_modes": [[n, reason] for n, reason in self.rejected_modes],
-        }
+        """The fields by name; JSON writes the tuples as lists."""
+        return self._asdict()
 
 
 # squared pointwise norms of the zero-mode generators, as powers of

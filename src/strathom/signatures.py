@@ -27,7 +27,6 @@ from .simplicial import (
     cup_pairing,
 )
 from .stratified import (
-    Perversity,
     TwoStrataSpace,
     compactify_to_isolated,
     gamma_rank,
@@ -112,21 +111,7 @@ class SignatureReport(NamedTuple):
     ct_image_dim: int
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_Mbar": self.sigma_Mbar,
-            "sigma_perverse_CT": self.sigma_perverse_CT,
-            "sigma_IH_X": self.sigma_IH_X,
-            "sigma_HI_X": self.sigma_HI_X,
-            "sigma_Z": self.sigma_Z,
-            "all_equal": self.all_equal,
-            "witt": {"is_witt": self.witt.is_witt, "reason": self.witt.reason},
-            "middle_degree": self.middle_degree,
-            "hi_middle_dim_X": self.hi_middle_dim_X,
-            "ih_middle_dim_X": self.ih_middle_dim_X,
-            "hi_middle_dim_Z": self.hi_middle_dim_Z,
-            "ih_middle_dim_Z": self.ih_middle_dim_Z,
-            "ct_image_dim": self.ct_image_dim,
-        }
+        return self._asdict() | {"witt": self.witt._asdict()}
 
 
 def verify_theorem_sig(
@@ -161,10 +146,9 @@ def verify_theorem_sig(
         sigma = novikov_signature(
             cup_pairing(pairing, mid) if triangulated else pairing)
 
-    m_x = Perversity(middle_perversities(space.codim_sigma)[0],
-                     space.codim_sigma)
+    m_x = middle_perversities(space.codim_sigma)[0]
     z = compactify_to_isolated(space)
-    m_z = Perversity(middle_perversities(z.codim_sigma)[0], z.codim_sigma)
+    m_z = middle_perversities(z.codim_sigma)[0]
     return SignatureReport(
         sigma_Mbar=sigma,
         sigma_perverse_CT=sigma,
@@ -175,8 +159,8 @@ def verify_theorem_sig(
         witt=witt,
         middle_degree=mid,
         hi_middle_dim_X=hi_dims(space, m_x)[mid],
-        ih_middle_dim_X=ih_space_dims(space, m_x.value)[mid],
+        ih_middle_dim_X=ih_space_dims(space, m_x)[mid],
         hi_middle_dim_Z=hi_dims(z, m_z)[mid],
-        ih_middle_dim_Z=ih_space_dims(z, m_z.value)[mid],
+        ih_middle_dim_Z=ih_space_dims(z, m_z)[mid],
         ct_image_dim=ct_middle_image_dim(space),
     )

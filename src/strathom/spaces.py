@@ -17,16 +17,17 @@ from .qlinalg import MatrixQ
 from .stratified import TwoStrataSpace
 
 
-def _fold_blocks(link_h: GradedVS, sigma0_h: GradedVS,
-                 copies: int) -> tuple[GradedVS, GradedVS, GradedMap]:
-    """Kunneth data for Sigma = copies x Sigma0 with the fold restriction.
+def _fold_blocks(link_h: GradedVS, sigma0_h: GradedVS
+                 ) -> tuple[GradedVS, GradedVS, GradedMap]:
+    """Kunneth data for Sigma = two copies of Sigma0, the two suspension
+    points times Sigma0, with the fold restriction.
 
-    Per degree t the stratum basis lists copy 1's classes, then copy 2's,
-    and so on; the fold map sends a class of any copy to the matching class
-    of Sigma0.  The target H(M) carries the Kunneth basis of L x Sigma0, so
+    Per degree t the stratum basis lists copy 1's classes, then copy 2's;
+    the fold map sends a class of either copy to the matching class of
+    Sigma0.  The target H(M) carries the Kunneth basis of L x Sigma0, so
     source and target have a block at the same Sigma-degrees.
     """
-    sigma_h = GradedVS({t: copies * sigma0_h[t] for t in sigma0_h.degrees()})
+    sigma_h = GradedVS({t: 2 * sigma0_h[t] for t in sigma0_h.degrees()})
     m_h = link_h.convolve(sigma0_h)
     b_h = link_h.convolve(sigma_h)
     blocks = {}
@@ -51,7 +52,7 @@ def suspension_product_space(link_betti, sigma0_betti, oriented=True,
     l = link_h.top
     s = sigma0_h.top
     n = l + s + 1
-    sigma_h, m_h, fold = _fold_blocks(link_h, sigma0_h, 2)
+    sigma_h, m_h, fold = _fold_blocks(link_h, sigma0_h)
     return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h,
                           m_h=m_h, boundary_restriction=fold,
                           oriented=oriented, label=label)

@@ -38,11 +38,15 @@ conifold transition and a = j - k for HI in degree j:
 
 The reduced degree-0 group of HI fits the same formula; `hi_dims` says why.
 
+A perversity is one integer: with one singular stratum, only its value
+there matters, p(l + 1) for X and q(c) for the conifold transition.  Every
+function here takes that integer; the codimension is read off the space.
+
 All values are immutable; every operation is a pure function, so sweeps
 over perversities or degrees can run in parallel.  The records
-(`Perversity`, `IGRequest`, `DegreeVerdict`, `DualityVerdict`,
-`SpaceReport`) are `typing.NamedTuple`s: immutable tuples that compare
-equal to a plain tuple holding the same fields.
+(`DegreeVerdict`, `DualityVerdict`, `SpaceReport`) are
+`typing.NamedTuple`s: immutable tuples that compare equal to a plain tuple
+holding the same fields.
 """
 
 from __future__ import annotations
@@ -56,35 +60,6 @@ from .qlinalg import rank
 
 class ModelError(ValueError):
     """The supplied homological data cannot come from a two-strata space."""
-
-
-class _PerversityFields(NamedTuple):
-    value: int
-    codim: int
-
-
-class Perversity(_PerversityFields):
-    """An extended perversity: one integer at the single relevant codimension.
-
-    No Goresky-MacPherson growth conditions; any integer value is legal.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: int, codim: int):
-        if codim < 1:
-            raise ValueError("codimension must be >= 1")
-        return super().__new__(cls, value, codim)
-
-    def __repr__(self) -> str:
-        return f"Perversity(p({self.codim})={self.value})"
-
-
-class IGRequest(NamedTuple):
-    """Which mixed group to compute: IG^(k) in degree j."""
-
-    k: int
-    j: int
 
 
 def middle_perversities(codim: int) -> tuple[int, int]:
@@ -255,7 +230,7 @@ def gamma_rank(space: TwoStrataSpace, q_at_c: int, j: int) -> int:
     return _ker(space, j - 1, a) + _coker(space, j, a - 1)
 
 
-def ig_dims(space: TwoStrataSpace, req: IGRequest) -> int:
+def ig_dims(space: TwoStrataSpace, k: int, j: int) -> int:
     """Dimension of the mixed group IG^(k)_j of the conifold transition.
 
     IG is the direct sum of the intersection homologies at the adjacent
@@ -263,15 +238,17 @@ def ig_dims(space: TwoStrataSpace, req: IGRequest) -> int:
     dim IG = IH^q_j + IH^{q+1}_j - gamma.  With a = c - 2 - q the ranks
     cancel to IG^(k)_j = coker beta_j^(a) + ker beta_{j-1}^(a-1).
     """
-    a = space.c - 1 - req.k
-    return _coker(space, req.j, a) + _ker(space, req.j - 1, a - 1)
+    a = space.c - 1 - k
+    return _coker(space, j, a) + _ker(space, j - 1, a - 1)
 
 
 # ---------------------------------------------------------------------------
 # reduced homology of intersection spaces
 
-def hi_dims(space: TwoStrataSpace, p: Perversity) -> GradedVS:
-    """Reduced homology of the perversity-p intersection space.
+def hi_dims(space: TwoStrataSpace, p: int) -> GradedVS:
+    """Reduced homology of the intersection space of perversity p = p(l+1).
+
+    Any integer p is legal: no Goresky-MacPherson growth conditions.
 
     Mayer-Vietoris over the regular part and the cone on the Moore
     replacement of the link times the stratum, with Moore cutoff k = l - p.
@@ -289,10 +266,7 @@ def hi_dims(space: TwoStrataSpace, p: Perversity) -> GradedVS:
     kernel of the map and so lowers the rank by one, and counts inside a
     target two dimensions smaller; the extra point accounts for the rest.
     """
-    if p.codim != space.codim_sigma:
-        raise ModelError(
-            f"perversity is at codimension {p.codim}, expected {space.codim_sigma}")
-    k = space.l - p.value
+    k = space.l - p
     return GradedVS({j: _coker(space, j, j - k) + _ker(space, j - 1, j - 1 - k)
                      for j in range(0, space.n + 1)})
 
@@ -398,7 +372,7 @@ class DegreeVerdict(NamedTuple):
         return self.lhs == self.rhs
 
 
-def verify_theorem_hom(space: TwoStrataSpace, p: Perversity,
+def verify_theorem_hom(space: TwoStrataSpace, p: int,
                        degrees: range) -> list[DegreeVerdict]:
     """Check reduced HI of X against the mixed groups of its transition:
     dim HI~^p_j(X) = dim IG^(n-1-p-j)_j(CT(X)) for each requested degree.
@@ -414,11 +388,8 @@ def verify_theorem_hom(space: TwoStrataSpace, p: Perversity,
     c = n - l that index is n-1-p-j again.
     """
     hi = hi_dims(space, p)
-    out = []
-    for j in degrees:
-        k = space.n - 1 - p.value - j
-        out.append(DegreeVerdict(j, hi[j], ig_dims(space, IGRequest(k, j))))
-    return out
+    return [DegreeVerdict(j, hi[j], ig_dims(space, space.n - 1 - p - j, j))
+            for j in degrees]
 
 
 class DualityVerdict(NamedTuple):
@@ -430,40 +401,34 @@ class DualityVerdict(NamedTuple):
         return all(v.ok for v in self.hi_pairs) and all(v.ok for v in self.ih_pairs)
 
 
-def verify_duality(space: TwoStrataSpace, p: Perversity) -> DualityVerdict:
+def verify_duality(space: TwoStrataSpace, p: int) -> DualityVerdict:
     """Poincare duality sweeps at complementary extended perversities.
 
     HI: p + q = l - 1 at codimension l + 1, compared across degrees j and
-    n - j.  IH of the conifold transition: q + q* = c - 2 at codimension c.
-    Requires the model to be flagged as closed oriented.
+    n - j.  IH of the conifold transition at q = p: q + q* = c - 2 at
+    codimension c.  Requires the model to be flagged as closed oriented.
     """
     if not space.oriented:
         raise ModelError("duality requires a closed oriented model")
-    if p.codim != space.codim_sigma:
-        raise ModelError("perversity at the wrong codimension")
-    q = Perversity(space.l - 1 - p.value, p.codim)
     hi_p = hi_dims(space, p)
-    hi_q = hi_dims(space, q)
+    hi_q = hi_dims(space, space.l - 1 - p)
     hi_pairs = [DegreeVerdict(j, hi_p[j], hi_q[space.n - j])
                 for j in range(0, space.n + 1)]
-    qv = p.value
-    ih_a = ih_ct_dims(space, qv)
-    ih_b = ih_ct_dims(space, space.c - 2 - qv)
+    ih_a = ih_ct_dims(space, p)
+    ih_b = ih_ct_dims(space, space.c - 2 - p)
     ih_pairs = [DegreeVerdict(j, ih_a[j], ih_b[space.n - j])
                 for j in range(0, space.n + 1)]
     return DualityVerdict(hi_pairs, ih_pairs)
 
 
-def hodge_weights(p: Perversity, l: int, n: int, j: int) -> tuple[Fraction, Fraction]:
+def hodge_weights(p: int, l: int, n: int, j: int) -> tuple[Fraction, Fraction]:
     """Weights of the extended-harmonic-form model of HI.
 
     Returns (fibred-scattering weight, fibred-cusp weight): the scattering
     weight is (l-1)/2 - p(l+1) and the conformally related cusp weight adds
     n/2 - j.
     """
-    if p.codim != l + 1:
-        raise ModelError(f"perversity at codimension {p.codim}, expected {l + 1}")
-    c_fs = Fraction(l - 1, 2) - p.value
+    c_fs = Fraction(l - 1, 2) - p
     c_fc = Fraction(n, 2) - j + c_fs
     return c_fs, c_fc
 

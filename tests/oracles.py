@@ -361,12 +361,9 @@ def ref_hi_extreme(space, p):
     homology of Mbar itself.  Not an independent reference: link homology
     stops at degree l, so at these perversities `hi_dims` reduces to the
     same rank arithmetic on the boundary restriction."""
-    if p.codim != space.codim_sigma:
-        raise ModelError("perversity at the wrong codimension")
-    if p.value < 0:
+    if p < 0:
         return ref_les_third_dims(space.boundary_restriction)
-    if p.value >= space.l:
+    if p >= space.l:
         return space.m_h
     raise ModelError(
-        f"perversity value {p.value} is not extreme for link dimension "
-        f"{space.l}")
+        f"perversity value {p} is not extreme for link dimension {space.l}")

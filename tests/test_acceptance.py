@@ -40,8 +40,6 @@ from strathom.spaces import (
     torus_link_space,
 )
 from strathom.stratified import (
-    IGRequest,
-    Perversity,
     cone_formula,
     hi_dims,
     ig_dims,
@@ -91,7 +89,7 @@ def test_c01_table1_reproduction(capsys):
 
 
 def test_c02_hi_of_running_example():
-    hi = hi_dims(s2xt2_space(), Perversity(0, 2))
+    hi = hi_dims(s2xt2_space(), 0)
     assert hi.as_tuple(0, 4) == (0, 2, 4, 2, 0)
     _ok("criterion 2: reduced HI at p(2)=0 is (0,2,4,2,0)")
 
@@ -100,21 +98,21 @@ def test_c03_ig_list():
     sp = s2xt2_space()
     expected = {(3, 0): 0, (2, 1): 2, (1, 2): 4, (0, 3): 2, (-1, 4): 0}
     for (k, j), want in expected.items():
-        assert ig_dims(sp, IGRequest(k, j)) == want, (k, j)
+        assert ig_dims(sp, k, j) == want, (k, j)
     _ok("criterion 3: IG^(3)_0..IG^(-1)_4 equal (0,2,4,2,0)")
 
 
 def test_c04_theorem_sweep():
     sp = s2xt2_space()
     for p in range(-3, 5):
-        verdicts = verify_theorem_hom(sp, Perversity(p, 2), range(0, 5))
+        verdicts = verify_theorem_hom(sp, p, range(0, 5))
         assert all(v.ok for v in verdicts), (p, verdicts)
     rng = random.Random(20240229)
     for i in range(25):
         space = random_algebraic_space(rng, n_max=6, b_max=4)
         for p in range(-5, 8):
             verdicts = verify_theorem_hom(
-                space, Perversity(p, space.codim_sigma), range(0, space.n + 1))
+                space, p, range(0, space.n + 1))
             assert all(v.ok for v in verdicts), (i, space, p)
     _ok("criterion 4: homological theorem holds on the running example "
         "(p in -3..4) and on 25 randomized spaces (p in -5..7)")
@@ -122,7 +120,7 @@ def test_c04_theorem_sweep():
 
 def test_c05_pinched_torus():
     pt = pinched_torus_space()
-    assert hi_dims(pt, Perversity(0, 2))[1] == 2
+    assert hi_dims(pt, 0)[1] == 2
     assert ih_space_dims(pt, 0)[1] == 0
     _ok("criterion 5: pinched torus has reduced HI_1 = 2 and middle IH_1 = 0")
 
@@ -135,8 +133,8 @@ def test_c06_extremes():
     for sp in spaces:
         big = sp.n + 2
         for p in (-big, big + sp.l):
-            assert hi_dims(sp, Perversity(p, sp.codim_sigma)) == \
-                ref_hi_extreme(sp, Perversity(p, sp.codim_sigma)), (sp, p)
+            assert hi_dims(sp, p) == \
+                ref_hi_extreme(sp, p), (sp, p)
         assert ih_ct_dims(sp, -big) == sp.m_h, sp
         assert ih_ct_dims(sp, big) == ref_les_third_dims(sp.boundary_restriction)
     _ok("criterion 6: extreme perversities match the shortcut values on "
@@ -174,12 +172,12 @@ def test_c07_oracle_equivalence():
 def test_c08_duality_sweeps():
     sp = s2xt2_space()
     for p in range(-2, 4):
-        assert verify_duality(sp, Perversity(p, 2)).ok, p
+        assert verify_duality(sp, p).ok, p
     rng = random.Random(808)
     for _ in range(10):
         space = random_orientable_space(rng)
         for p in range(-2, space.l + 2):
-            assert verify_duality(space, Perversity(p, space.codim_sigma)).ok, \
+            assert verify_duality(space, p).ok, \
                 (space, p)
     _ok("criterion 8: duality holds at complementary extended perversities "
         "on the running example and randomized orientable models")
@@ -222,7 +220,7 @@ def test_c10_signatures():
 
 def test_c11_hodge_desk_scale():
     harmonic = total_ext_dims(ModeSpec(torus_dim=2)).total_dims
-    hi = hi_dims(s2xt2_space(), Perversity(0, 2)).as_tuple(0, 4)
+    hi = hi_dims(s2xt2_space(), 0).as_tuple(0, 4)
     assert harmonic == hi == (0, 2, 4, 2, 0)
     _ok("criterion 11: harmonic-mode count equals reduced HI, both "
         "(0,2,4,2,0), computed by disjoint modules")
@@ -237,7 +235,7 @@ def test_c12_scope_documented():
     # and the property coverage it points to actually exists: the weight
     # arithmetic is exact and the mode count is palindromic (self-dual)
     from strathom.stratified import hodge_weights
-    assert hodge_weights(Perversity(0, 2), 1, 4, 2) == (0, 0)
+    assert hodge_weights(0, 1, 4, 2) == (0, 0)
     dims = total_ext_dims(ModeSpec(torus_dim=3)).total_dims
     assert dims == tuple(reversed(dims))
     _ok("criterion 12: the analytic scope limitation is documented in the "

@@ -292,7 +292,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ({"kind": "isolated_cone", "link": [1, 2], "m_betti": [1, 1],
           "beta_T": {"1": [[1, 0, 0]]}}, "is 1x3, expected 1x2"),
         ({"kind": "suspension_product", "link": [0, 1], "sigma": [1, 1]},
-         "must be nonempty"),
+         ".link: must be nonempty"),
+        ({"kind": "isolated_cone", "link": [0, 2], "m_betti": [1, 1],
+          "beta_T": {}}, ".link: must be nonempty"),
+        ({"kind": "suspension_product", "link": [1, 1], "sigma": [0]},
+         ".sigma: must be nonempty"),
+        ({"kind": "suspension_product", "link": [1, 1], "sigma": []},
+         ".sigma: must be nonempty"),
         ({"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, -1],
           "beta_T": {}}, "m_betti"),
         ({"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, 1],
@@ -308,7 +314,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ({**model, "beta_T": {"1": [[1, 0]]}},
          ".beta_T: block in degree 1 is 1x2, expected 3x6"),
         ({**model, "m_betti": [0, 1], "beta_T": {"0": [[1, 1]]}},
-         ".beta_T: block in degree 0 is 1x2, expected 0x2"),
+         ".m_betti: must be nonempty"),
     ]
     for i, (data, text) in enumerate(probes):
         f = tmp_path / f"probe{i}.json"

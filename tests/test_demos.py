@@ -7,6 +7,8 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# what a demo prints for a failed check
+VERDICTS_FAILED = ("FAIL", "MISMATCH", ": False")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -17,3 +19,5 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    for failed in VERDICTS_FAILED:
+        assert failed not in proc.stdout, proc.stdout

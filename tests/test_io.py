@@ -19,7 +19,7 @@ from strathom.simplicial import (
     suspension,
 )
 from strathom.spaces import s2xt2_space, torus_link_space
-from strathom.stratified import Perversity, hi_dims, ih_ct_dims
+from strathom.stratified import hi_dims, ih_ct_dims
 
 DATA = Path(__file__).parent.parent / "src" / "strathom" / "data"
 
@@ -45,7 +45,7 @@ def test_bundled_files_match_builders():
     assert sio.load_space(sio.load_json(DATA / "st2xs1_space.json")) == \
         torus_link_space()
     hi = hi_dims(sio.load_space(sio.load_json(DATA / "pinched_torus_space.json")),
-                 Perversity(0, 2))
+                 0)
     assert hi[1] == 2
 
 
@@ -121,7 +121,7 @@ def test_suspension_product_kind_with_inline_complex():
     by_file = sio.load_space({**data, "link": {
         "file": str(DATA / "cp2_minus_ball.json")}})
     assert by_file.link_h == GradedVS([1, 0, 1])
-    assert not hi_dims(by_file, Perversity(0, by_file.codim_sigma)).is_zero()
+    assert not hi_dims(by_file, 0).is_zero()
 
 
 def test_missing_fields_name_the_field():

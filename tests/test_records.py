@@ -8,8 +8,6 @@ from strathom.signatures import SignatureReport, WittVerdict
 from strathom.stratified import (
     DegreeVerdict,
     DualityVerdict,
-    IGRequest,
-    Perversity,
     SpaceReport,
 )
 
@@ -28,8 +26,6 @@ RECORDS = {
         sigma_Z=1, all_equal=True, witt=WittVerdict(True, "link-dim-odd"),
         middle_degree=2, hi_middle_dim_X=1, ih_middle_dim_X=1,
         hi_middle_dim_Z=1, ih_middle_dim_Z=1, ct_image_dim=1), "sigma_Mbar"),
-    "Perversity": (lambda: Perversity(value=1, codim=2), "value"),
-    "IGRequest": (lambda: IGRequest(k=1, j=2), "j"),
     "DegreeVerdict": (lambda: DegreeVerdict(j=0, lhs=1, rhs=1), "lhs"),
     "DualityVerdict": (lambda: DualityVerdict(hi_pairs=[], ih_pairs=[]),
                        "hi_pairs"),
@@ -48,7 +44,6 @@ def test_records_are_immutable(name):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Perversity(0, 0),
     lambda: ModeSpec(-1),
     lambda: ModeSpec(1, mode_cutoff=0),
 ])
@@ -57,8 +52,7 @@ def test_records_validate_their_fields(make):
         make()
 
 
-def test_perversity_repr_and_defaults():
-    assert repr(Perversity(1, 2)) == "Perversity(p(2)=1)"
+def test_mode_spec_defaults():
     spec = ModeSpec(3)
     assert (spec.torus_dim, spec.weight, spec.mode_cutoff) == \
         (3, Fraction(0), 12)

@@ -16,9 +16,7 @@ from strathom.spaces import (
     torus_link_space,
 )
 from strathom.stratified import (
-    IGRequest,
     ModelError,
-    Perversity,
     TwoStrataSpace,
     annotate,
     check_lefschetz,
@@ -111,41 +109,41 @@ def test_gamma_is_surjective_in_degree_zero():
 
 def test_ig_values():
     sp = s2xt2_space()
-    assert ig_dims(sp, IGRequest(3, 0)) == 0
-    assert ig_dims(sp, IGRequest(2, 1)) == 2
-    assert ig_dims(sp, IGRequest(1, 2)) == 4
-    assert ig_dims(sp, IGRequest(0, 3)) == 2
-    assert ig_dims(sp, IGRequest(-1, 4)) == 0
+    assert ig_dims(sp, 3, 0) == 0
+    assert ig_dims(sp, 2, 1) == 2
+    assert ig_dims(sp, 1, 2) == 4
+    assert ig_dims(sp, 0, 3) == 2
+    assert ig_dims(sp, -1, 4) == 0
 
 
 def test_hi_dims_running_example():
     sp = s2xt2_space()
-    assert hi_dims(sp, Perversity(0, 2)).as_tuple(0, 4) == (0, 2, 4, 2, 0)
+    assert hi_dims(sp, 0).as_tuple(0, 4) == (0, 2, 4, 2, 0)
 
 
 def test_hi_dims_pinched_torus():
     pt = pinched_torus_space()
-    assert hi_dims(pt, Perversity(0, 2))[1] == 2
+    assert hi_dims(pt, 0)[1] == 2
     assert ih_space_dims(pt, 0)[1] == 0
 
 
 def test_hi_dims_extreme_regimes():
     sp = s2xt2_space()
     # k <= 0: homology of Mbar itself (unreduced)
-    assert hi_dims(sp, Perversity(1, 2)).as_tuple(0, 4) == (1, 3, 3, 1, 0)
-    assert hi_dims(sp, Perversity(5, 2)).as_tuple(0, 4) == (1, 3, 3, 1, 0)
+    assert hi_dims(sp, 1).as_tuple(0, 4) == (1, 3, 3, 1, 0)
+    assert hi_dims(sp, 5).as_tuple(0, 4) == (1, 3, 3, 1, 0)
     # negative: homology of the pair
-    assert hi_dims(sp, Perversity(-1, 2)).as_tuple(0, 4) == (0, 1, 3, 3, 1)
+    assert hi_dims(sp, -1).as_tuple(0, 4) == (0, 1, 3, 3, 1)
 
 
 def test_hi_extreme():
     sp = s2xt2_space()
-    assert ref_hi_extreme(sp, Perversity(-1, 2)).as_tuple(0, 4) == (0, 1, 3, 3, 1)
-    assert ref_hi_extreme(sp, Perversity(1, 2)).as_tuple(0, 4) == (1, 3, 3, 1, 0)
+    assert ref_hi_extreme(sp, -1).as_tuple(0, 4) == (0, 1, 3, 3, 1)
+    assert ref_hi_extreme(sp, 1).as_tuple(0, 4) == (1, 3, 3, 1, 0)
     cp2 = cp2_point_space()
-    assert ref_hi_extreme(cp2, Perversity(-1, 4)).as_tuple(0, 4) == (0, 0, 1, 0, 1)
+    assert ref_hi_extreme(cp2, -1).as_tuple(0, 4) == (0, 0, 1, 0, 1)
     with pytest.raises(ModelError):
-        ref_hi_extreme(sp, Perversity(0, 2))
+        ref_hi_extreme(sp, 0)
 
 
 def test_extremes_on_random_spaces():
@@ -153,10 +151,10 @@ def test_extremes_on_random_spaces():
     for _ in range(10):
         sp = random_algebraic_space(rng)
         big = sp.n + 3
-        assert hi_dims(sp, Perversity(-big, sp.codim_sigma)) == \
-            ref_hi_extreme(sp, Perversity(-big, sp.codim_sigma))
-        assert hi_dims(sp, Perversity(big, sp.codim_sigma)) == \
-            ref_hi_extreme(sp, Perversity(big, sp.codim_sigma))
+        assert hi_dims(sp, -big) == \
+            ref_hi_extreme(sp, -big)
+        assert hi_dims(sp, big) == \
+            ref_hi_extreme(sp, big)
         assert ih_ct_dims(sp, -big) == sp.m_h
         assert ih_ct_dims(sp, big) == ref_les_third_dims(sp.boundary_restriction)
 
@@ -203,8 +201,8 @@ def test_compactify_to_isolated():
     assert z.link_h == GradedVS([2, 6, 6, 2])
     assert z.s == 0 and z.l == 3 and z.n == 4
     # extremes of Z match extremes of X: both are H(Mbar, bd) / H(Mbar)
-    assert hi_dims(z, Perversity(-1, 4)) == hi_dims(sp, Perversity(-1, 2))
-    assert hi_dims(z, Perversity(z.l, 4)) == hi_dims(sp, Perversity(1, 2))
+    assert hi_dims(z, -1) == hi_dims(sp, -1)
+    assert hi_dims(z, z.l) == hi_dims(sp, 1)
     # a point stratum stays a point stratum with identical dims
     cp2 = cp2_point_space()
     z2 = compactify_to_isolated(cp2)
@@ -214,7 +212,7 @@ def test_compactify_to_isolated():
 def test_verify_theorem_hom_running_example():
     sp = s2xt2_space()
     for p in range(-3, 5):
-        verdicts = verify_theorem_hom(sp, Perversity(p, 2), range(0, 5))
+        verdicts = verify_theorem_hom(sp, p, range(0, 5))
         assert all(v.ok for v in verdicts), (p, verdicts)
 
 
@@ -224,7 +222,7 @@ def test_verify_theorem_hom_random_sweep():
         sp = random_algebraic_space(rng)
         for p in range(-5, 8):
             verdicts = verify_theorem_hom(
-                sp, Perversity(p, sp.codim_sigma), range(0, sp.n + 1))
+                sp, p, range(0, sp.n + 1))
             assert all(v.ok for v in verdicts), (sp, p, verdicts)
 
 
@@ -236,13 +234,13 @@ def test_verify_theorem_coh_matches():
         k = sp.l - p
         for j in range(0, 5):
             assert sp.c - (j + 1 - k) == sp.n - 1 - p - j
-        verdicts = verify_theorem_hom(sp, Perversity(p, 2), range(0, 5))
+        verdicts = verify_theorem_hom(sp, p, range(0, 5))
         assert all(v.ok for v in verdicts), (p, verdicts)
 
 
 def test_verify_duality_running_example():
     sp = s2xt2_space()
-    v = verify_duality(sp, Perversity(0, 2))
+    v = verify_duality(sp, 0)
     assert v.ok
     # a duality instance inside the sweep: dim IH^0_1 = dim IH^1_3 = 3
     assert ih_ct_dims(sp, 0)[1] == ih_ct_dims(sp, 1)[3] == 3
@@ -253,7 +251,7 @@ def test_verify_duality_random_orientable():
     for _ in range(10):
         sp = random_orientable_space(rng)
         for p in range(-2, sp.l + 2):
-            assert verify_duality(sp, Perversity(p, sp.codim_sigma)).ok, (sp, p)
+            assert verify_duality(sp, p).ok, (sp, p)
 
 
 def test_duality_trivial_sphere_model():
@@ -263,7 +261,7 @@ def test_duality_trivial_sphere_model():
         link = [1] + [0] * (l - 1) + [1]
         sp = isolated_cone_space(link, [1], {0: [[1]]}, label="disk-like")
         for p in range(-2, l + 2):
-            assert verify_duality(sp, Perversity(p, l + 1)).ok, (l, p)
+            assert verify_duality(sp, p).ok, (l, p)
 
 
 def test_duality_requires_oriented_flag():
@@ -271,7 +269,7 @@ def test_duality_requires_oriented_flag():
     sp = random_algebraic_space(rng)
     assert not sp.oriented
     with pytest.raises(ModelError):
-        verify_duality(sp, Perversity(0, sp.codim_sigma))
+        verify_duality(sp, 0)
 
 
 def test_lefschetz_check():
@@ -289,13 +287,11 @@ def test_lefschetz_check():
 
 
 def test_hodge_weights():
-    assert hodge_weights(Perversity(0, 2), 1, 4, 0) == (Fraction(0), Fraction(2))
-    assert hodge_weights(Perversity(1, 4), 3, 6, 0)[0] == Fraction(0)
-    assert hodge_weights(Perversity(0, 2), 1, 4, 2) == (Fraction(0), Fraction(0))
-    c_fs, c_fc = hodge_weights(Perversity(2, 4), 3, 8, 3)
+    assert hodge_weights(0, 1, 4, 0) == (Fraction(0), Fraction(2))
+    assert hodge_weights(1, 3, 6, 0)[0] == Fraction(0)
+    assert hodge_weights(0, 1, 4, 2) == (Fraction(0), Fraction(0))
+    c_fs, c_fc = hodge_weights(2, 3, 8, 3)
     assert c_fs == Fraction(-1) and c_fc == Fraction(0)
-    with pytest.raises(ModelError):
-        hodge_weights(Perversity(0, 3), 1, 4, 0)
 
 
 def test_euler_characteristic_identity():
@@ -308,7 +304,7 @@ def test_euler_characteristic_identity():
     for _ in range(8):
         sp = random_algebraic_space(rng)
         for p in range(-2, sp.l + 2):
-            hi = hi_dims(sp, Perversity(p, sp.codim_sigma))
+            hi = hi_dims(sp, p)
             k = sp.l - p
             chi_link_low = sum((-1) ** r * sp.link_h[r] for r in range(0, k))
             chi_r = (1 if k > 0 else 1 + sp.boundary_h()[0]) + sum(
@@ -460,13 +456,13 @@ def test_ig_dims_is_ih_sum_minus_gamma():
             for j in range(0, sp.n + 1):
                 expected = (_ih_oracle(sp, q, j) + _ih_oracle(sp, q + 1, j)
                             - _gamma_oracle(sp, q, j))
-                assert ig_dims(sp, IGRequest(k, j)) == expected, (sp, k, j)
+                assert ig_dims(sp, k, j) == expected, (sp, k, j)
 
 
 def test_hi_dims_matches_explicit_matrices():
     for sp in _oracle_draws():
         for p in range(-2, sp.l + 3):
-            assert hi_dims(sp, Perversity(p, sp.codim_sigma)).as_tuple(0, sp.n) \
+            assert hi_dims(sp, p).as_tuple(0, sp.n) \
                 == _hi_oracle(sp, p), (sp, p)
 
 
@@ -483,5 +479,5 @@ def test_equivalent_cutoffs_share_one_rank_cache_entry():
     ih_ct_dims(sp, -5)
     entries = len(sp._rank_cache)
     ih_ct_dims(sp, -9)
-    hi_dims(sp, Perversity(9, sp.codim_sigma))
+    hi_dims(sp, 9)
     assert len(sp._rank_cache) == entries
