@@ -1,22 +1,21 @@
-"""Command-line front end.
-
-Verbs: homology, ih, hi, ig, table, verify, ih-direct, signature, hodge,
-modes, conifold-transition.  Every run emits either a human-readable table
-or, with --json, a machine-readable report; both carry the same numbers,
-plus a provenance block naming the input files, their hashes and the
-options.  Exit codes: 0 success, 1 a verification verdict failed, 2 bad
-input (a malformed field, a flag the verb does not read, or a model that
-fails a load check such as Poincare-Lefschetz duality).
-"""
+"""Command-line front end: `strathom [--json] VERB [INPUT] [--flag value
+| --flag=value ...]`.  One table, `_VERBS`, holds each verb's handler,
+help line, input file and flags (converter, required mark, default);
+`parse_args` and `--help` read it.  Every run emits either a human-readable
+table or, with --json, a machine-readable report; both carry the same
+numbers, plus a provenance block naming the input files, their hashes and
+the options.  Exit codes: 0 success, 1 a verification verdict failed, 2 bad
+input (a malformed command line or field, a flag the verb does not read,
+or a model that fails a load check such as Poincare-Lefschetz duality)."""
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import io as sio
 from . import modes, signatures, simplicial, stratified
@@ -284,121 +283,140 @@ def cmd_conifold_transition(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
 def _nonnegative_int(text: str) -> int:
     if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {text!r}")
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 
 
 def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="strathom",
-        description="exact intersection-space / intersection-homology "
-                    "calculator for two-strata pseudomanifolds")
-    ap.add_argument("--json", action="store_true",
-                    help="emit a machine-readable report")
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("homology", cmd_homology, help="Betti numbers of a triangulation")
-    p.add_argument("input")
-
-    p = add("ih", cmd_ih, help="intersection homology of the conifold "
-                               "transition of a space model")
-    p.add_argument("input")
-    p.add_argument("--q", type=int)
-    p.add_argument("--q-range")
-
-    p = add("hi", cmd_hi, help="reduced intersection-space homology")
-    p.add_argument("input")
-    p.add_argument("--p", type=int)
-    p.add_argument("--p-range")
-
-    p = add("ig", cmd_ig, help="mixed IG groups of the conifold transition")
-    p.add_argument("input")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--degrees")
-
-    p = add("table", cmd_table, help="perversity sweep table with map "
-                                     "annotations")
-    p.add_argument("input")
-    p.add_argument("--q-range")
-
-    p = add("verify", cmd_verify, help="run a theorem verifier")
-    p.add_argument("input")
-    p.add_argument("--theorem", choices=list(_VERIFY_READS),
-                   required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--degrees")
-    p.add_argument("--pairing")
-
-    p = add("ih-direct", cmd_ih_direct,
-            help="brute-force intersection homology of a triangulation")
-    p.add_argument("input")
-    p.add_argument("--p", type=int)
-    p.add_argument("--p-range")
-    p.add_argument("--subdivide", type=_nonnegative_int, default=1)
-
-    p = add("signature", cmd_signature, help="signature-equality report")
-    p.add_argument("input")
-    p.add_argument("--pairing", required=True)
-
-    p = add("hodge", cmd_hodge, help="extended-harmonic weight conversions")
-    p.add_argument("input")
-    p.add_argument("--p", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--degrees")
-
-    p = add("modes", cmd_modes, help="harmonic-mode count on the cylinder "
-                                     "times a torus")
-    p.add_argument("--torus-dim", type=_nonnegative_int, required=True)
-    p.add_argument("--mode-cutoff", type=_positive_int, default=12)
-    p.add_argument("--weight", default="0")
-
-    p = add("conifold-transition", cmd_conifold_transition,
-            help="emit the swapped space model")
-    p.add_argument("input")
-    return ap
+def _theorem(text: str) -> str:
+    if text not in _VERIFY_READS:
+        raise ValueError(f"invalid choice {text!r} (choose from "
+                         f"{', '.join(_VERIFY_READS)})")
+    return text
 
 
-_DASH_RANGE = re.compile(r"^-\d+\.\.-?\d+$")
+_INT, _TEXT = (_integer, False, None), (str, False, None)
+
+# verb: (handler, help, takes an input file, {flag: (convert, required,
+# default)})
+_VERBS = {
+    "homology": (cmd_homology, "Betti numbers of a triangulation", True, {}),
+    "ih": (cmd_ih, "intersection homology of the conifold transition of a "
+                   "space model", True, {"q": _INT, "q-range": _TEXT}),
+    "hi": (cmd_hi, "reduced intersection-space homology", True,
+           {"p": _INT, "p-range": _TEXT}),
+    "ig": (cmd_ig, "mixed IG groups of the conifold transition", True,
+           {"k": (_integer, True, None), "degree": _INT, "degrees": _TEXT}),
+    "table": (cmd_table, "perversity sweep table with map annotations", True,
+              {"q-range": _TEXT}),
+    "verify": (cmd_verify, "run a theorem verifier", True,
+               {"theorem": (_theorem, True, None), "p": _INT,
+                "degrees": _TEXT, "pairing": _TEXT}),
+    "ih-direct": (cmd_ih_direct, "brute-force intersection homology of a "
+                                 "triangulation", True,
+                  {"p": _INT, "p-range": _TEXT,
+                   "subdivide": (_nonnegative_int, False, 1)}),
+    "signature": (cmd_signature, "signature-equality report", True,
+                  {"pairing": (str, True, None)}),
+    "hodge": (cmd_hodge, "extended-harmonic weight conversions", True,
+              {"p": _INT, "degree": _INT, "degrees": _TEXT}),
+    "modes": (cmd_modes, "harmonic-mode count on the cylinder times a torus",
+              False, {"torus-dim": (_nonnegative_int, True, None),
+                      "mode-cutoff": (_positive_int, False, 12),
+                      "weight": (str, False, "0")}),
+    "conifold-transition": (cmd_conifold_transition,
+                            "emit the swapped space model", True, {}),
+}
 
 
-def _merge_range_values(argv: list[str]) -> list[str]:
-    """Join '--flag -1..2' into '--flag=-1..2' so argparse does not read the
-    value as an option."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok.startswith("--") and "=" not in tok and i + 1 < len(argv)
-                and _DASH_RANGE.match(argv[i + 1])):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _fail(message: str):
+    sys.stderr.write(f"strathom: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help(args) -> int:
+    """The verbs, or the flags of `args.verb`, from the table."""
+    if args.verb is None:
+        head = "VERB [INPUT] [--FLAG VALUE ...]  (VERB --help: its flags)"
+        rows = {verb: spec[1] for verb, spec in _VERBS.items()}
+    else:
+        _, text, takes_input, flags = _VERBS[args.verb]
+        head = (f"{args.verb}{' INPUT' * takes_input} [--FLAG VALUE | "
+                f"--FLAG=VALUE ...]\n  {text}")
+        rows = {f"--{flag}": "required" if required else
+                "optional" if default is None else f"default {default}"
+                for flag, (_, required, default) in flags.items()}
+    sys.stdout.write(f"usage: strathom [--json] {head}\n" + "".join(
+        f"  {name:<20} {text}\n" for name, text in rows.items()))
+    return 0
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The handler `fn` with `json`, `input` and the verb's flags (dashes as
+    underscores, an absent flag at its default).  The token after a flag is
+    its value, even when it starts with '-'; the last repeat of a flag wins;
+    `-h`/`--help` selects `_help`.  A malformed line writes `strathom:
+    error: ...` to stderr and exits 2."""
+    args = SimpleNamespace(json=False)
+    tokens = iter(argv)
+    for verb in tokens:
+        if verb in ("-h", "--help"):
+            return SimpleNamespace(fn=_help, verb=None)
+        if verb != "--json":
+            break
+        args.json = True
+    else:
+        verb = ""
+    if verb not in _VERBS:
+        _fail(f"expected a verb ({', '.join(_VERBS)}), got {verb!r}")
+    args.fn, _, takes_input, flags = _VERBS[verb]
+    values, inputs = {}, []
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return SimpleNamespace(fn=_help, verb=verb)
+        if not token.startswith("-"):
+            inputs.append(token)
+            continue
+        name, eq, text = token.partition("=")
+        flag = name.removeprefix("--")
+        if flag == name or flag not in flags:
+            _fail(f"{verb}: unknown flag {name}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                _fail(f"argument --{flag}: expected a value")
+        try:
+            values[flag] = flags[flag][0](text)
+        except ValueError as e:
+            _fail(f"argument --{flag}: {e}")
+    for flag, (_, required, default) in flags.items():
+        if required and flag not in values:
+            _fail(f"{verb}: the flag --{flag} is required")
+        setattr(args, flag.replace("-", "_"), values.get(flag, default))
+    if len(inputs) != takes_input:
+        _fail(f"{verb}: takes {'one' if takes_input else 'no'} input file, "
+              f"got {inputs}")
+    if takes_input:
+        args.input = inputs[0]
+    return args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = ap.parse_args(_merge_range_values(list(argv)))
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as e:

@@ -99,7 +99,10 @@ def matrix_from_rows(rows, where: str) -> MatrixQ:
 
 
 def matrix_to_rows(m: MatrixQ) -> list[list]:
-    return [[_rational_out(v) for v in row] for row in m.to_rows()]
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.items():
+        out[i][j] = _rational_out(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +268,11 @@ def _space_from(data: dict, where: str,
                            base)
         sigma = _betti_from(_require(data, "sigma", where), f"{where}.sigma",
                             base)
+        boundary = GradedVS(link).convolve(GradedVS(sigma)).as_tuple()
+        if oriented and boundary != boundary[::-1]:
+            raise InputError(
+                f"{where}.link and .sigma: the Betti numbers {list(boundary)} "
+                "of link x sigma are not Poincare dual")
         return spaces.suspension_product_space(link, sigma, oriented=oriented,
                                                label=label)
     if kind == "isolated_cone":
@@ -371,4 +379,6 @@ def load_json(path) -> dict:
 
 
 def dump_canonical(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    # no indent: any indent makes json.dumps fall back to its pure-Python
+    # encoder, several times slower on a dense beta_T
+    return json.dumps(data, sort_keys=True) + "\n"

@@ -268,13 +268,34 @@ def test_input_errors_exit_2(capsys, tmp_path):
                              "--weight", weight)
         assert code == 2 and out == "", (weight, err)
         assert "--weight" in err and "Traceback" not in err, (weight, err)
-    for flag, argv in (("--torus-dim", ["--torus-dim", "-1"]),
-                       ("--mode-cutoff", ["--torus-dim", "1",
-                                          "--mode-cutoff", "0"])):
+    # command-line refusals: exit 2, naming the flag, verb or input
+    for flag, argv in (
+            ("--torus-dim", ["modes", "--torus-dim", "-1"]),
+            ("--mode-cutoff", ["modes", "--torus-dim", "1",
+                               "--mode-cutoff", "0"]),
+            ("'frob'", ["frob", space_file()]),
+            ("got ''", ["--json"]),
+            ("--theo", ["verify", space_file(), "--theo", "hom"]),
+            ("--json", ["hi", space_file(), "--p", "0", "--json"]),
+            ("-p", ["hi", space_file(), "-p", "0"]),
+            ("--p: expected a value", ["hi", space_file(), "--p"]),
+            ("--p: expected an integer", ["hi", space_file(), "--p", "x"]),
+            ("--k: expected an integer", ["ig", space_file(), "--k=1.5"]),
+            ("'coh'", ["verify", space_file(), "--theorem=coh"]),
+            ("--subdivide", ["ih-direct", space_file(), "--subdivide=-1"]),
+            ("--k is required", ["ig", space_file(), "--degree", "1"]),
+            ("--theorem is required", ["verify", space_file(), "--p", "0"]),
+            ("--pairing is required", ["signature", space_file()]),
+            ("--torus-dim is required", ["modes"]),
+            ("hi: takes one input file, got []", ["hi", "--p", "0"]),
+            ("hi: takes one input file", ["hi", "a", "b", "--p", "0"]),
+            ("modes: takes no input file",
+             ["modes", space_file(), "--torus-dim", "1"])):
         with pytest.raises(SystemExit) as exc:
-            main(["modes", *argv])
-        err = capsys.readouterr().err
-        assert exc.value.code == 2 and flag in err, (flag, err)
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", (argv, err)
+        assert err.startswith("strathom: error: ") and flag in err, (argv, err)
     both = ("--degree", "1", "--degrees", "0..2")
     for argv, text in (
             (("ig", space_file(), "--k", "1", *both), "--degree or --degrees"),
@@ -315,6 +336,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
          ".beta_T: block in degree 1 is 1x2, expected 3x6"),
         ({**model, "m_betti": [0, 1], "beta_T": {"0": [[1, 1]]}},
          ".m_betti: must be nonempty"),
+        ({"kind": "suspension_product", "link": [1, 2], "sigma": [1, 1]},
+         ".link and .sigma: the Betti numbers [1, 3, 2] of link x sigma are "
+         "not Poincare dual"),
+        ({"kind": "suspension_product", "link": [1, 1], "sigma": [1, 2]},
+         ".link and .sigma: the Betti numbers [1, 3, 2]"),
     ]
     for i, (data, text) in enumerate(probes):
         f = tmp_path / f"probe{i}.json"
@@ -376,6 +402,37 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2, (field, err)
         assert f".{field}" in err and "Traceback" not in err, (field, err)
+
+
+def test_flag_forms_parse_alike(capsys):
+    """--flag=value equals --flag value, a value may start with '-', and the
+    last repeat of a flag wins."""
+    cone = str(DATA / "cone_torus.json")
+    for same in ((("hi", space_file(), "--p", "-1"),
+                  ("hi", "--p=-1", space_file()),
+                  ("hi", space_file(), "--p", "3", "--p", "-1")),
+                 (("ih-direct", cone, "--p-range", "-1..2", "--subdivide", "0"),
+                  ("ih-direct", cone, "--p-range=-1..2", "--subdivide=0")),
+                 (("modes", "--torus-dim", "1", "--mode-cutoff", "4"),
+                  ("modes", "--mode-cutoff=4", "--torus-dim=1"))):
+        reports = [run_json(capsys, *argv) for argv in same]
+        assert all(code == 0 for code, _, _ in reports), reports
+        assert all(data == reports[0][1] for _, data, _ in reports)
+    _, data, _ = run_json(capsys, "hi", space_file(), "--p", "-1")
+    assert list(data["result"]["hi"]) == ["-1"]
+    _, data, _ = run_json(capsys, "ih-direct", cone, "--p-range", "-1..2")
+    assert list(data["result"]["ih"]) == ["-1", "0", "1", "2"]
+
+
+def test_help_lists_the_verbs_and_their_flags(capsys):
+    from strathom.cli import _VERBS
+    for argv in (["--help"], ["--json", "-h"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and all(f"  {verb} " in out for verb in _VERBS)
+    for verb, (_, text, _, flags) in _VERBS.items():
+        code, out, _ = run(capsys, verb, "--help")
+        assert code == 0 and text in out, verb
+        assert all(f"  --{flag} " in out for flag in flags), (verb, out)
 
 
 def test_readme_command_line_examples_run(capsys):
@@ -477,6 +534,31 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stdout)["result"]["hi"]["0"] == [0, 2, 4, 2, 0]
     # runpy warns when the module it runs is already in sys.modules
     assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
+
+def test_command_skips_argparse_gettext_and_locale():
+    """`python -m strathom` reads its command line from the verb table, so
+    no command pays for importing argparse and the gettext and locale
+    modules it loads."""
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
+    probe = (
+        "import runpy, sys\n"
+        "sys.argv = ['strathom', '--json', 'hodge', sys.argv[1], '--p', '0']\n"
+        "try:\n"
+        "    runpy.run_module('strathom', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as e:\n"
+        "    code = e.code\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & "
+        "set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, space_file()],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
