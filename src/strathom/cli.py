@@ -234,8 +234,6 @@ def cmd_signature(args) -> int:
 
 def cmd_hodge(args) -> int:
     space = _load_space(args.input)
-    if args.p is None:
-        raise sio.InputError("--p is required for hodge")
     degrees = _degrees(args.degree, args.degrees, space.n)
     rows = {}
     for j in degrees:
@@ -333,7 +331,7 @@ _VERBS = {
     "signature": (cmd_signature, "signature-equality report", True,
                   {"pairing": (str, True, None)}),
     "hodge": (cmd_hodge, "extended-harmonic weight conversions", True,
-              {"p": _INT, "degree": _INT, "degrees": _TEXT}),
+              {"p": (_integer, True, None), "degree": _INT, "degrees": _TEXT}),
     "modes": (cmd_modes, "harmonic-mode count on the cylinder times a torus",
               False, {"torus-dim": (_nonnegative_int, True, None),
                       "mode-cutoff": (_positive_int, False, 12),

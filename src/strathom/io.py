@@ -92,6 +92,8 @@ def _rational_out(x: int | Fraction):
 
 
 def matrix_from_rows(rows, where: str) -> MatrixQ:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InputError(f"{where}: expected a list of rows, each a list")
     try:
         return MatrixQ.from_rows(rows)
     except (TypeError, ValueError, ZeroDivisionError) as e:

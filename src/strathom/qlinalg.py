@@ -4,21 +4,21 @@ Everything downstream (homology dimensions, Mayer-Vietoris bookkeeping,
 signatures) reduces to ranks, kernels, images and congruence
 diagonalization computed here.  A value is an `int`, or a reduced
 `fractions.Fraction` whose denominator is not 1.  A caller's value is
-checked and coerced (`as_rational`) at three doors: `MatrixQ(...)`,
-`IncrementalSpan.add` and `solve`.  A matrix derived from a valid one
-(transpose, submatrix, negation, hstack) inherits the contract without a
-second check, and every value handed back follows it, so the ±1 boundary
-matrices of a triangulation hold plain `int`s.  One reduction loop,
-`IncrementalSpan.add`, serves every rank: it reduces exact Python `int`
-rows (a row holding a `Fraction` is scaled by the lcm of its
-denominators), fraction-free in the sense of Bareiss, always at the least
-coordinate of the support.  rank, kernel_basis, image_basis and solve feed
-it the rows of a matrix, so their pivots are the leftmost independent
-columns; `column_lows`, the left-to-right column reduction of persistence,
-feeds it the columns.  `solve` reads a kernel vector of [m | b], so one
-back-substitution serves `kernel_basis` and `solve`; it divides in
-`Fraction` only by a non-unit pivot.  There are no floats, no tolerances
-and no modular shortcut anywhere: a rank is a rank.
+checked and coerced (`as_rational`) at two doors, `MatrixQ(...)` and
+`solve`.  A matrix derived from a valid one (transpose, submatrix,
+negation, hstack) inherits the contract without a second check, and every
+value handed back follows it, so the ±1 boundary matrices of a
+triangulation hold plain `int`s.  One reduction loop, `IncrementalSpan.add`,
+serves every rank and checks no value again, as it is fed only the entries
+of a `MatrixQ`.  It reduces exact Python `int` rows (a row holding a
+`Fraction` is scaled by the lcm of its denominators), fraction-free in the
+sense of Bareiss, always at the least coordinate of the support.  rank,
+kernel_basis, image_basis and solve feed it the rows of a matrix, so their
+pivots are the leftmost independent columns; `column_lows`, the
+left-to-right column reduction of persistence, feeds it the columns.
+`solve` reads a kernel vector of [m | b], so one back-substitution serves
+both; it divides in `Fraction` only by a non-unit pivot.  No floats, no
+tolerances and no modular shortcut anywhere: a rank is a rank.
 
 Values are immutable after construction and safe to share across threads;
 all operations are pure functions.
@@ -269,18 +269,16 @@ class IncrementalSpan:
     re-running a full elimination per candidate.
     """
 
-    __slots__ = ("ambient_dim", "_rows")
+    __slots__ = ("_rows",)
 
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
+    def __init__(self):
         # pivot coordinate -> primitive integer multiple of the reduced vector
         self._rows: dict[int, dict] = {}
 
     def add(self, vec: Mapping) -> bool:
-        r = _integral({i: as_rational(v) for i, v in vec.items() if v})
-        for i in r:
-            if not (0 <= i < self.ambient_dim):
-                raise DimensionMismatch("vector outside ambient dimension")
+        """Precondition, not checked: `vec` maps nonnegative coordinates to
+        `int`s or `Fraction`s, as a row of a `MatrixQ` does."""
+        r = _integral({i: v for i, v in vec.items() if v})
         while r:
             c = min(r)
             pivot = self._rows.get(c)
@@ -313,7 +311,7 @@ def _echelon(m: MatrixQ) -> dict[int, dict]:
     rows = [{} for _ in range(m.rows)]
     for (i, j), v in m._e.items():
         rows[i][j] = v
-    span = IncrementalSpan(m.cols)
+    span = IncrementalSpan()
     for row in reversed(rows):
         span.add(row)
     return span._rows
@@ -426,7 +424,7 @@ def column_lows(m: MatrixQ, skip: Container[int] = ()) -> dict[int, int]:
     top = m.rows - 1
     for (i, j), v in m._e.items():
         cols[j][top - i] = v
-    span = IncrementalSpan(m.rows)
+    span = IncrementalSpan()
     lows = {}
     for j, col in enumerate(cols):
         if j not in skip and span.add(col):

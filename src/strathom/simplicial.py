@@ -18,10 +18,10 @@ this is pinned against.  Each `StratifiedComplex` memoizes what the oracle
 reads: the Sigma-face dimension of every simplex, and per degree the
 (face dimension of the column, face dimension of its low) pairs of the
 truncated boundary, ordered by face dimension: the differential of the
-relative complex C(K)/C(Sigma), reduced by the one clearing routine
-`chains.cleared_lows`.  Every rank pair (rank C_d, rank D_d) of every
-perversity is a count over those pairs, so a sweep builds and reduces each
-degree once.
+relative complex C(K)/C(Sigma).  Every rank pair (rank C_d, rank D_d) of
+every perversity is a count over those pairs, so a sweep builds and reduces
+each degree once.  Both it and `betti_numbers` (the `homology` command)
+count the lows of the one clearing routine `chains.cleared_lows`.
 """
 
 from __future__ import annotations
@@ -142,9 +142,12 @@ def chain_complex_of(s: SimplicialComplex) -> ChainComplex:
 
 def betti_numbers(obj) -> list[int]:
     """Betti numbers in degrees 0..dim of a complex, or of the complex under
-    a StratifiedComplex or an OrientedPseudomanifoldWithBoundary."""
+    a StratifiedComplex or an OrientedPseudomanifoldWithBoundary, from the
+    lows of `cleared_lows` as in `ih_direct`; d o d = 0 by the sign rule."""
     cx = obj if isinstance(obj, SimplicialComplex) else obj.complex
-    return list(chain_complex_of(cx).homology().as_tuple(0, cx.dim))
+    lows = cleared_lows(range(1, cx.dim + 1), lambda d: boundary_matrix(cx, d))
+    return [cx.n_simplices(d) - len(lows.get(d, ())) - len(lows.get(d + 1, ()))
+            for d in range(cx.dim + 1)]
 
 
 class StratifiedComplex:
@@ -388,10 +391,10 @@ class OrientedPseudomanifoldWithBoundary:
     """A triangulated oriented pseudomanifold with (possibly empty) boundary.
 
     Construction checks that every interior codimension-1 simplex has
-    exactly two top cofaces and every boundary one exactly one, and that
-    the fundamental chain's boundary is supported in the boundary
-    subcomplex.  If no orientation is supplied, one is propagated from the
-    lexicographically first facet.
+    exactly two top cofaces and every boundary one exactly one.  A supplied
+    orientation must be +-1 with its fundamental chain's boundary in the
+    boundary subcomplex; one propagated from the lexicographically first
+    facet is coherent as built, each interior face checked as it spreads.
     """
 
     __slots__ = ("complex", "boundary", "orientation")
@@ -430,9 +433,9 @@ class OrientedPseudomanifoldWithBoundary:
                     f"{len(cf)} top cofaces, expected {expected}")
 
         if orientation is None:
-            signs = self._propagate(tops, cofaces)
-        else:
-            signs = {t: int(orientation[t]) for t in tops}
+            self.orientation = self._propagate(tops, cofaces)
+            return
+        signs = {t: int(orientation[t]) for t in tops}
         if any(x not in (1, -1) for x in signs.values()):
             raise OrientationError("orientation signs must be +-1")
         self.orientation = signs
@@ -456,8 +459,7 @@ class OrientedPseudomanifoldWithBoundary:
                             continue
                         # coherent: induced boundary orientations must cancel;
                         # face carries sign (-1)**i in t and (-1)**j in other
-                        induced_here = (-1) ** i * signs[t]
-                        s_other = -induced_here * (1 if j % 2 == 0 else -1)
+                        s_other = -(-1) ** (i + j) * signs[t]
                         if other in signs:
                             if signs[other] != s_other:
                                 raise OrientationError(

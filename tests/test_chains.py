@@ -460,9 +460,13 @@ def test_one_clearing_routine_and_one_span_driver():
     """The clearing lemma is stated and used in one place: `column_lows` is
     given a skip set only by `chains.cleared_lows`, and `IncrementalSpan`,
     the reduction loop under every rank and low, is named only inside
-    `qlinalg`."""
+    `qlinalg`.  A value is coerced only at its doors, `MatrixQ(...)` and
+    `solve`, and by `_quotient`, which hands back a quotient: no
+    `as_rational` runs in the reduction loop, and an `IncrementalSpan`
+    takes no argument, so it has no bounds to check either."""
     src = Path(__file__).parent.parent / "src" / "strathom"
     span_modules, skip_callers = set(), set()
+    coercers, span_builds = set(), []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
@@ -480,5 +484,12 @@ def test_one_clearing_routine_and_one_span_driver():
                 if name == "column_lows" and (len(call.args) > 1
                                               or call.keywords):
                     skip_callers.add(f"{path.stem}.{where}")
+                if name == "as_rational":
+                    coercers.add(f"{path.stem}.{where}")
+                if name == "IncrementalSpan":
+                    span_builds.append(call.args + call.keywords)
     assert span_modules == {"qlinalg"}
     assert skip_callers == {"chains.cleared_lows"}
+    assert coercers == {"qlinalg.MatrixQ.__init__", "qlinalg.solve",
+                        "qlinalg._quotient"}
+    assert span_builds and not any(span_builds)

@@ -287,6 +287,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
             ("--theorem is required", ["verify", space_file(), "--p", "0"]),
             ("--pairing is required", ["signature", space_file()]),
             ("--torus-dim is required", ["modes"]),
+            ("--p is required", ["hodge", space_file()]),
             ("hi: takes one input file, got []", ["hi", "--p", "0"]),
             ("hi: takes one input file", ["hi", "a", "b", "--p", "0"]),
             ("modes: takes no input file",
@@ -302,7 +303,6 @@ def test_input_errors_exit_2(capsys, tmp_path):
             (("hodge", space_file(), "--p", "0", *both),
              "--degree or --degrees"),
             (("hi", space_file()), "missing --p or --p-range"),
-            (("hodge", space_file()), "--p is required for hodge"),
             (("verify", space_file(), "--theorem", "duality"),
              "--p is required for --theorem duality")):
         code, out, err = run(capsys, *argv)
@@ -341,6 +341,14 @@ def test_input_errors_exit_2(capsys, tmp_path):
          "not Poincare dual"),
         ({"kind": "suspension_product", "link": [1, 1], "sigma": [1, 2]},
          ".link and .sigma: the Betti numbers [1, 3, 2]"),
+        # a row is a JSON list: not a string read by characters, nor an
+        # object read by its keys
+        ({"kind": "isolated_cone", "link": [2, 2], "m_betti": [1, 1],
+          "beta_T": {"0": ["11"], "1": ["11"]}},
+         ".beta_T[0]: expected a list of rows"),
+        ({**model, "beta_T": {"1": [{"1": 0, "2": 0}]}},
+         ".beta_T[1]: expected a list of rows"),
+        ({**model, "beta_T": {"0": "11"}}, ".beta_T[0]: expected a list"),
     ]
     for i, (data, text) in enumerate(probes):
         f = tmp_path / f"probe{i}.json"
@@ -387,7 +395,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
     # a malformed pairing matrix exits 2 naming the field, whatever the space
     for i, (data, field) in enumerate((
             ({"degree": -1, "matrix": [[1]]}, "degree"),
-            ({"degree": 2, "matrix": [[1, 2], [3, 1]]}, "matrix"))):
+            ({"degree": 2, "matrix": [[1, 2], [3, 1]]}, "matrix"),
+            ({"degree": 2, "matrix": ["1"]}, "matrix: expected a list of rows"),
+            ({"degree": 2, "matrix": {"0": [1]}}, "matrix"))):
         f = tmp_path / f"pairing{i}.json"
         f.write_text(json.dumps(data))
         for stem in ("s2xt2_space", "st2xs1_space"):

@@ -217,7 +217,7 @@ def _assert_engine_matches_reference(m, rng):
     vecs = cols + [{i: 2 * a.get(i, 0) - 3 * b.get(i, 0)
                     for i in a.keys() | b.keys()}
                    for a, b in zip(cols, cols[1:])]
-    span = IncrementalSpan(m.rows)
+    span = IncrementalSpan()
     verdicts = [span.add(v) for v in vecs]
     assert verdicts == ref_span_verdicts(m.rows, vecs)
     assert len(span.pivots) == sum(verdicts) == rank(

@@ -1,16 +1,21 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from strathom import catalog, chains, simplicial
+from strathom import io as sio
 from strathom.chains import GradedVS
+from strathom.qlinalg import MatrixQ
 from strathom.simplicial import (
     OrientationError,
     OrientedPseudomanifoldWithBoundary,
     SimplicialComplex,
     StratifiedComplex,
     barycentric_subdivide,
+    betti_numbers,
+    boundary_matrix,
     chain_complex_of,
     cone,
     cup_pairing,
@@ -308,3 +313,82 @@ def test_facets_match_brute_force_scan():
     assert dangling.facets() == [(idx["c"], idx["d"]),
                                  (idx["a"], idx["b"], idx["c"])]
     assert len(catalog.cp2_9().facets()) == 36
+
+
+def _complex_family(rng):
+    """Catalog complexes, cones and suspensions, staircase products,
+    barycentric subdivisions and seeded random complexes."""
+    out = [catalog.circle(), catalog.interval(), catalog.sphere_boundary(2),
+           catalog.sphere_boundary(3), catalog.torus7(), catalog.cp2_9(),
+           catalog.cp2_minus_facet().complex, catalog.disk2().complex,
+           catalog.i_x_s1_x_t2().complex]
+    for base in (catalog.circle(), catalog.torus7(), sphere2()):
+        out += [cone(base).complex, suspension(base).complex,
+                barycentric_subdivide(cone(base)).complex,
+                barycentric_subdivide(StratifiedComplex(base, [], 1)).complex]
+    out += [product_complex(catalog.circle(), catalog.circle()),
+            product_complex(catalog.interval(), catalog.torus7()),
+            product_complex(cone(catalog.circle()).complex, catalog.circle())]
+    for _ in range(30):
+        n = rng.randrange(1, 9)
+        tops = [rng.sample(range(n), rng.randrange(1, min(n, 5) + 1))
+                for _ in range(rng.randrange(1, 10))]
+        out.append(SimplicialComplex([str(v) for v in range(n)],
+                                     [[str(v) for v in t] for t in tops]))
+    return out
+
+
+def test_boundary_matrices_square_to_zero():
+    """d o d = 0 in every adjacent pair of degrees: the sign rule of
+    `boundary_matrix`, which `betti_numbers` relies on and never re-proves."""
+    for cx in _complex_family(random.Random(17)):
+        for d in range(2, cx.dim + 1):
+            product = boundary_matrix(cx, d - 1) @ boundary_matrix(cx, d)
+            assert product.is_zero(), (cx, d)
+
+
+def test_betti_numbers_match_the_chain_complex():
+    for cx in _complex_family(random.Random(19)):
+        assert betti_numbers(cx) == list(
+            chain_complex_of(cx).homology().as_tuple(0, cx.dim)), cx
+
+
+def test_betti_numbers_multiply_no_matrices(monkeypatch):
+    """`betti_numbers` reads the cleared lows alone: no `ChainComplex`, no
+    d o d product."""
+    data = Path(__file__).parent.parent / "src" / "strathom" / "data"
+    pm = sio.load_complex(sio.load_json(data / "ixs1xt2.json"))
+
+    def refuse(*args):
+        raise AssertionError("betti_numbers built a product or a complex")
+
+    monkeypatch.setattr(MatrixQ, "__matmul__", refuse)
+    monkeypatch.setattr(chains.ChainComplex, "__init__", refuse)
+    assert betti_numbers(pm) == [1, 3, 3, 1, 0]
+
+
+def test_propagated_orientation_passes_the_supplied_checks(monkeypatch):
+    """A propagated orientation is coherent as built: passed back as a
+    supplied one it passes the +-1 and fundamental-chain checks, which run
+    only on a supplied orientation."""
+    checked = []
+    check = OrientedPseudomanifoldWithBoundary._check_fundamental_chain
+
+    def recording_check(self, *args):
+        checked.append(self)
+        return check(self, *args)
+
+    monkeypatch.setattr(OrientedPseudomanifoldWithBoundary,
+                        "_check_fundamental_chain", recording_check)
+    built = [catalog.disk2(), OrientedPseudomanifoldWithBoundary(
+        catalog.torus7()), catalog.cp2_minus_facet(), catalog.i_x_s1_x_t2()]
+    assert checked == []
+    for pm in built:
+        cx = pm.complex
+        again = OrientedPseudomanifoldWithBoundary(
+            cx, [cx.labels(s) for s in pm.boundary],
+            orientation=pm.orientation)
+        assert checked[-1] is again
+        assert again.orientation == pm.orientation and \
+            again.boundary == pm.boundary
+    assert len(checked) == len(built)
