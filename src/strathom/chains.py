@@ -3,35 +3,29 @@
 This module is the homological middle layer: finitely supported graded
 dimensions (`GradedVS`), degreewise linear maps (`GradedMap`), chain
 complexes with checked square-zero differentials, Betti numbers by rank,
-mapping cones, tensor products with Koszul signs and truncation of graded
-data.  `cleared_lows` is the one cleared column reduction: homology counts
-its lows, `ih_direct` reads them, and the representative cycles of induced
-maps and the cup pairing vanish on them.  The Mayer-Vietoris dimensions
-downstream are rank arithmetic on the boundary restriction, in `stratified`.
+tensor products with Koszul signs and truncation of graded data.
+`cleared_lows` is the one cleared column reduction: homology counts its
+lows, `ih_direct` reads them, and the representative cocycles of the cup
+pairing vanish on them.  The Mayer-Vietoris dimensions downstream are rank
+arithmetic on the boundary restriction, in `stratified`; no chain map,
+induced map or mapping cone is built anywhere.  `ChainComplex` stays for
+the complexes a caller assembles from differentials, such as the Kunneth
+products of `tensor_complex`: it checks d o d = 0 and counts Betti numbers
+by rank.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
 bases in degree j follow the one Kunneth layout `GradedVS.tensor_blocks`
 states; the stratified module's coordinate projections rely on it.
 Degree -1 (and any other absent degree) reads as dimension 0.
 
-All values are immutable after construction; operations are pure.  The
-record `HomologyData` is a `typing.NamedTuple`: an immutable tuple that
-compares equal to a plain tuple holding the same fields.
+All values are immutable after construction; operations are pure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
-from .qlinalg import (
-    DimensionMismatch,
-    MatrixQ,
-    column_lows,
-    hstack,
-    kernel_basis,
-    solve,
-)
+from .qlinalg import DimensionMismatch, MatrixQ, column_lows, kernel_basis
 
 
 class GradedVS:
@@ -188,7 +182,7 @@ class ChainComplex:
     complexes); a violating complex cannot be built.
     """
 
-    __slots__ = ("spaces", "differentials", "_lows")
+    __slots__ = ("spaces", "differentials")
 
     def __init__(self, spaces: GradedVS,
                  differentials: Mapping[int, MatrixQ] | None = None):
@@ -206,7 +200,6 @@ class ChainComplex:
             if prev is not None and not (prev @ m).is_zero():
                 raise ValueError(f"d_{j-1} o d_{j} != 0")
         self.differentials = diffs
-        self._lows = None
 
     def differential(self, j: int) -> MatrixQ:
         return self.differentials.get(
@@ -214,57 +207,14 @@ class ChainComplex:
 
     def homology(self) -> GradedVS:
         """Betti numbers by rank: dim H_j = n_j - rank d_j - rank d_{j+1},
-        rank d_j the number of lows of d_j in `cleared_lows`.  The lows are
-        memoized; `homology_data` reads them."""
-        if self._lows is None:
-            self._lows = cleared_lows(self.differentials,
-                                      self.differentials.__getitem__)
-        r = {j: len(lows) for j, lows in self._lows.items()}
+        rank d_j the number of lows of d_j in `cleared_lows`."""
+        lows = cleared_lows(self.differentials, self.differentials.__getitem__)
+        r = {j: len(lows_j) for j, lows_j in lows.items()}
         return GradedVS({j: self.spaces[j] - r.get(j, 0) - r.get(j + 1, 0)
                          for j in self.spaces.degrees()})
 
-    def homology_data(self) -> "HomologyData":
-        """Betti numbers plus representative cycles, for `induced_map`."""
-        betti = self.homology()
-        reps = {}
-        for j in betti.degrees():
-            chosen = cycle_representatives(self.differential(j),
-                                           self._lows.get(j + 1, {}))
-            assert len(chosen) == betti[j]
-            reps[j] = MatrixQ(self.spaces[j], betti[j],
-                              {(i, col): v for col, vec in enumerate(chosen)
-                               for i, v in vec.items()})
-        return HomologyData(complex=self, betti=betti, representatives=reps)
-
     def __repr__(self) -> str:
         return f"ChainComplex({self.spaces!r})"
-
-
-class HomologyData(NamedTuple):
-    """Homology of a complex plus enough data to map into it.
-
-    `representatives[j]` is a matrix whose columns are cycles whose classes
-    form a basis of H_j.  `class_coordinates` projects any cycle to its
-    homology class, which is how induced maps on homology are computed.
-    """
-
-    complex: ChainComplex
-    betti: GradedVS
-    representatives: dict[int, MatrixQ]
-
-    def class_coordinates(self, j: int, cycle: Mapping[int, Fraction]) -> dict:
-        """Coordinates of the class of `cycle` in the degree-j basis.
-
-        The representatives are independent modulo im d_{j+1}, so their
-        coefficients in any solution of [reps | d_{j+1}] x = cycle are unique.
-        """
-        reps = self.representatives.get(j)
-        if reps is None:
-            return {}
-        x = solve(hstack([reps, self.complex.differential(j + 1)]), cycle)
-        if x is None:
-            raise ValueError("vector is not a cycle of this complex")
-        return {i: v for i, v in x.items() if i < reps.cols and v}
 
 
 def cycle_representatives(d_out: MatrixQ,
@@ -287,92 +237,6 @@ def cycle_representatives(d_out: MatrixQ,
     keep = [c for c in range(d_out.cols) if c not in cleared]
     return [{keep[k]: x for k, x in v.items()} for v in
             kernel_basis(d_out.submatrix(range(d_out.rows), keep)).basis]
-
-
-class ChainMap:
-    """A degreewise map of chain complexes commuting with the differentials."""
-
-    __slots__ = ("source", "target", "_blocks")
-
-    def __init__(self, source: ChainComplex, target: ChainComplex,
-                 blocks: Mapping[int, MatrixQ] | None = None):
-        self.source = source
-        self.target = target
-        b = {}
-        for j, m in (blocks or {}).items():
-            if (m.rows, m.cols) != (target.spaces[j], source.spaces[j]):
-                raise DimensionMismatch(
-                    f"chain map block in degree {j} has wrong shape")
-            if not m.is_zero():
-                b[int(j)] = m
-        self._blocks = b
-        degs = set(source.spaces.degrees()) | set(target.spaces.degrees())
-        for j in degs:
-            lhs = target.differential(j) @ self.block(j)
-            rhs = self.block(j - 1) @ source.differential(j)
-            if lhs != rhs:
-                raise ValueError(f"chain map does not commute with d in degree {j}")
-
-    def block(self, j: int) -> MatrixQ:
-        return self._blocks.get(
-            j, MatrixQ(self.target.spaces[j], self.source.spaces[j]))
-
-    def __repr__(self) -> str:
-        return f"ChainMap({self.source!r} -> {self.target!r})"
-
-
-def induced_map(f: ChainMap) -> GradedMap:
-    """The map induced by a chain map on homology, in the chosen bases."""
-    hs = f.source.homology_data()
-    ht = f.target.homology_data()
-    blocks = {}
-    for j in hs.betti.degrees():
-        bs, bt = hs.betti[j], ht.betti[j]
-        if bs == 0 or bt == 0:
-            continue
-        reps = hs.representatives[j]
-        fj = f.block(j)
-        entries = {}
-        for col in range(bs):
-            img = fj @ MatrixQ(fj.cols, 1, {(i, 0): v
-                                            for i, v in reps.column(col).items()})
-            coords = ht.class_coordinates(j, img.column(0))
-            for i, v in coords.items():
-                entries[(i, col)] = v
-        blocks[j] = MatrixQ(bt, bs, entries)
-    return GradedMap(hs.betti, ht.betti, blocks)
-
-
-def mapping_cone(f: ChainMap) -> ChainComplex:
-    """The algebraic mapping cone: cone(f)_j = source_{j-1} (+) target_j.
-
-    Its homology is the reduced homology of the topological mapping cone;
-    dimensionwise dim H_j(cone f) = dim coker H_j(f) + dim ker H_{j-1}(f).
-    """
-    src, tgt = f.source.spaces, f.target.spaces
-    degs = set(src.degrees()) | set(tgt.degrees())
-    if not degs:
-        return ChainComplex(GradedVS())
-    lo, hi = min(degs), max(degs) + 1
-    spaces = GradedVS({j: src[j - 1] + tgt[j] for j in range(lo, hi + 1)})
-    diffs = {}
-    for j in range(lo, hi + 1):
-        entries = {}
-        ds = f.source.differential(j - 1)      # source_{j-1} -> source_{j-2}
-        dt = f.target.differential(j)          # target_j -> target_{j-1}
-        fj = f.block(j - 1)                    # source_{j-1} -> target_{j-1}
-        for (r, c), v in ds.items():
-            entries[(r, c)] = -v
-        roff = src[j - 2]
-        for (r, c), v in fj.items():
-            entries[(r + roff, c)] = -v
-        coff = src[j - 1]
-        for (r, c), v in dt.items():
-            entries[(r + roff, c + coff)] = v
-        m = MatrixQ(spaces[j - 1], spaces[j], entries)
-        if not m.is_zero():
-            diffs[j] = m
-    return ChainComplex(spaces, diffs)
 
 
 def tensor_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:

@@ -51,9 +51,11 @@ def _require_mapping(data: dict, field: str, where: str) -> dict:
 
 
 def _int(value, field: str) -> int:
-    """A JSON integer, or the decimal string of one (a degree key of
-    `beta_T`, as JSON object keys are strings); `true` and `4.5` are not."""
-    if isinstance(value, str) and value.removeprefix("-").isdecimal():
+    """A JSON integer, or the canonical decimal string of one (a degree key
+    of `beta_T`, as JSON object keys are strings); `true`, `4.5` and `"01"`
+    are not, so no two keys name one degree."""
+    if (isinstance(value, str) and value.removeprefix("-").isdecimal()
+            and str(int(value)) == value):
         value = int(value)
     if type(value) is not int:
         raise InputError(f"{field}: expected an integer, got {value!r}")
@@ -368,12 +370,14 @@ def load_pairing(data: dict, where: str = "pairing"
 def load_json(path) -> dict:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as e:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"{path}: cannot read ({e})") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # besides a JSONDecodeError: a number longer than int() converts
+        # (ValueError), or nesting deeper than the stack (RecursionError)
         raise InputError(f"{path}: malformed JSON ({e})") from None
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")

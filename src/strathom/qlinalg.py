@@ -4,20 +4,19 @@ Everything downstream (homology dimensions, Mayer-Vietoris bookkeeping,
 signatures) reduces to ranks, kernels, images and congruence
 diagonalization computed here.  A value is an `int`, or a reduced
 `fractions.Fraction` whose denominator is not 1.  A caller's value is
-checked and coerced (`as_rational`) at two doors, `MatrixQ(...)` and
-`solve`.  A matrix derived from a valid one (transpose, submatrix,
-negation, hstack) inherits the contract without a second check, and every
-value handed back follows it, so the ±1 boundary matrices of a
-triangulation hold plain `int`s.  One reduction loop, `IncrementalSpan.add`,
-serves every rank and checks no value again, as it is fed only the entries
-of a `MatrixQ`.  It reduces exact Python `int` rows (a row holding a
-`Fraction` is scaled by the lcm of its denominators), fraction-free in the
-sense of Bareiss, always at the least coordinate of the support.  rank,
-kernel_basis, image_basis and solve feed it the rows of a matrix, so their
-pivots are the leftmost independent columns; `column_lows`, the
-left-to-right column reduction of persistence, feeds it the columns.
-`solve` reads a kernel vector of [m | b], so one back-substitution serves
-both; it divides in `Fraction` only by a non-unit pivot.  No floats, no
+checked and coerced (`as_rational`) at one door, `MatrixQ(...)`.  A matrix
+derived from a valid one (transpose, submatrix, negation) inherits the
+contract without a second check, and every value handed back follows it,
+so the ±1 boundary matrices of a triangulation hold plain `int`s.  One
+reduction loop, `IncrementalSpan.add`, serves every rank and checks no
+value again, as it is fed only the entries of a `MatrixQ`.  It reduces
+exact Python `int` rows (a row holding a `Fraction` is scaled by the lcm of
+its denominators), fraction-free in the sense of Bareiss, always at the
+least coordinate of the support.  rank, kernel_basis and image_basis feed
+it the rows of a matrix, so their pivots are the leftmost independent
+columns; `column_lows`, the left-to-right column reduction of persistence,
+feeds it the columns.  `kernel_basis` back-substitutes over the echelon
+rows and divides in `Fraction` only by a non-unit pivot.  No floats, no
 tolerances and no modular shortcut anywhere: a rank is a rank.
 
 Values are immutable after construction and safe to share across threads;
@@ -99,10 +98,6 @@ class MatrixQ:
         return cls(len(data), cols, {(i, j): v for i, row in enumerate(data)
                                      for j, v in enumerate(row)})
 
-    @classmethod
-    def identity(cls, n: int) -> "MatrixQ":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
     def entry(self, i: int, j: int) -> int | Fraction:
         return self._e.get((i, j), 0)
 
@@ -138,18 +133,6 @@ class MatrixQ:
                 elif key in acc:
                     del acc[key]
         return MatrixQ(self.rows, other.cols, acc)
-
-    def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        acc = dict(self._e)
-        for key, v in other._e.items():
-            s = acc.get(key, 0) + v
-            if s:
-                acc[key] = s
-            elif key in acc:
-                del acc[key]
-        return MatrixQ(self.rows, self.cols, acc)
 
     def __neg__(self) -> "MatrixQ":
         return MatrixQ._of(self.rows, self.cols,
@@ -188,21 +171,6 @@ class MatrixQ:
 
     def __repr__(self) -> str:
         return f"MatrixQ({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def hstack(mats: list[MatrixQ]) -> MatrixQ:
-    if not mats:
-        raise DimensionMismatch("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DimensionMismatch("hstack with differing row counts")
-    entries = {}
-    off = 0
-    for m in mats:
-        for (i, j), v in m.items():
-            entries[(i, j + off)] = v
-        off += m.cols
-    return MatrixQ._of(rows, off, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +308,10 @@ class Subspace(NamedTuple):
         return len(self.basis)
 
 
-def _kernel_vectors(rows: dict[int, dict], free: Iterable[int]) -> list[dict]:
-    """For each free (non-pivot) column f of the echelon `rows`, the kernel
-    vector that is 1 at f and 0 at every other free column."""
+def kernel_basis(m: MatrixQ) -> Subspace:
+    """A basis of {v : m v = 0}; its size is cols - rank.  The vector of a
+    free (non-pivot) column f is 1 at f and 0 at every other free column."""
+    rows = _echelon(m)
     # an echelon row holds only its pivot and larger columns, so
     # back-substitution runs by descending pivot.  It visits only the rows
     # holding a coordinate already set: users[cc] lists -c for every row
@@ -353,7 +322,9 @@ def _kernel_vectors(rows: dict[int, dict], free: Iterable[int]) -> list[dict]:
             if cc != c:
                 users.setdefault(cc, []).append(-c)
     vecs = []
-    for f in free:
+    for f in range(m.cols):
+        if f in rows:
+            continue
         x = {f: 1}
         todo = list(users.get(f, ()))
         heapify(todo)
@@ -373,15 +344,7 @@ def _kernel_vectors(rows: dict[int, dict], free: Iterable[int]) -> list[dict]:
                 for k in users.get(c, ()):
                     heappush(todo, k)
         vecs.append(x)
-    return vecs
-
-
-def kernel_basis(m: MatrixQ) -> Subspace:
-    """A basis of {v : m v = 0}; its size is cols - rank.  The vector of a
-    free (non-pivot) column f is 1 at f and 0 at every other free column."""
-    rows = _echelon(m)
-    return Subspace(m.cols, tuple(_kernel_vectors(
-        rows, (f for f in range(m.cols) if f not in rows))))
+    return Subspace(m.cols, tuple(vecs))
 
 
 def image_basis(m: MatrixQ) -> Subspace:
@@ -430,27 +393,6 @@ def column_lows(m: MatrixQ, skip: Container[int] = ()) -> dict[int, int]:
         if j not in skip and span.add(col):
             lows[j] = top - next(reversed(span.pivots))
     return lows
-
-
-def solve(m: MatrixQ, b: Mapping) -> dict | None:
-    """One solution x of m x = b (free coordinates 0), or None if insoluble.
-
-    x is the negated kernel vector of [m | b] at the column m.cols of b; it
-    exists exactly when that column is not a pivot, that is when b lies in
-    the span of the columns of m."""
-    aug = dict(m._e)
-    for i, v in b.items():
-        v = as_rational(v)
-        if v:
-            if not (0 <= i < m.rows):
-                raise DimensionMismatch("right-hand side outside row range")
-            aug[(i, m.cols)] = v
-    rows = _echelon(MatrixQ._of(m.rows, m.cols + 1, aug))
-    if m.cols in rows:
-        return None
-    x = _kernel_vectors(rows, [m.cols])[0]
-    del x[m.cols]
-    return {c: -v for c, v in x.items()}
 
 
 class Signature(NamedTuple):

@@ -13,8 +13,9 @@ independent check.  It still takes and returns `Fraction` values
 throughout (`ref_rows` converts), while the package stores an integral
 value as an `int`; the two compare equal value for value.
 
-The matrix helpers in between (`vstack`, `block_diag`, `scaled`) assemble
-package `MatrixQ` values for tests; no command of the package needs them.
+The matrix helpers in between (`hstack`, `vstack`, `block_diag`, `scaled`)
+assemble package `MatrixQ` values for tests; no command of the package
+needs them.
 
 `ref_ih_direct` is the brute-force intersection homology by a second
 route: the package's `rank` on two submatrices of the full boundary matrix
@@ -119,6 +120,22 @@ def convolve(a, b):
 
 # ---------------------------------------------------------------------------
 # matrix assembly helpers
+
+def hstack(mats):
+    """The MatrixQ blocks side by side, left to right."""
+    if not mats:
+        raise DimensionMismatch("hstack of nothing")
+    rows = mats[0].rows
+    if any(m.rows != rows for m in mats):
+        raise DimensionMismatch("hstack with differing row counts")
+    entries = {}
+    off = 0
+    for m in mats:
+        for (i, j), v in m.items():
+            entries[(i, j + off)] = v
+        off += m.cols
+    return MatrixQ(rows, off, entries)
+
 
 def vstack(mats):
     """The MatrixQ blocks stacked top to bottom."""

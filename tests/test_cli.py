@@ -349,6 +349,18 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ({**model, "beta_T": {"1": [{"1": 0, "2": 0}]}},
          ".beta_T[1]: expected a list of rows"),
         ({**model, "beta_T": {"0": "11"}}, ".beta_T[0]: expected a list"),
+        # a degree key is written one way only: "01" would silently replace
+        # the block of "1"
+        ({"kind": "isolated_cone", "link": [2, 2], "m_betti": [1, 1],
+          "oriented": False,
+          "beta_T": {"0": [[1, 1]], "1": [[1, 1]], "01": [[0, 0]]}},
+         ".beta_T: expected an integer, got '01'"),
+        ({"kind": "isolated_cone", "link": [2, 2], "m_betti": [1, 1],
+          "oriented": False, "beta_T": {"00": [[1, 1]]}},
+         ".beta_T: expected an integer, got '00'"),
+        ({"kind": "isolated_cone", "link": [2, 2], "m_betti": [1, 1],
+          "oriented": False, "beta_T": {"-0": [[1, 1]]}},
+         ".beta_T: expected an integer, got '-0'"),
     ]
     for i, (data, text) in enumerate(probes):
         f = tmp_path / f"probe{i}.json"

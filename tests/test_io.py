@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,3 +148,23 @@ def test_sigma_and_boundary_mutually_exclusive():
         sio.load_complex({"vertices": ["a", "b"],
                           "top_simplices": [["a", "b"]],
                           "sigma": ["a"], "boundary": [["a"]]})
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"kind": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+     "malformed JSON"),
+    (b'{"kind": ' + b"1" * 5000 + b"}", "malformed JSON"),
+    (b'{"kind": "\xff"}', "cannot read"),
+], ids=["nested-200000-deep", "5000-digit-number", "not-utf-8"])
+def test_unloadable_json_exits_2_naming_the_file(tmp_path, content, message):
+    path = tmp_path / "F.json"
+    path.write_bytes(content)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "strathom", "hi", str(path), "--p", "0"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{path}: {message}" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr

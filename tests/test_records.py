@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from strathom.chains import GradedVS, HomologyData
 from strathom.modes import ModeReport, ModeSpec
 from strathom.signatures import SignatureReport, WittVerdict
 from strathom.stratified import (
@@ -13,8 +12,6 @@ from strathom.stratified import (
 
 # one instance of each record, and a field to try to overwrite
 RECORDS = {
-    "HomologyData": (lambda: HomologyData(
-        complex=None, betti=GradedVS([1]), representatives={}), "betti"),
     "ModeSpec": (lambda: ModeSpec(torus_dim=2), "torus_dim"),
     "ModeReport": (lambda: ModeReport(
         surface_dims=(0, 2, 0), total_dims=(0, 2, 0), rejected_modes=()),

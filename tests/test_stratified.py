@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strathom.chains import GradedVS
-from strathom.qlinalg import MatrixQ, hstack, rank
+from strathom.qlinalg import MatrixQ, rank
 from strathom.spaces import (
     cp2_point_space,
     isolated_cone_space,
@@ -36,7 +36,13 @@ from strathom.stratified import (
 )
 from strathom.stratified import _rank_beta, _swapped_columns
 
-from oracles import convolve, ref_hi_extreme, ref_les_third_dims, vstack
+from oracles import (
+    convolve,
+    hstack,
+    ref_hi_extreme,
+    ref_les_third_dims,
+    vstack,
+)
 
 # Reference perversity sweep of the running example, derived by hand from
 # the Mayer-Vietoris assembly over the cone neighborhood: rows j = 0..4,
