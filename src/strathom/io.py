@@ -142,6 +142,17 @@ def load_complex(data: dict, where: str = "triangulation"):
             f"{where}: sigma and boundary/orientation are mutually exclusive "
             "(a stratified input or an oriented one, not both)")
     if "boundary" in data or "orientation" in data:
+        # a pseudomanifold is pure: a listed top simplex of lower dimension
+        # must be a face of a full one, else the coface counts never see it
+        short = [t for t in tops if len(t) <= cx.dim]
+        if short:
+            full = [set(map(str, t)) for t in tops if len(t) > cx.dim]
+            for t in short:
+                if not any(set(map(str, t)) <= f for f in full):
+                    raise InputError(
+                        f"{where}.top_simplices: simplex "
+                        f"{tuple(map(str, t))} lies in no {cx.dim}-simplex: "
+                        "the complex is not pure")
         orientation = None
         if "orientation" in data:
             signs = _ints(data["orientation"], f"{where}.orientation")
@@ -170,12 +181,10 @@ def load_complex(data: dict, where: str = "triangulation"):
         if not isinstance(data["sigma"], list):
             raise InputError(f"{where}.sigma: expected a list of vertex labels")
         sigma = [str(v) for v in data["sigma"]]
-        sigma_dim = -1
+        # every simplex is a face of a listed top, whose sigma vertices
+        # span a simplex
         sigma_set = set(sigma)
-        for d in range(cx.dim + 1):
-            for s in cx.simplices(d):
-                if set(cx.labels(s)) <= sigma_set:
-                    sigma_dim = max(sigma_dim, d)
+        sigma_dim = max(sum(str(v) in sigma_set for v in t) for t in tops) - 1
         codim = _int(data.get("codim", cx.dim - sigma_dim), f"{where}.codim")
         if codim < 1:
             raise InputError(f"{where}.codim: codimension must be >= 1, got "

@@ -10,14 +10,17 @@ contract without a second check, and every value handed back follows it,
 so the ±1 boundary matrices of a triangulation hold plain `int`s.  One
 reduction loop, `IncrementalSpan.add`, serves every rank and checks no
 value again, as it is fed only the entries of a `MatrixQ`.  It reduces
-exact Python `int` rows (a row holding a `Fraction` is scaled by the lcm of
-its denominators), fraction-free in the sense of Bareiss, always at the
-least coordinate of the support.  rank, kernel_basis and image_basis feed
-it the rows of a matrix, so their pivots are the leftmost independent
-columns; `column_lows`, the left-to-right column reduction of persistence,
-feeds it the columns.  `kernel_basis` back-substitutes over the echelon
-rows and divides in `Fraction` only by a non-unit pivot.  No floats, no
-tolerances and no modular shortcut anywhere: a rank is a rank.
+exact Python `int` vectors (a vector holding a `Fraction` is scaled by the
+lcm of its denominators), fraction-free in the sense of Bareiss, always at
+the least coordinate of the support.  One driver feeds it the columns of a
+matrix from left to right, rows reversed: the column reduction of
+persistence, whose lows `column_lows` reads.  It accepts the leftmost
+independent columns; `rank` counts them (of the transpose when that has
+fewer columns) and `image_basis` returns them.  `kernel_basis` feeds each
+column with its own unit vector appended, so a column that reduces to zero
+leaves the combination that kills it, and divides in `Fraction` only by a
+non-unit pivot.  No floats, no tolerances and no modular shortcut
+anywhere: a rank is a rank.
 
 Values are immutable after construction and safe to share across threads;
 all operations are pure functions.
@@ -26,7 +29,6 @@ all operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
@@ -265,24 +267,23 @@ class IncrementalSpan:
         return self._rows.keys()
 
 
-def _echelon(m: MatrixQ) -> dict[int, dict]:
-    """The rows of `m` fed last to first through an `IncrementalSpan`:
-    {pivot column: integer row}.  A row holds only its pivot and larger
-    columns, and the pivots are the columns outside the span of the columns
-    before them, whatever the order of the rows.
-
-    The order only sets the fill-in.  In a boundary matrix of
-    lexicographically ordered simplices a later row tends to start at a
-    later column, so fed last to first most rows meet no stored pivot: on
-    the 3706-simplex I x S^1 x T^2 the stored rows hold 1.3 to 8 times
-    fewer entries than fed first to last."""
-    rows = [{} for _ in range(m.rows)]
+def _accepted_columns(m: MatrixQ, skip: Container[int] = (),
+                      tagged: bool = False):
+    """The one driver of `IncrementalSpan`: feed it the columns of `m` as
+    `column_lows` describes, and yield (j, pivot, stored vector) for each
+    column j it accepts.  With `tagged`, column j also carries e_j at
+    coordinate m.rows + m.cols - 1 - j, after every row and later columns
+    first, so a stored vector holds the column combination that reduced
+    it."""
+    top = m.rows - 1
+    cols = [{top + m.cols - j: 1} if tagged else {} for j in range(m.cols)]
     for (i, j), v in m._e.items():
-        rows[i][j] = v
+        cols[j][top - i] = v
     span = IncrementalSpan()
-    for row in reversed(rows):
-        span.add(row)
-    return span._rows
+    for j, col in enumerate(cols):
+        if j not in skip and span.add(col):
+            c = next(reversed(span.pivots))
+            yield j, c, span._rows[c]
 
 
 def _quotient(s, p) -> int | Fraction:
@@ -292,8 +293,11 @@ def _quotient(s, p) -> int | Fraction:
 
 
 def rank(m: MatrixQ) -> int:
-    """Rank over Q, exact."""
-    return len(_echelon(m))
+    """Rank over Q, exact: the accepted columns of m, or of its transpose
+    when that has fewer columns (a rank is transpose-invariant)."""
+    if m.cols > m.rows:
+        m = m.transpose()
+    return sum(1 for _ in _accepted_columns(m))
 
 
 class Subspace(NamedTuple):
@@ -310,47 +314,26 @@ class Subspace(NamedTuple):
 
 def kernel_basis(m: MatrixQ) -> Subspace:
     """A basis of {v : m v = 0}; its size is cols - rank.  The vector of a
-    free (non-pivot) column f is 1 at f and 0 at every other free column."""
-    rows = _echelon(m)
-    # an echelon row holds only its pivot and larger columns, so
-    # back-substitution runs by descending pivot.  It visits only the rows
-    # holding a coordinate already set: users[cc] lists -c for every row
-    # with pivot c holding cc, so a min-heap pops the largest pivot first
-    users: dict[int, list[int]] = {}
-    for c, row in rows.items():
-        for cc in row:
-            if cc != c:
-                users.setdefault(cc, []).append(-c)
+    free (non-pivot) column f is 1 at f and 0 at every other free column.
+
+    Read off the tagged column reduction: a column f whose row part reduces
+    to zero is stored as its tag part alone, pivoting on its own e_f, and
+    holds the combination of f with the pivot columns before f that m
+    sends to zero; divided by its pivot it is the vector of f."""
+    last = m.rows + m.cols - 1
     vecs = []
-    for f in range(m.cols):
-        if f in rows:
-            continue
-        x = {f: 1}
-        todo = list(users.get(f, ()))
-        heapify(todo)
-        last = None
-        while todo:
-            c = -heappop(todo)
-            if c == last:
-                continue
-            last = c
-            row = rows[c]
-            s = 0
-            for cc, v in row.items():
-                if cc in x:
-                    s += v * x[cc]
-            if s:
-                x[c] = _quotient(-s, row[c])
-                for k in users.get(c, ()):
-                    heappush(todo, k)
-        vecs.append(x)
+    for _, c, vec in _accepted_columns(m, tagged=True):
+        if c >= m.rows:
+            p = vec[c]
+            vecs.append({last - k: _quotient(v, p) for k, v in vec.items()})
     return Subspace(m.cols, tuple(vecs))
 
 
 def image_basis(m: MatrixQ) -> Subspace:
-    """A basis of the column space: the original columns at the pivots,
-    which are the leftmost independent columns, in column order."""
-    columns = {j: {} for j in sorted(_echelon(m))}
+    """A basis of the column space: the original columns accepted by the
+    column reduction, which are the leftmost independent columns, in column
+    order."""
+    columns = {j: {} for j, _, _ in _accepted_columns(m)}
     for (i, j), v in m._e.items():
         if j in columns:
             columns[j][i] = v
@@ -383,16 +366,8 @@ def column_lows(m: MatrixQ, skip: Container[int] = ()) -> dict[int, int]:
     that lies in the span of the earlier columns changes neither the
     accepted columns nor their lows.
     """
-    cols: list[dict] = [{} for _ in range(m.cols)]
     top = m.rows - 1
-    for (i, j), v in m._e.items():
-        cols[j][top - i] = v
-    span = IncrementalSpan()
-    lows = {}
-    for j, col in enumerate(cols):
-        if j not in skip and span.add(col):
-            lows[j] = top - next(reversed(span.pivots))
-    return lows
+    return {j: top - c for j, c, _ in _accepted_columns(m, skip)}
 
 
 class Signature(NamedTuple):

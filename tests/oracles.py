@@ -6,10 +6,11 @@ or from dense Gaussian elimination modulo several primes (larger inputs),
 and both paths avoid the sparse elimination engine under test.
 
 The reference elimination engine at the end (`ref_echelon` and the bases
-built on it) is the exception: it is the rational `Fraction` form of the
-package's reduction loop and follows the same rule, each row reduced at its
-least column, so it pins the pivots and the bases exactly but is not an
-independent check.  It still takes and returns `Fraction` values
+built on it) is the exception: its loop `_ref_add` is the rational
+`Fraction` form of the package's `IncrementalSpan.add`, so the span
+verdicts it pins are not an independent check.  It feeds the rows of a
+matrix, while the package feeds the columns, so the rank and the bases it
+pins compare two reduction orders.  It takes and returns `Fraction` values
 throughout (`ref_rows` converts), while the package stores an integral
 value as an `int`; the two compare equal value for value.
 
@@ -22,9 +23,10 @@ route: the package's `rank` on two submatrices of the full boundary matrix
 per degree and threshold.  That `rank` runs on `IncrementalSpan`, the same
 reduction loop as the cleared column reduction (`column_lows`) that
 `ih_direct` reads its ranks from, so the two share their arithmetic; what
-they do not share is the route: rows of each submatrix against one
-left-to-right pass over the columns of the whole boundary matrix, read
-through the pairing lemma.
+they do not share is the route: one reduction of each submatrix (of its
+columns, or of its rows where they are fewer) against one left-to-right
+pass over the columns of the whole boundary matrix, read through the
+pairing lemma.
 
 `ref_hi_extreme` gives intersection-space homology at the extreme
 perversities from the long exact sequence of the pair (Mbar, boundary)
@@ -206,10 +208,15 @@ def ref_echelon(rows):
     """{pivot column: row} of the `Fraction` row dicts fed last to first
     through `_ref_add`, the loop of `ref_span_verdicts`.
 
-    NOT independent of `strathom.qlinalg._echelon`: it follows the same rule
-    on purpose (each row reduced at its least column), so the two agree on
-    the pivots and on every row up to a nonzero scalar; only its arithmetic
-    (rational rows, divided by the pivot) differs.
+    The library follows another order: it feeds the columns of a matrix
+    left to right (`strathom.qlinalg.column_lows`), not its rows.  So a rank,
+    a set of pivot columns or a basis compared with these rows checks two
+    reduction orders against each other: the pivots are the leftmost
+    independent columns either way, and the kernel vector of a free column
+    (1 there, 0 at every other free column) is unique.  Both orders run the
+    same rule, a vector reduced at its least coordinate, in different
+    arithmetic (rational rows, divided by the pivot, against integer
+    vectors).
     """
     out = {}
     for row in reversed(rows):

@@ -397,11 +397,12 @@ def test_one_clearing_routine_and_one_span_driver():
     """The clearing lemma is stated and used in one place: `column_lows` is
     given a skip set only by `chains.cleared_lows`, and `IncrementalSpan`,
     the reduction loop under every rank and low, is named only inside
-    `qlinalg`.  A caller's value is coerced only at its one door,
-    `MatrixQ(...)`, and otherwise only by `_quotient`, which hands back a
-    quotient: no `as_rational` runs in the reduction loop, and an
-    `IncrementalSpan` takes no argument, so it has no bounds to check
-    either."""
+    `qlinalg` and built at one call site, the left-to-right column driver
+    that every rank, kernel, image and low reads.  A caller's value is
+    coerced only at its one door, `MatrixQ(...)`, and otherwise only by
+    `_quotient`, which hands back a quotient: no `as_rational` runs in the
+    reduction loop, and an `IncrementalSpan` takes no argument, so it has no
+    bounds to check either."""
     src = Path(__file__).parent.parent / "src" / "strathom"
     span_modules, skip_callers = set(), set()
     coercers, span_builds = set(), []
@@ -425,8 +426,10 @@ def test_one_clearing_routine_and_one_span_driver():
                 if name == "as_rational":
                     coercers.add(f"{path.stem}.{where}")
                 if name == "IncrementalSpan":
-                    span_builds.append(call.args + call.keywords)
+                    span_builds.append((f"{path.stem}.{where}",
+                                        call.args + call.keywords))
     assert span_modules == {"qlinalg"}
     assert skip_callers == {"chains.cleared_lows"}
     assert coercers == {"qlinalg.MatrixQ.__init__", "qlinalg._quotient"}
-    assert span_builds and not any(span_builds)
+    assert [site for site, _ in span_builds] == ["qlinalg._accepted_columns"]
+    assert not any(args for _, args in span_builds)

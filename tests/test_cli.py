@@ -404,6 +404,23 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, verb, str(f), *flags)
         assert code == 2 and f"{f}{text}" in err, err
         assert "Traceback" not in err and err.count(str(f)) == 1, err
+    # a pseudomanifold is pure: a dangling edge or an isolated vertex is
+    # refused, both as a triangulation and as a pairing
+    disk = {"vertices": ["a", "b", "c", "d"],
+            "boundary": [["a", "b"], ["b", "c"], ["a", "c"]],
+            "orientation": [1, 1]}
+    for i, extra in enumerate((["c", "d"], ["d"])):
+        f = tmp_path / f"impure{i}.json"
+        f.write_text(json.dumps({**disk,
+                                 "top_simplices": [["a", "b", "c"], extra]}))
+        text = (f"{f}.top_simplices: simplex {tuple(extra)} lies in no "
+                "2-simplex")
+        for argv in (("homology", str(f)),
+                     ("signature", str(DATA / "pinched_torus_space.json"),
+                      "--pairing", str(f))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and text in err, (argv, err)
+            assert "Traceback" not in err and err.count(str(f)) == 1, err
     # a malformed pairing matrix exits 2 naming the field, whatever the space
     for i, (data, field) in enumerate((
             ({"degree": -1, "matrix": [[1]]}, "degree"),

@@ -18,7 +18,6 @@ from strathom.qlinalg import (
     rank,
     signature_sym,
     sum_dim,
-    _echelon,
 )
 from strathom.simplicial import boundary_matrix
 
@@ -174,16 +173,11 @@ def _assert_pivots_match_oracle(m):
 
 
 def _assert_engine_matches_reference(m, rng):
-    """The integer engine and the Fraction reference (same reduction rule)
-    agree on the pivots, the echelon rows up to a nonzero scalar, the kernel
-    and image bases and the `IncrementalSpan` verdicts."""
-    rows = _echelon(m)
+    """The integer column reduction and the Fraction row reference agree on
+    the rank, the kernel and image bases and the `IncrementalSpan` verdicts,
+    and the span stores integer vectors only."""
     ref = ref_echelon(ref_rows(m))
-    assert rows.keys() == ref.keys()
-    for c, row in rows.items():
-        assert all(type(v) is int for v in row.values())
-        scale = Fraction(row[c]) / ref[c][c]
-        assert row == {k: v * scale for k, v in ref[c].items()}
+    assert rank(m) == len(ref)
     assert list(kernel_basis(m).basis) == ref_kernel_basis(m, ref)
     assert list(image_basis(m).basis) == ref_image_basis(m, ref)
 
@@ -200,6 +194,8 @@ def _assert_engine_matches_reference(m, rng):
     span = IncrementalSpan()
     verdicts = [span.add(v) for v in vecs]
     assert verdicts == ref_span_verdicts(m.rows, vecs)
+    assert all(type(v) is int for row in span._rows.values()
+               for v in row.values())
     assert len(span.pivots) == sum(verdicts) == rank(
         MatrixQ(m.rows, len(cols), {(i, j): v for j, col in enumerate(cols)
                                     for i, v in col.items()}))
