@@ -172,8 +172,9 @@ def load_complex(data: dict, where: str = "triangulation"):
             return simplicial.OrientedPseudomanifoldWithBoundary(
                 cx, boundary_simplices=boundary, orientation=orientation)
         except simplicial.OrientationError as e:
-            # coface counts, orientability and the fundamental chain read
-            # the complex and its boundary and orientation together
+            # coface counts and the one fundamental-chain pass (orientability
+            # of a propagated orientation, coherence of a supplied one)
+            # read the complex and its boundary and orientation together
             raise InputError(f"{where}: {e}") from None
         except ValueError as e:
             raise InputError(f"{where}.boundary: {e}") from None
@@ -252,12 +253,16 @@ def load_space(data: dict, where: str = "space",
     """Build a space from its JSON object.  A `{"file": …}` link or stratum
     is read from the directory `base` (that of the space file) unless its
     path is absolute.  A model flagged oriented (the default) must satisfy
-    Poincare-Lefschetz duality (`check_lefschetz`).  A model check that
+    Poincare-Lefschetz duality.  An `algebraic` or `isolated_cone` model is
+    checked by `check_lefschetz`.  A `suspension_product`'s restriction is
+    the fold map, onto in every degree, so its duality reads
+    c_j = c_{l+s-j} for c = H(L x Sigma0): the palindrome test of
+    `_space_from`, which names `.link and .sigma`.  A model check that
     fails (the augmentation, a dimension, the duality) is reported against
     `where`, a block of the wrong shape against `where.beta_T`."""
     try:
         space = _space_from(data, where, base)
-        if space.oriented:
+        if space.oriented and data["kind"] != "suspension_product":
             stratified.check_lefschetz(space)
         return space
     except InputError:
@@ -271,7 +276,9 @@ def load_space(data: dict, where: str = "space",
 def _space_from(data: dict, where: str,
                 base: Path) -> stratified.TwoStrataSpace:
     kind = _require(data, "kind", where)
-    label = str(data.get("label", ""))
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise InputError(f"{where}.label: expected a string, got {label!r}")
     oriented = data.get("oriented", True)
     if not isinstance(oriented, bool):
         raise InputError(f"{where}.oriented: expected true or false, got "

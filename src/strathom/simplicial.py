@@ -19,8 +19,9 @@ reads: the Sigma-face dimension of every simplex, and per degree the
 (face dimension of the column, face dimension of its low) pairs of the
 truncated boundary, ordered by face dimension: the differential of the
 relative complex C(K)/C(Sigma).  Every rank pair (rank C_d, rank D_d) of
-every perversity is a count over those pairs, so a sweep builds and reduces
-each degree once.  Both it and `betti_numbers` (the `homology` command)
+every perversity is a count over those pairs, kept per (degree,
+threshold), so a sweep builds and reduces each degree once and counts
+each threshold once.  Both it and `betti_numbers` (the `homology` command)
 count the lows of the one clearing routine `chains.cleared_lows`.
 """
 
@@ -299,8 +300,10 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
     The lows come from `cleared_lows`: an interior simplex has only
     interior faces, so the truncated boundary, in (f, index) order in every
     degree, is the differential of the quotient complex C(K)/C(Sigma).
-    `st` memoizes the face dimensions and one list of (f(c), f(low c))
-    pairs per degree, so a sweep builds and reduces each degree once.
+    `st` memoizes the face dimensions, one list of (f(c), f(low c)) pairs
+    per degree, and the allowable count, rank D_d and rank C_d per
+    (degree, threshold), so a sweep builds and reduces each degree once and
+    counts each distinct threshold once.
     """
     K = st.complex
     memo = st._ih_memo
@@ -318,8 +321,8 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
                           face_dims[d - 1][order[d - 1][r]])
                          for c, r in lows_d.items()]
                      for d, lows_d in lows.items()}
-        memo = st._ih_memo = (face_dims, low_pairs)
-    face_dims, low_pairs = memo
+        memo = st._ih_memo = (face_dims, low_pairs, {})
+    face_dims, low_pairs, counts = memo
 
     # IC_d = allowable chains whose truncated boundary is again allowable:
     # IC_d = ker C_d, and rank(D_d restricted to ker C_d) = rank D_d -
@@ -328,16 +331,16 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
     ranks: dict[int, int] = {}
     for d in range(K.dim + 1):
         t = max(-1, min(d - st.codim + p_at_c, d - 1))
-        ic_dim[d] = sum(f <= t for f in face_dims[d])
-        if d == 0:
-            continue
-        t_below = max(-1, t - 1)
-        r_all = r_bad = 0
-        for f, f_low in low_pairs[d]:
-            if f <= t:
-                r_all += 1
-                r_bad += f_low > t_below
-        ic_dim[d] -= r_bad
+        if (d, t) not in counts:
+            t_below = max(-1, t - 1)
+            r_all = r_bad = 0
+            for f, f_low in low_pairs.get(d, ()):
+                if f <= t:
+                    r_all += 1
+                    r_bad += f_low > t_below
+            counts[d, t] = (sum(f <= t for f in face_dims[d]), r_all, r_bad)
+        allowable, r_all, r_bad = counts[d, t]
+        ic_dim[d] = allowable - r_bad
         ranks[d] = r_all - r_bad
 
     # homology of (IC_*, truncated boundary)
@@ -392,9 +395,10 @@ class OrientedPseudomanifoldWithBoundary:
 
     Construction checks that every interior codimension-1 simplex has
     exactly two top cofaces and every boundary one exactly one.  A supplied
-    orientation must be +-1 with its fundamental chain's boundary in the
-    boundary subcomplex; one propagated from the lexicographically first
-    facet is coherent as built, each interior face checked as it spreads.
+    orientation must be +-1; an omitted one is propagated from the
+    lexicographically first facet of each piece.  Either way, one pass then
+    checks that the fundamental chain's boundary lies in the boundary
+    subcomplex.
     """
 
     __slots__ = ("complex", "boundary", "orientation")
@@ -434,15 +438,17 @@ class OrientedPseudomanifoldWithBoundary:
 
         if orientation is None:
             self.orientation = self._propagate(tops, cofaces)
-            return
-        signs = {t: int(orientation[t]) for t in tops}
-        if any(x not in (1, -1) for x in signs.values()):
-            raise OrientationError("orientation signs must be +-1")
-        self.orientation = signs
-        self._check_fundamental_chain(tops, cofaces)
+        else:
+            signs = {t: int(orientation[t]) for t in tops}
+            if any(x not in (1, -1) for x in signs.values()):
+                raise OrientationError("orientation signs must be +-1")
+            self.orientation = signs
+        self._check_fundamental_chain(tops, cofaces,
+                                      supplied=orientation is not None)
 
     def _propagate(self, tops, cofaces) -> dict[Simplex, int]:
-        n = self.complex.dim
+        """Signs spread across interior faces from the first facet of each
+        piece; `_check_fundamental_chain` tests their coherence."""
         signs: dict[Simplex, int] = {}
         for seed in tops:
             if seed in signs:
@@ -452,27 +458,23 @@ class OrientedPseudomanifoldWithBoundary:
             while stack:
                 t = stack.pop()
                 for i in range(len(t)):
-                    face = t[:i] + t[i + 1:]
-                    for other_i, j in cofaces[face]:
+                    for other_i, j in cofaces[t[:i] + t[i + 1:]]:
                         other = tops[other_i]
-                        if other == t:
-                            continue
-                        # coherent: induced boundary orientations must cancel;
-                        # face carries sign (-1)**i in t and (-1)**j in other
-                        s_other = -(-1) ** (i + j) * signs[t]
-                        if other in signs:
-                            if signs[other] != s_other:
-                                raise OrientationError(
-                                    "complex is not orientable")
-                        else:
-                            signs[other] = s_other
+                        if other not in signs:
+                            # induced orientations cancel: the face
+                            # carries (-1)**i in t and (-1)**j in other
+                            signs[other] = -(-1) ** (i + j) * signs[t]
                             stack.append(other)
         return signs
 
-    def _check_fundamental_chain(self, tops, cofaces) -> None:
-        """The boundary of the fundamental chain lies in the boundary
-        subcomplex: off it, each codimension-1 face sums (-1)**i * sign over
-        its top cofaces, i the position of the vertex the face omits."""
+    def _check_fundamental_chain(self, tops, cofaces, supplied: bool) -> None:
+        """The one coherence test, run once on every orientation: the
+        boundary of the fundamental chain lies in the boundary subcomplex.
+        Off it, each codimension-1 face sums (-1)**i * sign over its top
+        cofaces, i the position of the vertex the face omits.  Propagation
+        forces each sign it sets, so a propagated orientation fails only
+        when no coherent orientation exists: the complex is not
+        orientable."""
         signs = self.orientation
         for face, cf in cofaces.items():
             if face in self.boundary:
@@ -481,7 +483,8 @@ class OrientedPseudomanifoldWithBoundary:
                    for t_i, i in cf):
                 raise OrientationError(
                     "fundamental chain boundary leaks outside the boundary "
-                    f"subcomplex at {self.complex.labels(face)}")
+                    f"subcomplex at {self.complex.labels(face)}" if supplied
+                    else "complex is not orientable")
 
     def reversed_orientation(self) -> "OrientedPseudomanifoldWithBoundary":
         flipped = {t: -s for t, s in self.orientation.items()}
@@ -519,9 +522,16 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
     (cocycles vanishing on the lows of delta^{m-1}, so no full cocycle
     basis is built); the second factor is regarded in absolute cohomology.
     Entry (i, j) is <a_i cup a_j, fundamental chain> with the ordered
-    front-face/back-face cup product in the global vertex order.  The
-    matrix is symmetric for even m and its signature is the Novikov
-    signature of the complex.
+    front-face/back-face cup product in the global vertex order.  Its
+    signature is the Novikov signature of the complex.
+
+    For even m the matrix is symmetric, and is not re-checked here
+    (`signature_sym` checks it where it is read): the representatives
+    vanish on the boundary subcomplex, so they are absolute cocycles, and
+    a cup b - b cup a = +-delta(a cup_1 b) (Steenrod, Products of cocycles
+    and extensions of mappings, 1947).  Since the orientation is coherent,
+    <delta(a cup_1 b), [K]> = <a cup_1 b, boundary [K]> = 0, because
+    boundary [K] lies in the boundary subcomplex, where a vanishes.
     """
     K = m.complex
     n = K.dim
@@ -563,8 +573,4 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
                     entries[key] = s
                 elif key in entries:
                     del entries[key]
-    matrix = MatrixQ(r, r, entries)
-    if degree % 2 == 0 and not matrix.is_symmetric():
-        raise OrientationError("even-degree cup pairing came out asymmetric; "
-                               "the input is not a coherent pseudomanifold")
-    return PairingData(degree, matrix)
+    return PairingData(degree, MatrixQ(r, r, entries))

@@ -33,13 +33,19 @@ perversities from the long exact sequence of the pair (Mbar, boundary)
 (`ref_les_third_dims`), with the package's `rank` on each whole block of
 the boundary restriction.  It is not independent of `hi_dims` either: at
 those perversities `hi_dims` reduces to the same rank arithmetic.
+
+`ref_hi_quotient` is the independent one: intersection-space homology of
+an isolated singularity at every perversity, read off a triangulation of
+Mbar as the homology of a quotient complex.  It shares `boundary_matrix`
+and the elimination engine with the package, and nothing of the
+Mayer-Vietoris rank family behind `hi_dims`.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from strathom.chains import GradedVS
-from strathom.qlinalg import DimensionMismatch, MatrixQ, rank
+from strathom.chains import GradedVS, cleared_lows
+from strathom.qlinalg import DimensionMismatch, MatrixQ, column_lows, rank
 from strathom.simplicial import boundary_matrix
 from strathom.stratified import ModelError
 
@@ -391,3 +397,41 @@ def ref_hi_extreme(space, p):
         return space.m_h
     raise ModelError(
         f"perversity value {p} is not extreme for link dimension {space.l}")
+
+
+# ---------------------------------------------------------------------------
+# intersection-space homology of an isolated singularity by a quotient
+
+def ref_hi_quotient(pm, p):
+    """Reduced intersection-space homology of Mbar with its boundary L
+    coned to a point, at perversity p = p(l + 1), l = dim L.
+
+    With k = l - p, the spatial homology truncation of L is the subcomplex
+    tau of C(L) spanned by the boundary simplices of dimension < k and, for
+    1 <= k <= l, by the boundary k-simplices that carry a low in the column
+    reduction (`column_lows`) of d_k on L: those pivot columns span a
+    complement of the k-cycles that d_k maps onto the (k - 1)-boundaries
+    (Banagl, Intersection Spaces, Spatial Homology Truncation, and String
+    Theory, 2010).  Reduced HI is the homology of the quotient C(Mbar)/tau,
+    whose differential is `boundary_matrix` on the simplices outside tau,
+    counted with `cleared_lows`.  No degree-0 correction is made: for
+    k <= 0, tau = 0 and the intersection space is Mbar plus a disjoint
+    point, whose reduced homology is that of Mbar.
+
+    It shares `boundary_matrix` and the elimination engine with the
+    package, and not the Mayer-Vietoris rank family of `hi_dims`."""
+    K = pm.complex
+    l = max(len(s) for s in pm.boundary) - 1
+    k = l - p
+    on_l = {d: [i for i, s in enumerate(K.simplices(d)) if s in pm.boundary]
+            for d in range(K.dim + 1)}
+    tau = {d: set(on_l[d]) for d in range(min(k, K.dim + 1))}
+    if 1 <= k <= l:
+        lows = column_lows(boundary_matrix(K, k, on_l[k - 1], on_l[k]))
+        tau[k] = {on_l[k][c] for c in lows}
+    keep = [[i for i in range(K.n_simplices(d)) if i not in tau.get(d, ())]
+            for d in range(K.dim + 1)]
+    lows = cleared_lows(range(1, K.dim + 1), lambda d: boundary_matrix(
+        K, d, keep[d - 1], keep[d]))
+    return GradedVS({d: len(keep[d]) - len(lows.get(d, ()))
+                     - len(lows.get(d + 1, ())) for d in range(K.dim + 1)})

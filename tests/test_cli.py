@@ -361,6 +361,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ({"kind": "isolated_cone", "link": [2, 2], "m_betti": [1, 1],
           "oriented": False, "beta_T": {"-0": [[1, 1]]}},
          ".beta_T: expected an integer, got '-0'"),
+        # a label is a string, not the str() of another JSON value
+        ({**model, "beta_T": {}, "label": None},
+         ".label: expected a string, got None"),
+        ({**model, "beta_T": {}, "label": {"x": 1}},
+         ".label: expected a string, got {'x': 1}"),
+        ({**model, "beta_T": {}, "label": 7},
+         ".label: expected a string, got 7"),
     ]
     for i, (data, text) in enumerate(probes):
         f = tmp_path / f"probe{i}.json"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from strathom import io as sio
+from strathom import stratified
 from strathom.catalog import circle, cp2_minus_facet, torus7
 from strathom.chains import GradedVS
 from strathom.qlinalg import rank
@@ -125,6 +126,27 @@ def test_suspension_product_kind_with_inline_complex():
         "file": str(DATA / "cp2_minus_ball.json")}})
     assert by_file.link_h == GradedVS([1, 0, 1])
     assert not hi_dims(by_file, 0).is_zero()
+
+
+def test_lefschetz_check_runs_once_and_only_where_needed(monkeypatch):
+    """An oriented `algebraic` or `isolated_cone` load runs
+    `check_lefschetz` once; a `suspension_product` load runs it never, its
+    duality being the palindrome test on link x sigma; an unoriented load
+    runs no duality check."""
+    calls = []
+    monkeypatch.setattr(stratified, "check_lefschetz", calls.append)
+    algebraic = sio.space_to_dict(s2xt2_space())
+    cone = {"kind": "isolated_cone", "link": [1, 1], "m_betti": [1, 1],
+            "beta_T": {"0": [[1]]}}
+    product = {"kind": "suspension_product", "link": [1, 1],
+               "sigma": [1, 2, 1]}
+    for data, expected in ((algebraic, 1), (cone, 1), (product, 0),
+                           ({**algebraic, "oriented": False}, 0),
+                           ({**cone, "oriented": False}, 0),
+                           ({**product, "oriented": False}, 0)):
+        calls.clear()
+        space = sio.load_space(data)
+        assert calls == [space] * expected, data
 
 
 def test_missing_fields_name_the_field():

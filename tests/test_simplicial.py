@@ -368,21 +368,21 @@ def test_betti_numbers_multiply_no_matrices(monkeypatch):
 
 
 def test_propagated_orientation_passes_the_supplied_checks(monkeypatch):
-    """A propagated orientation is coherent as built: passed back as a
-    supplied one it passes the +-1 and fundamental-chain checks, which run
-    only on a supplied orientation."""
+    """Every construction, propagated or supplied, runs the one
+    fundamental-chain check exactly once; a propagated orientation passed
+    back as a supplied one passes the +-1 and fundamental-chain checks."""
     checked = []
     check = OrientedPseudomanifoldWithBoundary._check_fundamental_chain
 
-    def recording_check(self, *args):
+    def recording_check(self, *args, **kwargs):
         checked.append(self)
-        return check(self, *args)
+        return check(self, *args, **kwargs)
 
     monkeypatch.setattr(OrientedPseudomanifoldWithBoundary,
                         "_check_fundamental_chain", recording_check)
     built = [catalog.disk2(), OrientedPseudomanifoldWithBoundary(
         catalog.torus7()), catalog.cp2_minus_facet(), catalog.i_x_s1_x_t2()]
-    assert checked == []
+    assert len(checked) == len(built)
     for pm in built:
         cx = pm.complex
         again = OrientedPseudomanifoldWithBoundary(
@@ -391,4 +391,22 @@ def test_propagated_orientation_passes_the_supplied_checks(monkeypatch):
         assert checked[-1] is again
         assert again.orientation == pm.orientation and \
             again.boundary == pm.boundary
-    assert len(checked) == len(built)
+    assert len(checked) == 2 * len(built)
+
+
+def test_coherent_supplied_orientations_are_accepted():
+    """Coherence fixes one sign per connected piece, nothing more: the
+    reverse of the propagated orientation of the torus, and opposite signs
+    on two disjoint 2-spheres, are accepted as supplied."""
+    propagated = OrientedPseudomanifoldWithBoundary(torus7()).orientation
+    reversed_signs = {t: -s for t, s in propagated.items()}
+    assert OrientedPseudomanifoldWithBoundary(
+        torus7(), orientation=reversed_signs).orientation == reversed_signs
+    spheres = SimplicialComplex("wxyzabcd", ["wxy", "wxz", "wyz", "xyz",
+                                             "abc", "abd", "acd", "bcd"])
+    propagated = OrientedPseudomanifoldWithBoundary(spheres).orientation
+    a = spheres.vertices.index("a")
+    mixed = {t: -s if t[0] >= a else s for t, s in propagated.items()}
+    assert mixed not in (propagated, {t: -s for t, s in propagated.items()})
+    assert OrientedPseudomanifoldWithBoundary(
+        spheres, orientation=mixed).orientation == mixed
