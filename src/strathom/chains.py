@@ -1,9 +1,9 @@
 """Graded vector spaces, chain complexes and the operations on them.
 
 This module is the homological middle layer: finitely supported graded
-dimensions (`GradedVS`), degreewise linear maps (`GradedMap`), chain
-complexes with checked square-zero differentials, Betti numbers by rank,
-tensor products with Koszul signs and truncation of graded data.
+dimensions (`GradedVS`), chain complexes with checked square-zero
+differentials, Betti numbers by rank, tensor products with Koszul signs
+and truncation of graded data.
 `cleared_lows` is the one cleared column reduction: homology counts its
 lows, `ih_direct` reads them, and the representative cocycles of the cup
 pairing vanish on them.  The Mayer-Vietoris dimensions downstream are rank
@@ -110,45 +110,6 @@ class GradedVS:
         if lo >= 0:
             return f"GradedVS{self.as_tuple(0)}"
         return f"GradedVS({dict(sorted(self._dims.items()))})"
-
-
-class GradedMap:
-    """A degreewise linear map between graded vector spaces.
-
-    Blocks are stored only where nonzero; `block(j)` materializes the zero
-    matrix of the right shape otherwise.
-    """
-
-    __slots__ = ("source", "target", "_blocks")
-
-    def __init__(self, source: GradedVS, target: GradedVS,
-                 blocks: Mapping[int, MatrixQ] | None = None):
-        self.source = source
-        self.target = target
-        b = {}
-        for j, m in (blocks or {}).items():
-            if (m.rows, m.cols) != (target[j], source[j]):
-                raise DimensionMismatch(
-                    f"block in degree {j} is {m.rows}x{m.cols}, expected "
-                    f"{target[j]}x{source[j]}")
-            if not m.is_zero():
-                b[int(j)] = m
-        self._blocks = b
-
-    def block(self, j: int) -> MatrixQ:
-        return self._blocks.get(j, MatrixQ(self.target[j], self.source[j]))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GradedMap)
-                and self.source == other.source
-                and self.target == other.target
-                and all(self.block(j) == other.block(j)
-                        for j in set(self._blocks) | set(other._blocks)))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"GradedMap({self.source!r} -> {self.target!r})"
 
 
 def cleared_lows(degrees: Iterable[int], differential: Callable[[int], MatrixQ]

@@ -168,7 +168,11 @@ def cmd_verify(args) -> int:
         _emit(args, "verify", [args.input], options, result, "\n".join(lines))
         return 0 if ok else 1
     if theorem == "duality":
-        verdict = stratified.verify_duality(space, args.p)
+        try:
+            verdict = stratified.verify_duality(space, args.p)
+        except stratified.ModelError as e:
+            # its one refusal: a model flagged "oriented": false
+            raise sio.InputError(f"{args.input}.oriented: {e}") from None
         result = {"ok": verdict.ok, "hi_pairs": _verdicts(verdict.hi_pairs),
                   "ih_pairs": _verdicts(verdict.ih_pairs)}
         text = (f"duality on {args.input} with p = {args.p}: "
@@ -257,7 +261,10 @@ def cmd_modes(args) -> int:
             f"--weight: {args.weight!r} is not a rational number") from None
     spec = modes.ModeSpec(torus_dim=args.torus_dim, weight=weight,
                           mode_cutoff=args.mode_cutoff)
-    rep = modes.total_ext_dims(spec)
+    try:
+        rep = modes.total_ext_dims(spec)
+    except modes.UnsupportedWeight as e:
+        raise sio.InputError(f"--weight: {e}") from None
     text = "\n".join([
         f"extended harmonic forms on R x S^1 x T^{args.torus_dim}:",
         _dims_text("  surface factor", list(rep.surface_dims)),

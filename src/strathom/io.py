@@ -29,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import simplicial, spaces, stratified
-from .chains import GradedMap, GradedVS
+from .chains import GradedVS
 from .qlinalg import DimensionMismatch, MatrixQ
 
 
@@ -240,8 +240,11 @@ def _betti_from(node, where: str, base: Path) -> list[int]:
             return _betti(node["betti"], f"{where}.betti")
         if "file" in node:
             path = str(base / str(node["file"]))
-            return simplicial.betti_numbers(
-                load_complex(load_json(path), where=path))
+            try:
+                return simplicial.betti_numbers(
+                    load_complex(load_json(path), where=path))
+            except InputError as e:
+                raise InputError(f"{where}: {e}") from None
         if "vertices" in node:
             return simplicial.betti_numbers(load_complex(node, where=where))
     raise InputError(f"{where}: expected a Betti list, a complex, or a file "
@@ -310,16 +313,12 @@ def _space_from(data: dict, where: str,
         link_h, sigma_h, m_h = (
             GradedVS(_betti(_require(data, f, where), f"{where}.{f}"))
             for f in ("link_betti", "sigma_betti", "m_betti"))
-        b_h = link_h.convolve(sigma_h)
-        blocks = {}
-        for j, rows in _require_mapping(data, "beta_T", where).items():
-            degree = _int(j, f"{where}.beta_T")
-            m = matrix_from_rows(rows, f"{where}.beta_T[{j}]")
-            if not m.is_zero():
-                blocks[degree] = m
+        blocks = {_int(j, f"{where}.beta_T"):
+                  matrix_from_rows(rows, f"{where}.beta_T[{j}]")
+                  for j, rows in _require_mapping(data, "beta_T", where).items()}
         return stratified.TwoStrataSpace(
             n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h, m_h=m_h,
-            boundary_restriction=GradedMap(b_h, m_h, blocks),
+            boundary_restriction=blocks,
             oriented=oriented, label=label)
     raise InputError(f"{where}: unknown kind {kind!r}")
 
@@ -328,7 +327,7 @@ def space_to_dict(space: stratified.TwoStrataSpace) -> dict:
     b = space.boundary_h()
     beta = {}
     for j in b.degrees():
-        block = space.boundary_restriction.block(j)
+        block = space.block(j)
         if block.rows and block.cols:
             beta[str(j)] = matrix_to_rows(block)
     return {

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 
-from .chains import GradedMap, GradedVS
+from .chains import GradedVS
 from .qlinalg import MatrixQ
 from .stratified import TwoStrataSpace
 
 
 def _fold_blocks(link_h: GradedVS, sigma0_h: GradedVS
-                 ) -> tuple[GradedVS, GradedVS, GradedMap]:
+                 ) -> tuple[GradedVS, GradedVS, dict[int, MatrixQ]]:
     """Kunneth data for Sigma = two copies of Sigma0, the two suspension
     points times Sigma0, with the fold restriction.
 
@@ -41,7 +41,7 @@ def _fold_blocks(link_h: GradedVS, sigma0_h: GradedVS
                     entries[(tgt_off + il * ds0 + isig % ds0,
                              src_off + il * ds + isig)] = 1
         blocks[j] = MatrixQ(m_h[j], b_h[j], entries)
-    return sigma_h, m_h, GradedMap(b_h, m_h, blocks)
+    return sigma_h, m_h, blocks
 
 
 def suspension_product_space(link_betti, sigma0_betti, oriented=True,
@@ -73,7 +73,7 @@ def isolated_cone_space(link_betti, m_betti, beta_blocks,
         blocks[int(j)] = m if isinstance(m, MatrixQ) else MatrixQ.from_rows(m)
     return TwoStrataSpace(
         n=l + 1, l=l, s=0, link_h=link_h, sigma_h=GradedVS([1]), m_h=m_h,
-        boundary_restriction=GradedMap(link_h, m_h, blocks),
+        boundary_restriction=blocks,
         oriented=oriented, label=label)
 
 
@@ -154,23 +154,17 @@ def random_algebraic_space(rng: random.Random, n_max: int = 6,
     blocks = {}
     for j in b_h.degrees():
         rows, cols = m_h[j], b_h[j]
-        if cols == 0:
-            continue
         entries = {}
         if j == 0:
             for col in range(cols):
                 entries[(rng.randrange(rows), col)] = 1
         else:
-            if rows == 0:
-                continue
             for col in range(cols):
                 for row in range(rows):
                     v = rng.choice([0, 0, 0, 1, -1, 2])
                     if v:
                         entries[(row, col)] = v
-        if entries:
-            blocks[j] = MatrixQ(rows, cols, entries)
+        blocks[j] = MatrixQ(rows, cols, entries)
     return TwoStrataSpace(n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h,
-                          m_h=m_h,
-                          boundary_restriction=GradedMap(b_h, m_h, blocks),
+                          m_h=m_h, boundary_restriction=blocks,
                           oriented=False, label=f"rand-alg-{n}-{l}")

@@ -52,10 +52,10 @@ holding the same fields.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-from .chains import GradedMap, GradedVS
-from .qlinalg import rank
+from .chains import GradedVS
+from .qlinalg import DimensionMismatch, MatrixQ, rank
 
 
 class ModelError(ValueError):
@@ -72,8 +72,10 @@ class TwoStrataSpace:
 
     Fields: total dimension n, link dimension l, stratum dimension s with
     n = l + s + 1; graded homology of link, stratum and regular part; and
-    the boundary restriction H_*(L x Sigma) -> H_*(M) in the Kunneth
-    coordinates described in the module docstring.
+    the boundary restriction beta_j : H_j(L x Sigma) -> H_j(M) in the
+    Kunneth coordinates described in the module docstring, given as
+    {degree: matrix}.  Each block must be dim H_j(M) x dim B_j; the nonzero
+    ones are kept in `boundary_restriction`, and `block(j)` reads any degree.
     """
 
     __slots__ = ("n", "l", "s", "link_h", "sigma_h", "m_h",
@@ -81,7 +83,7 @@ class TwoStrataSpace:
 
     def __init__(self, n: int, l: int, s: int, link_h: GradedVS,
                  sigma_h: GradedVS, m_h: GradedVS,
-                 boundary_restriction: GradedMap,
+                 boundary_restriction: Mapping[int, MatrixQ],
                  oriented: bool = True, label: str = ""):
         if n != l + s + 1:
             raise ModelError(f"n = {n} but l + s + 1 = {l + s + 1}")
@@ -100,31 +102,32 @@ class TwoStrataSpace:
             raise ModelError(f"m_betti: homology of the regular part in degree "
                              f"{m_h.top}, above the dimension n = {n}")
         b = link_h.convolve(sigma_h)
-        if boundary_restriction.source != b:
-            raise ModelError(
-                "boundary restriction source does not match the Kunneth "
-                f"dimensions of H(L) (x) H(Sigma): {boundary_restriction.source!r}"
-                f" vs {b!r}")
-        if boundary_restriction.target != m_h:
-            raise ModelError("boundary restriction target is not H(M)")
-        # degree 0 must commute with augmentations: components map to
-        # components, so every column sum is 1
-        b0 = boundary_restriction.block(0)
-        for jcol in range(b0.cols):
-            if sum(b0.column(jcol).values()) != 1:
-                raise ModelError(
-                    "boundary restriction is not augmentation-compatible in "
-                    f"degree 0 (column {jcol} does not sum to 1)")
+        blocks = {}
+        for j, m in boundary_restriction.items():
+            if (m.rows, m.cols) != (m_h[j], b[j]):
+                raise DimensionMismatch(
+                    f"block in degree {j} is {m.rows}x{m.cols}, expected "
+                    f"{m_h[j]}x{b[j]}")
+            if not m.is_zero():
+                blocks[j] = m
         self.n = n
         self.l = l
         self.s = s
         self.link_h = link_h
         self.sigma_h = sigma_h
         self.m_h = m_h
-        self.boundary_restriction = boundary_restriction
+        self.boundary_restriction = blocks
         self.oriented = oriented
         self.label = label
         self._rank_cache: dict = {}
+        # degree 0 must commute with augmentations: components map to
+        # components, so every column sum is 1
+        b0 = self.block(0)
+        for jcol in range(b0.cols):
+            if sum(b0.column(jcol).values()) != 1:
+                raise ModelError(
+                    "boundary restriction is not augmentation-compatible in "
+                    f"degree 0 (column {jcol} does not sum to 1)")
 
     @property
     def c(self) -> int:
@@ -138,6 +141,13 @@ class TwoStrataSpace:
 
     def boundary_h(self) -> GradedVS:
         return self.link_h.convolve(self.sigma_h)
+
+    def block(self, j: int) -> MatrixQ:
+        """beta_j, the zero matrix of its shape where none is stored."""
+        block = self.boundary_restriction.get(j)
+        if block is None:
+            block = MatrixQ(self.m_h[j], self.boundary_h()[j])
+        return block
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
@@ -182,7 +192,7 @@ def _rank_beta(space: TwoStrataSpace, j: int, a: int) -> int:
     a = max(-1, min(a, space.s, j))
     cached = space._rank_cache.get((j, a))
     if cached is None:
-        block = space.boundary_restriction.block(j)
+        block = space.block(j)
         cached = rank(block.submatrix(range(block.rows), _tail(space, j, a)))
         space._rank_cache[(j, a)] = cached
     return cached
@@ -316,12 +326,8 @@ def conifold_transition(space: TwoStrataSpace) -> TwoStrataSpace:
     by a column reordering, so applying the transition twice returns the
     identical model.
     """
-    b = space.boundary_h()
-    blocks = {}
-    for j in b.degrees():
-        block = space.boundary_restriction.block(j)
-        order = _swapped_columns(space, j)
-        blocks[j] = block.submatrix(range(block.rows), order)
+    blocks = {j: block.submatrix(range(block.rows), _swapped_columns(space, j))
+              for j, block in space.boundary_restriction.items()}
     if space.label.startswith("CT(") and space.label.endswith(")"):
         label = space.label[3:-1]
     elif space.label:
@@ -331,8 +337,7 @@ def conifold_transition(space: TwoStrataSpace) -> TwoStrataSpace:
     return TwoStrataSpace(
         n=space.n, l=space.s, s=space.l,
         link_h=space.sigma_h, sigma_h=space.link_h, m_h=space.m_h,
-        boundary_restriction=GradedMap(b, space.m_h, blocks),
-        oriented=space.oriented, label=label)
+        boundary_restriction=blocks, oriented=space.oriented, label=label)
 
 
 def ih_space_dims(space: TwoStrataSpace, p_at_codim_sigma: int) -> GradedVS:
@@ -352,12 +357,10 @@ def compactify_to_isolated(space: TwoStrataSpace) -> TwoStrataSpace:
     restriction matrices carry over bodily because the Kunneth coordinates
     of (L x Sigma) x point coincide with those of L x Sigma.
     """
-    b = space.boundary_h()
-    blocks = {j: space.boundary_restriction.block(j) for j in b.degrees()}
     return TwoStrataSpace(
         n=space.n, l=space.n - 1, s=0,
-        link_h=b, sigma_h=GradedVS([1]), m_h=space.m_h,
-        boundary_restriction=GradedMap(b, space.m_h, blocks),
+        link_h=space.boundary_h(), sigma_h=GradedVS([1]), m_h=space.m_h,
+        boundary_restriction=space.boundary_restriction,
         oriented=space.oriented,
         label=f"Z({space.label})" if space.label else "")
 

@@ -365,21 +365,22 @@ def ref_ih_direct(st, p_at_c):
 # ---------------------------------------------------------------------------
 # extreme perversities by the long exact sequence
 
-def ref_les_third_dims(beta):
+def ref_les_third_dims(source, target, blocks):
     """Dimension of the third term of the long exact sequence through the
-    graded map beta.
+    graded map beta : source -> target, given as {degree: matrix}, a
+    missing degree being zero.
 
     For ... -> B_j --beta--> C_j -> H_j -> B_{j-1} --beta--> C_{j-1} -> ...
     over a field, dim H_j = dim coker(beta_j) + dim ker(beta_{j-1}); degree
     -1 contributes nothing.  Each degree is ranked once, with `rank` on the
     whole block."""
-    degs = set(beta.source.degrees()) | set(beta.target.degrees())
+    degs = set(source.degrees()) | set(target.degrees())
     if not degs:
         return GradedVS()
     lo, hi = min(degs), max(degs) + 1
-    r = {j: rank(beta.block(j)) for j in range(lo, hi + 1)}
-    return GradedVS({j: beta.target[j] - r[j]
-                     + (beta.source[j - 1] - r[j - 1] if j > lo else 0)
+    r = {j: rank(blocks[j]) if j in blocks else 0 for j in range(lo, hi + 1)}
+    return GradedVS({j: target[j] - r[j]
+                     + (source[j - 1] - r[j - 1] if j > lo else 0)
                      for j in range(lo, hi + 1)})
 
 
@@ -392,7 +393,8 @@ def ref_hi_extreme(space, p):
     stops at degree l, so at these perversities `hi_dims` reduces to the
     same rank arithmetic on the boundary restriction."""
     if p < 0:
-        return ref_les_third_dims(space.boundary_restriction)
+        return ref_les_third_dims(space.boundary_h(), space.m_h,
+                                  space.boundary_restriction)
     if p >= space.l:
         return space.m_h
     raise ModelError(

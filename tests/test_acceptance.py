@@ -136,7 +136,8 @@ def test_c06_extremes():
             assert hi_dims(sp, p) == \
                 ref_hi_extreme(sp, p), (sp, p)
         assert ih_ct_dims(sp, -big) == sp.m_h, sp
-        assert ih_ct_dims(sp, big) == ref_les_third_dims(sp.boundary_restriction)
+        assert ih_ct_dims(sp, big) == ref_les_third_dims(
+            sp.boundary_h(), sp.m_h, sp.boundary_restriction)
     _ok("criterion 6: extreme perversities match the shortcut values on "
         "every bundled and randomized space")
 

@@ -19,7 +19,6 @@ from strathom.catalog import (
 )
 from strathom.chains import (
     ChainComplex,
-    GradedMap,
     GradedVS,
     cycle_representatives,
     tensor_complex,
@@ -303,10 +302,9 @@ def test_truncate_graded():
 def test_les_third_dims():
     v2 = GradedVS([2, 2])
     identity = MatrixQ(2, 2, {(0, 0): 1, (1, 1): 1})
-    ident = GradedMap(v2, v2, {0: identity, 1: identity})
-    assert ref_les_third_dims(ident).is_zero()
-    beta = GradedMap(GradedVS([1]), GradedVS([2]))
-    assert ref_les_third_dims(beta) == GradedVS([2, 1])
+    assert ref_les_third_dims(v2, v2, {0: identity, 1: identity}).is_zero()
+    assert ref_les_third_dims(GradedVS([1]), GradedVS([2]), {}) == \
+        GradedVS([2, 1])
 
 
 def test_tensor_blocks_layout():

@@ -261,13 +261,31 @@ def test_input_errors_exit_2(capsys, tmp_path):
                          "duality", "--p", "0")
     assert code == 2 and out == "", err
     assert "duality requires a closed oriented model" in err, err
+    assert f"{unoriented}.oriented: " in err, err
     code, _, err = run(capsys, "hi", str(unoriented), "--p", "0")
     assert code == 0, err
-    for weight in ("1/0", "x"):
+    for weight, text in (("1/0", "is not a rational number"),
+                         ("x", "is not a rational number"),
+                         ("1", "only weight 0 is modeled; got 1")):
         code, out, err = run(capsys, "modes", "--torus-dim", "1",
                              "--weight", weight)
         assert code == 2 and out == "", (weight, err)
-        assert "--weight" in err and "Traceback" not in err, (weight, err)
+        assert "--weight: " in err and text in err, (weight, err)
+        assert "Traceback" not in err, (weight, err)
+    # an error inside a {"file": ...} link or stratum names the space file,
+    # its field and the referenced file
+    (tmp_path / "badlink.json").write_text(json.dumps(
+        {**triangle, "top_simplices": [["a", "b", "z"]]}))
+    for i, (field, ref, text) in enumerate((
+            ("link", "missing.json", ": cannot read"),
+            ("sigma", "badlink.json", ".top_simplices: "))):
+        f = tmp_path / f"reference{i}.json"
+        f.write_text(json.dumps({"kind": "suspension_product", "link": [1, 1],
+                                 "sigma": [1, 1], field: {"file": ref}}))
+        code, out, err = run(capsys, "hi", str(f), "--p", "0")
+        assert code == 2 and out == "", (field, err)
+        assert f"{f}.{field}: {tmp_path / ref}{text}" in err, err
+        assert "Traceback" not in err, err
     # command-line refusals: exit 2, naming the flag, verb or input
     for flag, argv in (
             ("--torus-dim", ["modes", "--torus-dim", "-1"]),
@@ -334,6 +352,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
          ": l: negative dimension -1"),
         ({**model, "beta_T": {"1": [[1, 0]]}},
          ".beta_T: block in degree 1 is 1x2, expected 3x6"),
+        # a zero block is shape-checked too, then dropped
+        ({**model, "beta_T": {"0": [[1, 1]], "1": [[0]]}},
+         ".beta_T: block in degree 1 is 1x1, expected 3x6"),
         ({**model, "m_betti": [0, 1], "beta_T": {"0": [[1, 1]]}},
          ".m_betti: must be nonempty"),
         ({"kind": "suspension_product", "link": [1, 2], "sigma": [1, 1]},

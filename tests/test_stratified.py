@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from strathom.chains import GradedVS
-from strathom.qlinalg import MatrixQ, rank
+from strathom.qlinalg import DimensionMismatch, MatrixQ, rank
 from strathom.spaces import (
     cp2_point_space,
     isolated_cone_space,
@@ -162,7 +162,8 @@ def test_extremes_on_random_spaces():
         assert hi_dims(sp, big) == \
             ref_hi_extreme(sp, big)
         assert ih_ct_dims(sp, -big) == sp.m_h
-        assert ih_ct_dims(sp, big) == ref_les_third_dims(sp.boundary_restriction)
+        assert ih_ct_dims(sp, big) == ref_les_third_dims(
+            sp.boundary_h(), sp.m_h, sp.boundary_restriction)
 
 
 def test_conifold_transition_involution():
@@ -358,13 +359,27 @@ def test_model_validation():
         TwoStrataSpace(4, 1, 1, GradedVS([1, 1]), GradedVS([1]),
                        GradedVS([1]), None)  # n mismatch before map check
     # degree-0 augmentation compatibility
-    from strathom.chains import GradedMap
-    from strathom.qlinalg import MatrixQ
     link_h = GradedVS([1])
     with pytest.raises(ModelError):
         TwoStrataSpace(1, 0, 0, link_h, GradedVS([1]), GradedVS([1]),
-                       GradedMap(link_h, GradedVS([1]),
-                                 {0: MatrixQ.from_rows([[2]])}))
+                       {0: MatrixQ.from_rows([[2]])})
+
+
+def test_boundary_restriction_blocks():
+    """The model checks each block of beta against dim H_j(M) x dim B_j,
+    keeps only the nonzero ones, and `block(j)` reads any degree."""
+    link_h, sigma_h, m_h = GradedVS([1, 1]), GradedVS([1]), GradedVS([1, 1])
+    beta = {0: MatrixQ.from_rows([[1]]), 1: MatrixQ.from_rows([[1, 0]])}
+    with pytest.raises(DimensionMismatch,
+                       match="block in degree 1 is 1x2, expected 1x1"):
+        TwoStrataSpace(2, 1, 0, link_h, sigma_h, m_h, beta)
+    sp = TwoStrataSpace(2, 1, 0, link_h, sigma_h, m_h,
+                        {0: MatrixQ.from_rows([[1]])})
+    assert sp.block(1) == MatrixQ(1, 1) and sp.block(5) == MatrixQ(0, 0)
+    with_zero = TwoStrataSpace(2, 1, 0, link_h, sigma_h, m_h,
+                               {0: MatrixQ.from_rows([[1]]), 1: MatrixQ(1, 1)})
+    assert with_zero == sp and with_zero.boundary_restriction == \
+        sp.boundary_restriction == {0: MatrixQ.from_rows([[1]])}
 
 
 def test_report_rendering_is_deterministic():
@@ -390,7 +405,7 @@ def _projection(sp, j, a):
 
 
 def _beta_matrix(sp, j, a):
-    return vstack([sp.boundary_restriction.block(j), _projection(sp, j, a)])
+    return vstack([sp.block(j), _projection(sp, j, a)])
 
 
 def _coker_ker(m):
@@ -428,7 +443,7 @@ def _hi_oracle(sp, p):
         local0 = MatrixQ(b0 + 1, b0, {(i + 1, i): Fraction(1) for i in range(b0)})
     else:
         local0 = MatrixQ(1, b0, {(0, i): Fraction(1) for i in range(b0)})
-    maps = [vstack([sp.boundary_restriction.block(0), local0])]
+    maps = [vstack([sp.block(0), local0])]
     maps += [_beta_matrix(sp, j, j - k) for j in range(1, sp.n + 1)]
     # reduced degree 0: restrict to the augmentation kernel (e_i - e_0) and
     # count the cokernel inside the reduced target, one dimension less in

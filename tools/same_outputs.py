@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Check that two source trees print the same thing on every benchmark
+command.
+
+    python3 tools/same_outputs.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a checkout holding `src/strathom` and `bench/workloads.py`.
+For each tree, a subprocess of its own imports that tree's `strathom` and
+`bench/workloads.py`, writes the inputs of every workload for seeds 1-3
+into a temporary directory with `workloads.generate`, and runs each
+command there through `strathom.cli.main`, with and without `--json`.  It
+records the input digests and, per command, the exit code, stdout and
+stderr; an exception that escapes `main` is recorded as its type and
+message, not raised.  Nothing under `bench/` is written to.
+
+The two records are compared command by command.  Every mismatch is
+printed, then the count of identical runs; the exit code is 1 if any run
+differs, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+
+
+def _run(main, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:  # an escaped fault is an outcome to compare
+            code = f"escaped {type(e).__name__}: {e}"
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def collect(root: Path) -> dict:
+    """{run name: outcome} for every command of every workload and seed,
+    plus {workload seed: input digests}, computed with the tree at root."""
+    sys.dont_write_bytecode = True  # no __pycache__ in either tree
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import workloads
+    from strathom.cli import main
+
+    runs = {}
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            for name in workloads.WORKLOADS:
+                for seed in SEEDS:
+                    workdir = Path(tmp) / f"{name}-{seed}"
+                    wl = workloads.generate(name, seed, workdir, root / "src")
+                    runs[f"{name} seed {seed}: inputs"] = wl.inputs
+                    os.chdir(workdir)
+                    for i, cmd in enumerate(wl.commands):
+                        for argv in (list(cmd.argv), ["--json", *cmd.argv]):
+                            key = f"{name} seed {seed} #{i}: {' '.join(argv)}"
+                            runs[key] = _run(main, argv)
+        finally:
+            os.chdir(previous)
+    return runs
+
+
+def _collect_in_subprocess(root: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--collect", str(root)],
+        capture_output=True, text=True, check=False)
+    if proc.returncode:
+        sys.exit(f"collecting outputs of {root} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _first_difference(a, b) -> str:
+    if not (isinstance(a, str) and isinstance(b, str)):
+        return f"{a!r} != {b!r}"
+    for i, (x, y) in enumerate(zip(a.splitlines(), b.splitlines())):
+        if x != y:
+            return f"line {i + 1}: {x!r} != {y!r}"
+    return f"{len(a.splitlines())} lines != {len(b.splitlines())} lines"
+
+
+def compare(parent: dict, change: dict) -> dict[str, list[str]]:
+    """{key: what differs} for every key whose records differ."""
+    problems = {}
+    for key in sorted(set(parent) | set(change)):
+        if key not in parent or key not in change:
+            side = "change" if key in change else "parent"
+            problems[key] = [f"only in the {side}"]
+        elif key.endswith(": inputs"):
+            if parent[key] != change[key]:
+                problems[key] = ["input digests differ"]
+        else:
+            a, b = parent[key], change[key]
+            found = [f"{field} {_first_difference(a[field], b[field])}"
+                     for field in ("exit", "stdout", "stderr")
+                     if a[field] != b[field]]
+            if found:
+                problems[key] = found
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--collect":
+        json.dump(collect(Path(argv[1]).resolve()), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        sys.stderr.write("usage: same_outputs.py PARENT_ROOT CHANGE_ROOT\n")
+        return 2
+    parent, change = (_collect_in_subprocess(Path(a).resolve()) for a in argv)
+    problems = compare(parent, change)
+    for key, found in problems.items():
+        for line in found:
+            print(f"{key}: {line}")
+    runs = [k for k in parent if not k.endswith(": inputs")]
+    same = sum(k not in problems for k in runs)
+    print(f"{same}/{len(runs)} runs identical (exit code, stdout, stderr)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
