@@ -10,11 +10,9 @@ minimal triangulation.
 
 from __future__ import annotations
 
-from .signatures import novikov_signature
 from .simplicial import (
     OrientedPseudomanifoldWithBoundary,
     SimplicialComplex,
-    cup_pairing,
     product_complex,
 )
 
@@ -71,8 +69,8 @@ def cp2_minus_facet() -> OrientedPseudomanifoldWithBoundary:
     """CP^2 with the open star of one top simplex removed.
 
     The boundary is the 3-sphere bounding the removed facet.  The
-    orientation is the one making the cup form positive definite (the
-    complex orientation of the projective plane).
+    orientation propagated from the first kept facet makes the cup form
+    positive definite (the complex orientation of the projective plane).
     """
     cx = cp2_9()
     facets = [cx.labels(t) for t in cx.simplices(4)]
@@ -83,10 +81,8 @@ def cp2_minus_facet() -> OrientedPseudomanifoldWithBoundary:
     complement = SimplicialComplex(cx.vertices, kept)
     boundary = [tuple(v for k, v in enumerate(removed) if k != skip)
                 for skip in range(5)]
-    pm = OrientedPseudomanifoldWithBoundary(complement,
-                                            boundary_simplices=boundary)
-    plus = novikov_signature(cup_pairing(pm, 2))
-    return pm if plus > 0 else pm.reversed_orientation()
+    return OrientedPseudomanifoldWithBoundary(complement,
+                                              boundary_simplices=boundary)
 
 
 def i_x_s1_x_t2() -> OrientedPseudomanifoldWithBoundary:

@@ -6,7 +6,9 @@ table or, with --json, a machine-readable report; both carry the same
 numbers, plus a provenance block naming the input files, their hashes and
 the options.  Exit codes: 0 success, 1 a verification verdict failed, 2 bad
 input (a malformed command line or field, a flag the verb does not read,
-or a model that fails a load check such as Poincare-Lefschetz duality)."""
+or a model that fails a load check such as Poincare-Lefschetz duality), 3
+an internal error (any other exception: a fault of the program, reported
+on one stderr line without a traceback)."""
 
 from __future__ import annotations
 
@@ -421,12 +423,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    """Run one command line; a refused input (`io.InputError`) exits 2 and
+    any other exception, a fault of the program, 3, on one stderr line."""
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as e:
+    except sio.InputError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except Exception as e:
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return 3
 
 
 if __name__ == "__main__":

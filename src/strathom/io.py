@@ -25,7 +25,6 @@ identical data.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from . import simplicial, spaces, stratified
@@ -89,10 +88,6 @@ def _simplex_list(value, field: str) -> list:
     return value
 
 
-def _rational_out(x: int | Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def matrix_from_rows(rows, where: str) -> MatrixQ:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{where}: expected a list of rows, each a list")
@@ -103,10 +98,9 @@ def matrix_from_rows(rows, where: str) -> MatrixQ:
 
 
 def matrix_to_rows(m: MatrixQ) -> list[list]:
-    out = [[0] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m.items():
-        out[i][j] = _rational_out(v)
-    return out
+    """`m.to_rows()` with each non-integer entry as a ``"p/q"`` string."""
+    return [[x if type(x) is int else f"{x.numerator}/{x.denominator}"
+             for x in row] for row in m.to_rows()]
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +136,14 @@ def load_complex(data: dict, where: str = "triangulation"):
             f"{where}: sigma and boundary/orientation are mutually exclusive "
             "(a stratified input or an oriented one, not both)")
     if "boundary" in data or "orientation" in data:
-        # a pseudomanifold is pure: a listed top simplex of lower dimension
-        # must be a face of a full one, else the coface counts never see it
-        short = [t for t in tops if len(t) <= cx.dim]
-        if short:
-            full = [set(map(str, t)) for t in tops if len(t) > cx.dim]
-            for t in short:
-                if not any(set(map(str, t)) <= f for f in full):
+        # a pseudomanifold is pure: a maximal simplex of lower dimension
+        # is never seen by the coface counts
+        if any(len(t) <= cx.dim for t in tops):
+            for t in cx.facets():
+                if len(t) <= cx.dim:
                     raise InputError(
-                        f"{where}.top_simplices: simplex "
-                        f"{tuple(map(str, t))} lies in no {cx.dim}-simplex: "
-                        "the complex is not pure")
+                        f"{where}.top_simplices: simplex {cx.labels(t)} lies "
+                        f"in no {cx.dim}-simplex: the complex is not pure")
         orientation = None
         if "orientation" in data:
             signs = _ints(data["orientation"], f"{where}.orientation")
@@ -162,11 +153,7 @@ def load_complex(data: dict, where: str = "triangulation"):
                     f"{len(tops)} top simplices")
             if any(x not in (1, -1) for x in signs):
                 raise InputError(f"{where}.orientation: signs must be +-1")
-            vidx = {v: i for i, v in enumerate(cx.vertices)}
-            orientation = {}
-            for t, s in zip(tops, signs):
-                key = tuple(sorted(vidx[str(v)] for v in t))
-                orientation[key] = s
+            orientation = {cx.simplex(t): s for t, s in zip(tops, signs)}
         boundary = _simplex_list(data.get("boundary", []), f"{where}.boundary")
         try:
             return simplicial.OrientedPseudomanifoldWithBoundary(
@@ -198,36 +185,32 @@ def load_complex(data: dict, where: str = "triangulation"):
 
 
 def complex_to_dict(obj) -> dict:
+    """The file of a complex, stratified complex or oriented pseudomanifold:
+    its maximal simplices as `top_simplices`, then `orientation` and the
+    maximal boundary simplices, or `sigma` and `codim`."""
+    cx = obj if isinstance(obj, simplicial.SimplicialComplex) else obj.complex
+    tops = cx.facets()
+    out = {"vertices": list(cx.vertices),
+           "top_simplices": [list(cx.labels(t)) for t in tops]}
     if isinstance(obj, simplicial.OrientedPseudomanifoldWithBoundary):
-        cx = obj.complex
-        n = cx.dim
-        tops = list(cx.simplices(n))
-        out = {
-            "vertices": list(cx.vertices),
-            "top_simplices": [list(cx.labels(t)) for t in tops],
-            "orientation": [obj.orientation[t] for t in tops],
-        }
-        maximal_bd = sorted(s for s in obj.boundary if len(s) == n)
-        out["boundary"] = [list(cx.labels(s)) for s in maximal_bd]
-        return out
-    if isinstance(obj, simplicial.StratifiedComplex):
-        cx = obj.complex
-        return {
-            "vertices": list(cx.vertices),
-            "top_simplices": [list(cx.labels(t))
-                              for t in cx.facets()],
-            "sigma": list(obj.sigma_labels()),
-            "codim": obj.codim,
-        }
-    cx = obj
-    return {
-        "vertices": list(cx.vertices),
-        "top_simplices": [list(cx.labels(t)) for t in cx.facets()],
-    }
+        out["orientation"] = [obj.orientation[t] for t in tops]
+        out["boundary"] = [list(cx.labels(s)) for s in sorted(obj.boundary)
+                           if len(s) == cx.dim]
+    elif isinstance(obj, simplicial.StratifiedComplex):
+        out["sigma"] = list(obj.sigma_labels())
+        out["codim"] = obj.codim
+    return out
 
 
 # ---------------------------------------------------------------------------
 # spaces
+
+def _beta_blocks(data: dict, where: str) -> dict[int, MatrixQ]:
+    """The `beta_T` object: {degree: block}, each key an integer."""
+    return {_int(j, f"{where}.beta_T"):
+            matrix_from_rows(rows, f"{where}.beta_T[{j}]")
+            for j, rows in _require_mapping(data, "beta_T", where).items()}
+
 
 def _betti_from(node, where: str, base: Path) -> list[int]:
     """Interpret a link/stratum description: Betti list, inline complex,
@@ -302,10 +285,8 @@ def _space_from(data: dict, where: str,
         link = _betti_from(_require(data, "link", where), f"{where}.link",
                            base)
         m_betti = _betti(_require(data, "m_betti", where), f"{where}.m_betti")
-        beta = {_int(j, f"{where}.beta_T"):
-                matrix_from_rows(rows, f"{where}.beta_T[{j}]")
-                for j, rows in _require_mapping(data, "beta_T", where).items()}
-        return spaces.isolated_cone_space(link, m_betti, beta,
+        return spaces.isolated_cone_space(link, m_betti,
+                                          _beta_blocks(data, where),
                                           oriented=oriented, label=label)
     if kind == "algebraic":
         n, l, s = (_int(_require(data, f, where), f"{where}.{f}")
@@ -313,12 +294,9 @@ def _space_from(data: dict, where: str,
         link_h, sigma_h, m_h = (
             GradedVS(_betti(_require(data, f, where), f"{where}.{f}"))
             for f in ("link_betti", "sigma_betti", "m_betti"))
-        blocks = {_int(j, f"{where}.beta_T"):
-                  matrix_from_rows(rows, f"{where}.beta_T[{j}]")
-                  for j, rows in _require_mapping(data, "beta_T", where).items()}
         return stratified.TwoStrataSpace(
             n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h, m_h=m_h,
-            boundary_restriction=blocks,
+            boundary_restriction=_beta_blocks(data, where),
             oriented=oriented, label=label)
     raise InputError(f"{where}: unknown kind {kind!r}")
 

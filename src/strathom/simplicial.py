@@ -1,5 +1,11 @@
 """Finite simplicial complexes and the chain-level machinery built on them.
 
+`SimplicialComplex` owns the label map that fixes every sign: its vertex
+list orders the vertices, `simplex(labels)` is the one translation from
+labels to sorted indices, and `facets()` the one test of maximality.  An
+orientation enters only through the `OrientedPseudomanifoldWithBoundary`
+constructor, which checks it.
+
 Provides ingestion from top simplices, boundary matrices with signs taken
 from a single global vertex order, cones and suspensions with the apex set
 flagged as the singular stratum, barycentric subdivision, the staircase
@@ -50,21 +56,16 @@ class SimplicialComplex:
     listed lexicographically.
     """
 
-    __slots__ = ("vertices", "_by_dim", "_index")
+    __slots__ = ("vertices", "_label_index", "_by_dim", "_index")
 
     def __init__(self, vertices: Sequence[str], top_simplices: Iterable[Sequence[str]]):
         self.vertices = tuple(str(v) for v in vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self._label_index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self._label_index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        vidx = {v: i for i, v in enumerate(self.vertices)}
         closure: set[Simplex] = set()
         for top in top_simplices:
-            try:
-                idx = tuple(sorted(vidx[str(v)] for v in top))
-            except KeyError as e:
-                raise ValueError(f"top simplex uses unknown vertex {e}") from None
-            if len(set(idx)) != len(idx):
-                raise ValueError(f"degenerate simplex {tuple(top)}")
+            idx = self.simplex(top)
             for r in range(1, len(idx) + 1):
                 closure.update(combinations(idx, r))
         by_dim: dict[int, list[Simplex]] = {}
@@ -73,6 +74,19 @@ class SimplicialComplex:
         self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
         self._index = {d: {s: k for k, s in enumerate(v)}
                        for d, v in self._by_dim.items()}
+
+    def simplex(self, labels: Iterable) -> Simplex:
+        """The sorted vertex indices of the simplex spanned by `labels`; an
+        unknown or repeated label is a ValueError naming it."""
+        index = self._label_index
+        try:
+            s = tuple(sorted([index[str(v)] for v in labels]))
+        except KeyError as e:
+            raise ValueError(f"unknown vertex {e.args[0]!r}") from None
+        for a, b in zip(s, s[1:]):
+            if a == b:
+                raise ValueError(f"repeated vertex {self.vertices[a]!r}")
+        return s
 
     @property
     def dim(self) -> int:
@@ -164,14 +178,14 @@ class StratifiedComplex:
 
     def __init__(self, complex: SimplicialComplex, sigma: Iterable[str], codim: int):
         self.complex = complex
-        labels = set(str(v) for v in sigma)
-        unknown = labels - set(complex.vertices)
+        index = complex._label_index
+        labels = {str(v) for v in sigma}
+        unknown = labels - index.keys()
         if unknown:
             raise ValueError(f"sigma contains unknown vertices {sorted(unknown)}")
         if codim < 1:
             raise ValueError("codimension must be >= 1")
-        self.sigma = frozenset(i for i, v in enumerate(complex.vertices)
-                               if v in labels)
+        self.sigma = frozenset(index[v] for v in labels)
         self.codim = codim
         self._ih_memo = None
 
@@ -408,16 +422,12 @@ class OrientedPseudomanifoldWithBoundary:
                  orientation: Mapping[Simplex, int] | None = None):
         self.complex = complex
         n = complex.dim
-        vidx = {v: i for i, v in enumerate(complex.vertices)}
         bset: set[Simplex] = set()
         for bs in boundary_simplices:
-            try:
-                s = tuple(sorted(vidx[str(v)] for v in bs))
-            except KeyError as e:
-                raise ValueError(
-                    f"boundary simplex uses unknown vertex {e}") from None
+            s = complex.simplex(bs)
             if not complex.has_simplex(s):
-                raise ValueError(f"boundary simplex {tuple(bs)} not in complex")
+                raise ValueError(
+                    f"boundary simplex {complex.labels(s)} not in complex")
             for r in range(1, len(s) + 1):
                 bset.update(combinations(s, r))
         self.boundary = frozenset(bset)
@@ -485,14 +495,6 @@ class OrientedPseudomanifoldWithBoundary:
                     "fundamental chain boundary leaks outside the boundary "
                     f"subcomplex at {self.complex.labels(face)}" if supplied
                     else "complex is not orientable")
-
-    def reversed_orientation(self) -> "OrientedPseudomanifoldWithBoundary":
-        flipped = {t: -s for t, s in self.orientation.items()}
-        out = object.__new__(OrientedPseudomanifoldWithBoundary)
-        out.complex = self.complex
-        out.boundary = self.boundary
-        out.orientation = flipped
-        return out
 
     def __repr__(self) -> str:
         return (f"OrientedPseudomanifoldWithBoundary(dim={self.complex.dim}, "

@@ -62,18 +62,14 @@ def isolated_cone_space(link_betti, m_betti, beta_blocks,
                         oriented=True, label="") -> TwoStrataSpace:
     """Model with Sigma a point: link L, explicit boundary restriction.
 
-    `beta_blocks` maps degree -> matrix data (MatrixQ or row lists) of
-    H_j(L) -> H_j(M).
+    `beta_blocks` maps degree j -> the MatrixQ of H_j(L) -> H_j(M).
     """
     link_h = GradedVS(list(link_betti))
     m_h = GradedVS(list(m_betti))
     l = link_h.top
-    blocks = {}
-    for j, m in beta_blocks.items():
-        blocks[int(j)] = m if isinstance(m, MatrixQ) else MatrixQ.from_rows(m)
     return TwoStrataSpace(
         n=l + 1, l=l, s=0, link_h=link_h, sigma_h=GradedVS([1]), m_h=m_h,
-        boundary_restriction=blocks,
+        boundary_restriction=beta_blocks,
         oriented=oriented, label=label)
 
 
@@ -89,7 +85,8 @@ def pinched_torus_space() -> TwoStrataSpace:
     """
     return isolated_cone_space(
         link_betti=[2, 2], m_betti=[1, 1],
-        beta_blocks={0: [[1, 1]], 1: [[1, 1]]},
+        beta_blocks={0: MatrixQ.from_rows([[1, 1]]),
+                     1: MatrixQ.from_rows([[1, 1]])},
         label="pinched-torus")
 
 
@@ -100,7 +97,7 @@ def cp2_point_space() -> TwoStrataSpace:
     """
     return isolated_cone_space(
         link_betti=[1, 0, 0, 1], m_betti=[1, 0, 1, 0],
-        beta_blocks={0: [[1]]},
+        beta_blocks={0: MatrixQ.from_rows([[1]])},
         label="CP2-point")
 
 

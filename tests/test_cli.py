@@ -1,10 +1,13 @@
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+from strathom import simplicial, stratified
 from strathom.cli import main, parse_range
+from strathom.qlinalg import DimensionMismatch
 
 DATA = Path(__file__).parent.parent / "src" / "strathom" / "data"
 
@@ -433,16 +436,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and f"{f}{text}" in err, err
         assert "Traceback" not in err and err.count(str(f)) == 1, err
     # a pseudomanifold is pure: a dangling edge or an isolated vertex is
-    # refused, both as a triangulation and as a pairing
+    # refused, both as a triangulation and as a pairing, naming the maximal
+    # simplex in vertex order
     disk = {"vertices": ["a", "b", "c", "d"],
             "boundary": [["a", "b"], ["b", "c"], ["a", "c"]],
             "orientation": [1, 1]}
-    for i, extra in enumerate((["c", "d"], ["d"])):
+    for i, extra in enumerate((["c", "d"], ["d"], ["d", "c"])):
         f = tmp_path / f"impure{i}.json"
         f.write_text(json.dumps({**disk,
                                  "top_simplices": [["a", "b", "c"], extra]}))
-        text = (f"{f}.top_simplices: simplex {tuple(extra)} lies in no "
-                "2-simplex")
+        text = (f"{f}.top_simplices: simplex {tuple(sorted(extra))} lies in "
+                "no 2-simplex")
         for argv in (("homology", str(f)),
                      ("signature", str(DATA / "pinched_torus_space.json"),
                       "--pairing", str(f))):
@@ -687,6 +691,42 @@ def test_a_verb_runs_only_the_layers_it_calls(argv, ran):
     assert ran_on_import == ["cli"]
     assert _TRACER_LAYERS <= set(ran_on_import + waiting)
     assert set(ran_by_verb) == ran
+
+
+def test_catalog_runs_no_report_layer():
+    """A catalog triangulation is built from `simplicial` alone: building
+    CP^2 minus a facet leaves `signatures` and `stratified` unexecuted."""
+    import os
+    import subprocess
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
+    probe = ("import importlib.util, sys, strathom.catalog\n"
+             "strathom.catalog.cp2_minus_facet()\n"
+             "print(sorted(n for n in ('signatures', 'stratified')\n"
+             "             if not isinstance(sys.modules['strathom.' + n],\n"
+             "                               importlib.util._LazyModule)))\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("layer, argv, fault", [
+    (simplicial.ih_direct, ["ih-direct", "cone_torus.json", "--p", "0"],
+     AssertionError("dims[2] >= 0")),
+    (stratified.hi_dims, ["hi", "s2xt2_space.json", "--p", "0"],
+     DimensionMismatch("block in degree 1 is 1x2, expected 2x2")),
+], ids=["AssertionError", "DimensionMismatch"])
+def test_an_internal_fault_exits_3(capsys, monkeypatch, layer, argv, fault):
+    """Exit 2 is a refused input and 1 a failed verdict; an exception from
+    inside a layer is neither, and writes one line with no traceback."""
+    def broken(*args, **kwargs):
+        raise fault
+    monkeypatch.setattr(sys.modules[layer.__module__], layer.__name__, broken)
+    code, out, err = run(capsys, argv[0], str(DATA / argv[1]), *argv[2:])
+    assert code == 3 and out == ""
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
 def test_sigma_triangulation_without_sigma_rejected(capsys, tmp_path):

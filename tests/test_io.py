@@ -96,6 +96,22 @@ def test_oriented_round_trip():
     assert again.boundary == pm.boundary
 
 
+def test_orientation_is_keyed_through_the_label_map():
+    # vertices listed out of label order: each sign keys the vertex-order
+    # indices of its top, and a round trip keeps it
+    data = {"vertices": ["d", "c", "b", "a"],
+            "top_simplices": [["a", "b", "c"], ["a", "c", "d"]],
+            "boundary": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+            "orientation": [-1, -1]}
+    pm = sio.load_complex(data)
+    cx = pm.complex
+    assert pm.orientation == {cx.simplex(top): -1
+                              for top in data["top_simplices"]}
+    again = sio.load_complex(sio.complex_to_dict(pm))
+    assert again.orientation == pm.orientation
+    assert again.boundary == pm.boundary
+
+
 def test_pairing_from_matrix_and_from_triangulation():
     p = sio.load_pairing({"degree": 2, "matrix": [[1, 0], [0, "-1"]]})
     assert p.matrix.entry(1, 1) == Fraction(-1)

@@ -315,6 +315,22 @@ def test_facets_match_brute_force_scan():
     assert len(catalog.cp2_9().facets()) == 36
 
 
+def test_simplex_maps_labels_to_sorted_indices():
+    cx = SimplicialComplex(["c", "a", "b"], [["a", "b", "c"]])
+    # the vertex list, not the label order, fixes the indices
+    assert cx.simplex("abc") == cx.simplex(["c", "b", "a"]) == (0, 1, 2)
+    assert cx.simplex(["b", "a"]) == cx.simplex(["a", "b"]) == (1, 2)
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        cx.simplex(["a", "z"])
+    with pytest.raises(ValueError, match="repeated vertex 'b'"):
+        cx.simplex(["b", "a", "b"])
+    # the constructor reads it for the top simplices
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        SimplicialComplex("abc", ["abz"])
+    with pytest.raises(ValueError, match="repeated vertex 'a'"):
+        SimplicialComplex("abc", ["aab"])
+
+
 def _complex_family(rng):
     """Catalog complexes, cones and suspensions, staircase products,
     barycentric subdivisions and seeded random complexes."""

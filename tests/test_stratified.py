@@ -266,7 +266,8 @@ def test_duality_trivial_sphere_model():
     from strathom.spaces import isolated_cone_space
     for l in (1, 2, 3):
         link = [1] + [0] * (l - 1) + [1]
-        sp = isolated_cone_space(link, [1], {0: [[1]]}, label="disk-like")
+        sp = isolated_cone_space(link, [1], {0: MatrixQ.from_rows([[1]])},
+                                 label="disk-like")
         for p in range(-2, l + 2):
             assert verify_duality(sp, p).ok, (l, p)
 
@@ -288,7 +289,8 @@ def test_lefschetz_check():
         for model in (sp, conifold_transition(sp), compactify_to_isolated(sp)):
             check_lefschetz(model)
     # one boundary circle cannot bound a surface with H = (1, 1)
-    sp = isolated_cone_space([1, 1], [1, 1], {0: [[1]], 1: [[5]]})
+    sp = isolated_cone_space([1, 1], [1, 1], {0: MatrixQ.from_rows([[1]]),
+                                              1: MatrixQ.from_rows([[5]])})
     with pytest.raises(ModelError, match="beta_T.*degree 0"):
         check_lefschetz(sp)
 
