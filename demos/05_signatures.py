@@ -13,12 +13,12 @@ from strathom.spaces import cp2_point_space, s2xt2_space, torus_link_space
 
 # the cylinder I x S^1 x T^2: everything restricts from the boundary, the
 # image form vanishes identically
-cyl = cup_pairing(i_x_s1_x_t2(), 2)
+cyl = cup_pairing(i_x_s1_x_t2())
 print("I x S^1 x T^2 pairing matrix is zero:", cyl.matrix.is_zero(),
       "-> signature", novikov_signature(cyl))
 
 # the projective plane minus a ball: one generator, self-intersection +1
-cp2 = cup_pairing(cp2_minus_facet(), 2)
+cp2 = cup_pairing(cp2_minus_facet())
 print("CP^2 minus a ball pairing:", cp2.matrix.to_rows(),
       "-> signature", novikov_signature(cp2))
 

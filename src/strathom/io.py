@@ -136,14 +136,6 @@ def load_complex(data: dict, where: str = "triangulation"):
             f"{where}: sigma and boundary/orientation are mutually exclusive "
             "(a stratified input or an oriented one, not both)")
     if "boundary" in data or "orientation" in data:
-        # a pseudomanifold is pure: a maximal simplex of lower dimension
-        # is never seen by the coface counts
-        if any(len(t) <= cx.dim for t in tops):
-            for t in cx.facets():
-                if len(t) <= cx.dim:
-                    raise InputError(
-                        f"{where}.top_simplices: simplex {cx.labels(t)} lies "
-                        f"in no {cx.dim}-simplex: the complex is not pure")
         orientation = None
         if "orientation" in data:
             signs = _ints(data["orientation"], f"{where}.orientation")
@@ -153,17 +145,27 @@ def load_complex(data: dict, where: str = "triangulation"):
                     f"{len(tops)} top simplices")
             if any(x not in (1, -1) for x in signs):
                 raise InputError(f"{where}.orientation: signs must be +-1")
-            orientation = {cx.simplex(t): s for t, s in zip(tops, signs)}
+            orientation = {}
+            for t, s in zip(tops, signs):
+                key = cx.simplex(t)
+                if orientation.setdefault(key, s) != s:
+                    raise InputError(
+                        f"{where}.orientation: simplex {cx.labels(key)} is "
+                        "listed with both signs")
         boundary = _simplex_list(data.get("boundary", []), f"{where}.boundary")
         try:
             return simplicial.OrientedPseudomanifoldWithBoundary(
                 cx, boundary_simplices=boundary, orientation=orientation)
+        except simplicial.NotPure as e:
+            raise InputError(f"{where}.top_simplices: {e}") from None
         except simplicial.OrientationError as e:
-            # coface counts and the one fundamental-chain pass (orientability
-            # of a propagated orientation, coherence of a supplied one)
-            # read the complex and its boundary and orientation together
+            # the coface counts and the one fundamental-chain pass read the
+            # complex, its boundary and its orientation together; a sign on
+            # a simplex that is no top names the orientation in its text
             raise InputError(f"{where}: {e}") from None
         except ValueError as e:
+            # what is left: a boundary simplex with an unknown or repeated
+            # label, or one the complex lacks
             raise InputError(f"{where}.boundary: {e}") from None
     if "sigma" in data:
         if not isinstance(data["sigma"], list):
@@ -329,7 +331,11 @@ def load_pairing(data: dict, where: str = "pairing"
                  ) -> (simplicial.PairingData
                        | simplicial.OrientedPseudomanifoldWithBoundary):
     """A pairing matrix, or a validated oriented triangulation of even
-    dimension.  A triangulation's cup pairing is not computed here:
+    dimension.  This is the file door of a pairing matrix: it checks a
+    nonnegative degree, a square shape and symmetry in even degree, naming
+    `.degree` or `.matrix`; the `PairingData` record checks nothing, and
+    `qlinalg.signature_sym` checks again only what it reads, for any
+    caller.  A triangulation's cup pairing is not computed here:
     `verify_theorem_sig` computes it only where it reads sigma(Mbar)."""
     if "matrix" in data:
         degree = _int(_require(data, "degree", where), f"{where}.degree")

@@ -384,6 +384,11 @@ def signature_sym(m: MatrixQ) -> Signature:
     diagonal pivot exists, a hyperbolic pair M[i][j] != 0 is converted to a
     usable pivot by the congruence row_i += row_j / col_i += col_j; the pair
     then contributes exactly (1, 1, 0), the standard hyperbolic count.
+
+    This is the algorithm door: a matrix that is not square and symmetric
+    raises `NotSymmetric`, whoever built it.  `io.load_pairing` checks a
+    pairing file itself so as to name the field, and `cup_pairing` leaves
+    the symmetry that a coherent orientation implies to this check.
     """
     if m.rows != m.cols:
         raise NotSymmetric(f"matrix is {m.rows}x{m.cols}, not square")

@@ -70,8 +70,10 @@ def novikov_signature(p: PairingData) -> int:
     The pairing matrix runs over relative cohomology classes with the
     second slot pushed to absolute cohomology, so its nonzero part is the
     intersection form on the image of relative in absolute cohomology.
+    An empty pairing has signature 0 in any degree; any other matrix goes
+    to `signature_sym`, which checks that it is square and symmetric.
     """
-    if p.matrix.rows == 0:
+    if p.matrix.rows == p.matrix.cols == 0:
         return 0
     if p.degree % 2:
         raise TheoremNotApplicable(
@@ -144,7 +146,7 @@ def verify_theorem_sig(
             raise TheoremNotApplicable(
                 f"pairing is in degree {degree}, middle degree is {mid}")
         sigma = novikov_signature(
-            cup_pairing(pairing, mid) if triangulated else pairing)
+            cup_pairing(pairing) if triangulated else pairing)
 
     m_x = middle_perversities(space.codim_sigma)[0]
     z = compactify_to_isolated(space)

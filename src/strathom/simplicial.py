@@ -4,7 +4,8 @@
 list orders the vertices, `simplex(labels)` is the one translation from
 labels to sorted indices, and `facets()` the one test of maximality.  An
 orientation enters only through the `OrientedPseudomanifoldWithBoundary`
-constructor, which checks it.
+constructor, which checks it, and which reads `facets()` to decide purity:
+a pseudomanifold has no maximal simplex below full dimension.
 
 Provides ingestion from top simplices, boundary matrices with signs taken
 from a single global vertex order, cones and suspensions with the apex set
@@ -34,7 +35,7 @@ count the lows of the one clearing routine `chains.cleared_lows`.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .chains import ChainComplex, GradedVS, cleared_lows, cycle_representatives
 from .qlinalg import MatrixQ, column_lows
@@ -47,25 +48,31 @@ class OrientationError(ValueError):
     orientation is incoherent."""
 
 
+class NotPure(ValueError):
+    """A maximal simplex lies below the top dimension."""
+
+
 class SimplicialComplex:
     """A finite simplicial complex over an ordered vertex list.
 
     The vertex order is part of the data: it fixes the sign conventions of
     every boundary matrix and of the front-face/back-face cup product.
     Simplices are stored per dimension as sorted tuples of vertex indices,
-    listed lexicographically.
+    listed lexicographically.  `_uniform` records whether the listed top
+    simplices all have one length, in which case they are the facets.
     """
 
-    __slots__ = ("vertices", "_label_index", "_by_dim", "_index")
+    __slots__ = ("vertices", "_label_index", "_uniform", "_by_dim", "_index")
 
     def __init__(self, vertices: Sequence[str], top_simplices: Iterable[Sequence[str]]):
         self.vertices = tuple(str(v) for v in vertices)
         self._label_index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._label_index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
+        tops = [self.simplex(top) for top in top_simplices]
+        self._uniform = len({len(t) for t in tops}) < 2
         closure: set[Simplex] = set()
-        for top in top_simplices:
-            idx = self.simplex(top)
+        for idx in tops:
             for r in range(1, len(idx) + 1):
                 closure.update(combinations(idx, r))
         by_dim: dict[int, list[Simplex]] = {}
@@ -107,6 +114,8 @@ class SimplicialComplex:
     def facets(self) -> list[Simplex]:
         """The maximal simplices: those that are no face of a simplex one
         dimension higher, in (dimension, lexicographic) order."""
+        if self._uniform:
+            return list(self.simplices(self.dim))
         out = []
         for d in range(self.dim + 1):
             covered = {t[:i] + t[i + 1:] for t in self.simplices(d + 1)
@@ -407,12 +416,15 @@ def product_complex(a: SimplicialComplex, b: SimplicialComplex,
 class OrientedPseudomanifoldWithBoundary:
     """A triangulated oriented pseudomanifold with (possibly empty) boundary.
 
-    Construction checks that every interior codimension-1 simplex has
-    exactly two top cofaces and every boundary one exactly one.  A supplied
-    orientation must be +-1; an omitted one is propagated from the
-    lexicographically first facet of each piece.  Either way, one pass then
-    checks that the fundamental chain's boundary lies in the boundary
-    subcomplex.
+    Construction first checks purity: a maximal simplex below full
+    dimension is never seen by the coface counts, so the first one in
+    `facets()` order is refused with `NotPure`.  It then checks that every
+    interior codimension-1 simplex has exactly two top cofaces and every
+    boundary one exactly one.  A supplied orientation must give a sign of
+    +-1 to each top simplex and to nothing else; an omitted one is
+    propagated from the lexicographically first facet of each piece.
+    Either way, one pass then checks that the fundamental chain's boundary
+    lies in the boundary subcomplex.
     """
 
     __slots__ = ("complex", "boundary", "orientation")
@@ -422,6 +434,10 @@ class OrientedPseudomanifoldWithBoundary:
                  orientation: Mapping[Simplex, int] | None = None):
         self.complex = complex
         n = complex.dim
+        facets = complex.facets()
+        if facets and len(facets[0]) <= n:
+            raise NotPure(f"simplex {complex.labels(facets[0])} lies in no "
+                          f"{n}-simplex: the complex is not pure")
         bset: set[Simplex] = set()
         for bs in boundary_simplices:
             s = complex.simplex(bs)
@@ -452,6 +468,11 @@ class OrientedPseudomanifoldWithBoundary:
             signs = {t: int(orientation[t]) for t in tops}
             if any(x not in (1, -1) for x in signs.values()):
                 raise OrientationError("orientation signs must be +-1")
+            stray = next((s for s in orientation if s not in signs), None)
+            if stray is not None:
+                raise OrientationError(
+                    f"orientation gives a sign to {complex.labels(stray)}, "
+                    f"which is not a {n}-simplex")
             self.orientation = signs
         self._check_fundamental_chain(tops, cofaces,
                                       supplied=orientation is not None)
@@ -501,28 +522,26 @@ class OrientedPseudomanifoldWithBoundary:
                 f"facets={self.complex.n_simplices(self.complex.dim)})")
 
 
-class PairingData:
-    """A middle-degree pairing matrix and its degree."""
+class PairingData(NamedTuple):
+    """A middle-degree pairing matrix and its degree.  The record checks
+    nothing: `io.load_pairing` checks a pairing file (a nonnegative degree,
+    a square matrix, symmetric in even degree), `cup_pairing` builds an
+    r x r matrix, and `qlinalg.signature_sym` checks that the matrix it
+    reads is square and symmetric."""
 
-    __slots__ = ("degree", "matrix")
-
-    def __init__(self, degree: int, matrix: MatrixQ):
-        if matrix.rows != matrix.cols:
-            raise ValueError("pairing matrix must be square")
-        self.degree = degree
-        self.matrix = matrix
-
-    def __repr__(self) -> str:
-        return f"PairingData(degree={self.degree}, size={self.matrix.rows})"
+    degree: int
+    matrix: MatrixQ
 
 
-def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingData:
+def cup_pairing(m: OrientedPseudomanifoldWithBoundary) -> PairingData:
     """The middle-degree cup-product pairing against the fundamental chain.
 
-    Both slots run over a cocycle basis of H^m(K, bd K), the cleared
-    representatives of `cycle_representatives` on the relative coboundaries
-    (cocycles vanishing on the lows of delta^{m-1}, so no full cocycle
-    basis is built); the second factor is regarded in absolute cohomology.
+    The degree is m = n / 2 for the dimension n of the complex; an odd n
+    has no middle degree and is a ValueError.  Both slots run over a
+    cocycle basis of H^m(K, bd K), the cleared representatives of
+    `cycle_representatives` on the relative coboundaries (cocycles
+    vanishing on the lows of delta^{m-1}, so no full cocycle basis is
+    built); the second factor is regarded in absolute cohomology.
     Entry (i, j) is <a_i cup a_j, fundamental chain> with the ordered
     front-face/back-face cup product in the global vertex order.  Its
     signature is the Novikov signature of the complex.
@@ -536,9 +555,9 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary, degree: int) -> PairingDa
     boundary [K] lies in the boundary subcomplex, where a vanishes.
     """
     K = m.complex
-    n = K.dim
-    if 2 * degree != n:
-        raise ValueError(f"degree {degree} is not the middle of dimension {n}")
+    if K.dim % 2:
+        raise ValueError(f"no middle degree in odd dimension {K.dim}")
+    degree = K.dim // 2
 
     # the indices of the simplices off the boundary: relative cochain bases
     rel = {d: [i for i, s in enumerate(K.simplices(d)) if s not in m.boundary]

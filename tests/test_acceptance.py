@@ -207,14 +207,14 @@ def test_c09_kunneth_property():
 
 
 def test_c10_signatures():
-    rep0 = verify_theorem_sig(s2xt2_space(), cup_pairing(i_x_s1_x_t2(), 2))
+    rep0 = verify_theorem_sig(s2xt2_space(), cup_pairing(i_x_s1_x_t2()))
     assert rep0.all_equal and rep0.sigma_Mbar == 0
     rep1 = verify_theorem_sig(cp2_point_space(),
-                              cup_pairing(cp2_minus_facet(), 2))
+                              cup_pairing(cp2_minus_facet()))
     assert rep1.all_equal and rep1.sigma_Mbar == 1
     assert not witt_check(torus_link_space()).is_witt
     with pytest.raises(TheoremNotApplicable):
-        verify_theorem_sig(torus_link_space(), cup_pairing(i_x_s1_x_t2(), 2))
+        verify_theorem_sig(torus_link_space(), cup_pairing(i_x_s1_x_t2()))
     _ok("criterion 10: signature report is 0 on the running example and +1 "
         "on the projective-plane space; the torus-link space is rejected")
 

@@ -415,6 +415,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
          ".orientation"),
         (("homology",), {**sphere, "orientation": [1, 1, 1, 1]},
          ": fundamental chain boundary leaks"),
+        # a sign that orients nothing: a top listed with both signs, and a
+        # sign on a face of a top
+        (("homology",), {**sphere, "top_simplices": [
+            *sphere["top_simplices"], ["a", "b", "c"]],
+            "orientation": [-1, -1, 1, -1, 1]},
+         ".orientation: simplex ('a', 'b', 'c') is listed with both signs"),
+        (("homology",), {**sphere, "top_simplices": [
+            *sphere["top_simplices"], ["b", "a"]],
+            "orientation": [-1, 1, -1, 1, 1]},
+         ": orientation gives a sign to ('a', 'b'), which is not a "
+         "2-simplex"),
         # the 5-vertex Moebius band, with its five boundary edges
         (("homology",), {"vertices": ["0", "1", "2", "3", "4"],
                          "top_simplices": [["0", "1", "2"], ["1", "2", "3"],

@@ -120,7 +120,7 @@ def test_pairing_from_matrix_and_from_triangulation():
     # a triangulation loads validated; its cup pairing is computed on demand
     pm = sio.load_pairing(sio.load_json(DATA / "cp2_minus_ball.json"))
     assert isinstance(pm, OrientedPseudomanifoldWithBoundary)
-    p2 = cup_pairing(pm, 2)
+    p2 = cup_pairing(pm)
     assert p2.degree == 2
     assert p2.matrix.rows == rank(p2.matrix) == 1
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from strathom.modes import ModeReport, ModeSpec
+from strathom.qlinalg import MatrixQ
 from strathom.signatures import SignatureReport, WittVerdict
+from strathom.simplicial import PairingData
 from strathom.stratified import (
     DegreeVerdict,
     DualityVerdict,
@@ -29,6 +31,8 @@ RECORDS = {
     "SpaceReport": (lambda: SpaceReport(
         label="x", q_values=(0,), degrees=(0,), dims={0: (1,)},
         annotations={0: ()}), "label"),
+    "PairingData": (lambda: PairingData(2, MatrixQ.from_rows([[1]])),
+                    "degree"),
 }
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from strathom import io as sio
 from strathom.chains import GradedVS
 from strathom.qlinalg import MatrixQ
 from strathom.simplicial import (
+    NotPure,
     OrientationError,
     OrientedPseudomanifoldWithBoundary,
     SimplicialComplex,
@@ -282,14 +284,30 @@ def test_oriented_pm_construction_and_checks():
         OrientedPseudomanifoldWithBoundary(full_triangle())
 
 
+def test_pseudomanifold_constructor_refuses_an_impure_complex():
+    """The constructor decides purity: a dangling edge or an isolated
+    vertex is a maximal simplex that no coface count sees."""
+    for tops, short in ((["abc", "cd"], ("c", "d")), (["abc", "d"], ("d",))):
+        with pytest.raises(NotPure, match=re.escape(
+                f"simplex {short} lies in no 2-simplex: the complex is not "
+                "pure")):
+            OrientedPseudomanifoldWithBoundary(
+                SimplicialComplex("abcd", tops), ["ab", "bc", "ac"])
+
+
+def test_cup_pairing_has_no_degree_in_odd_dimension():
+    with pytest.raises(ValueError, match="no middle degree in odd dimension 1"):
+        cup_pairing(OrientedPseudomanifoldWithBoundary(catalog.circle()))
+
+
 def test_cup_pairing_disk_degree1_empty():
-    p = cup_pairing(disk2(), 1)
+    p = cup_pairing(disk2())
     assert p.matrix.rows == 0
 
 
 def test_cup_pairing_torus_degree1_is_symplectic():
     t = OrientedPseudomanifoldWithBoundary(torus7())
-    p = cup_pairing(t, 1)
+    p = cup_pairing(t)
     assert p.matrix.rows == 2
     # odd middle degree: antisymmetric and nondegenerate
     assert p.matrix.entry(0, 0) == 0 and p.matrix.entry(1, 1) == 0

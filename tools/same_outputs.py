@@ -21,6 +21,7 @@ differs, 0 otherwise.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -44,15 +45,18 @@ def _run(main, argv: list[str]) -> dict:
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def collect(root: Path) -> dict:
-    """{run name: outcome} for every command of every workload and seed,
-    plus {workload seed: input digests}, computed with the tree at root."""
+def workload_commands(root: Path):
+    """Yield (workload seed, input digests, run name, run) for every command
+    of every workload and seed, with and without `--json`, using the tree
+    at root.  Each workload's inputs are generated before its first yield,
+    in a temporary directory that is the working directory while its
+    commands are yielded; `run()` runs one command through
+    `strathom.cli.main` and returns its outcome."""
     sys.dont_write_bytecode = True  # no __pycache__ in either tree
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
     from strathom.cli import main
 
-    runs = {}
     previous = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -60,14 +64,23 @@ def collect(root: Path) -> dict:
                 for seed in SEEDS:
                     workdir = Path(tmp) / f"{name}-{seed}"
                     wl = workloads.generate(name, seed, workdir, root / "src")
-                    runs[f"{name} seed {seed}: inputs"] = wl.inputs
                     os.chdir(workdir)
                     for i, cmd in enumerate(wl.commands):
                         for argv in (list(cmd.argv), ["--json", *cmd.argv]):
-                            key = f"{name} seed {seed} #{i}: {' '.join(argv)}"
-                            runs[key] = _run(main, argv)
+                            yield (f"{name} seed {seed}", wl.inputs,
+                                   f"{name} seed {seed} #{i}: {' '.join(argv)}",
+                                   functools.partial(_run, main, argv))
         finally:
             os.chdir(previous)
+
+
+def collect(root: Path) -> dict:
+    """{run name: outcome} for every command of every workload and seed,
+    plus {workload seed: input digests}, computed with the tree at root."""
+    runs = {}
+    for workload, inputs, key, run in workload_commands(root):
+        runs[f"{workload}: inputs"] = inputs
+        runs[key] = run()
     return runs
 
 
