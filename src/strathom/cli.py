@@ -1,14 +1,16 @@
 """Command-line front end: `strathom [--json] VERB [INPUT] [--flag value
 | --flag=value ...]`.  One table, `_VERBS`, holds each verb's handler,
 help line, input file and flags (converter, required mark, default);
-`parse_args` and `--help` read it.  Every run emits either a human-readable
-table or, with --json, a machine-readable report; both carry the same
-numbers, plus a provenance block naming the input files, their hashes and
-the options.  Exit codes: 0 success, 1 a verification verdict failed, 2 bad
-input (a malformed command line or field, a flag the verb does not read,
-or a model that fails a load check such as Poincare-Lefschetz duality), 3
-an internal error (any other exception: a fault of the program, reported
-on one stderr line without a traceback)."""
+`parse_args` and `--help` read it.  Every handler ends in `_emit`, the one
+report path: a human-readable table or, with --json, a machine-readable
+report carrying the same numbers plus a provenance block.  `_emit` writes
+the command from the parsed verb, the inputs (with their hashes) from
+`input` and `pairing`, and the exit code from the verdict.  Exit codes: 0
+success, 1 a verification verdict failed, 2 bad input (a malformed command
+line or field, a flag the verb does not read, or a model that fails a load
+check such as Poincare-Lefschetz duality), 3 an internal error (any other
+exception: a fault of the program, reported on one stderr line without a
+traceback)."""
 
 from __future__ import annotations
 
@@ -52,29 +54,27 @@ def _degrees(degree, degrees, n: int) -> list[int]:
     return _values(degree, degrees, "degree", "degrees")
 
 
-def _provenance(paths: list[str], options: dict) -> dict:
-    inputs = []
-    for p in paths:
-        digest = hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        inputs.append({"path": str(p), "sha256": digest})
-    return {"inputs": inputs,
-            "options": {k: v for k, v in sorted(options.items())
-                        if v is not None}}
-
-
 def _load_space(path: str):
     return sio.load_space(sio.load_json(path), where=str(path),
                           base=Path(path).parent)
 
 
-def _emit(args, command: str, paths: list[str], options: dict,
-          result: dict, text: str) -> None:
+def _emit(args, options: dict, result: dict, text: str, ok=True) -> int:
+    """Write the report and return the exit code: 0 when the verdict `ok`
+    holds, 1 when it fails.  Under --json the report names the parsed verb
+    as its command, lists `input` and then `pairing` (each when present)
+    with their hashes, and keeps the options that are not None."""
     if args.json:
-        report = {"command": command, "result": result}
-        report.update(_provenance(paths, options))
-        sys.stdout.write(sio.dump_canonical(report))
+        paths = [p for p in (getattr(args, "input", None),
+                             getattr(args, "pairing", None)) if p is not None]
+        sys.stdout.write(sio.dump_canonical({
+            "command": args.verb, "result": result,
+            "inputs": [{"path": p, "sha256": hashlib.sha256(
+                Path(p).read_bytes()).hexdigest()} for p in paths],
+            "options": {k: v for k, v in options.items() if v is not None}}))
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    return 0 if ok else 1
 
 
 def _dims_text(title: str, dims: list[int]) -> str:
@@ -82,35 +82,36 @@ def _dims_text(title: str, dims: list[int]) -> str:
     return f"{title}\n  degree:dim  {body}"
 
 
+def _sweep(args, flag: str, n: int, dims, title, key: str,
+           options: dict | None = None) -> int:
+    """Report one row of dimensions in degrees 0..n per value of --flag or
+    --flag-range: `dims(v)` gives the row, `title(v)` its heading, and the
+    result files the rows under `key`."""
+    values = _values(getattr(args, flag), getattr(args, f"{flag}_range"),
+                     flag, f"{flag}-range")
+    rows = {str(v): list(dims(v).as_tuple(0, n)) for v in values}
+    text = "\n".join(_dims_text(title(v), rows[str(v)]) for v in values)
+    return _emit(args, {flag: values, **(options or {})}, {key: rows}, text)
+
+
 def cmd_homology(args) -> int:
     dims = simplicial.betti_numbers(
         sio.load_complex(sio.load_json(args.input), where=args.input))
-    _emit(args, "homology", [args.input], {}, {"betti": dims},
-          _dims_text(f"homology of {args.input}", dims))
-    return 0
+    return _emit(args, {}, {"betti": dims},
+                 _dims_text(f"homology of {args.input}", dims))
 
 
 def cmd_ih(args) -> int:
     space = _load_space(args.input)
-    qs = _values(args.q, args.q_range, "q", "q-range")
-    rows = {str(q): list(stratified.ih_ct_dims(space, q).as_tuple(0, space.n))
-            for q in qs}
-    text = "\n".join(_dims_text(f"IH^(q={q})(CT) of {args.input}", rows[str(q)])
-                     for q in qs)
-    _emit(args, "ih", [args.input], {"q": qs}, {"ih_ct": rows}, text)
-    return 0
+    return _sweep(args, "q", space.n,
+                  lambda q: stratified.ih_ct_dims(space, q),
+                  lambda q: f"IH^(q={q})(CT) of {args.input}", "ih_ct")
 
 
 def cmd_hi(args) -> int:
     space = _load_space(args.input)
-    ps = _values(args.p, args.p_range, "p", "p-range")
-    rows = {str(p): list(stratified.hi_dims(space, p).as_tuple(0, space.n))
-            for p in ps}
-    text = "\n".join(
-        _dims_text(f"reduced HI^(p={p}) of {args.input}", rows[str(p)])
-        for p in ps)
-    _emit(args, "hi", [args.input], {"p": ps}, {"hi": rows}, text)
-    return 0
+    return _sweep(args, "p", space.n, lambda p: stratified.hi_dims(space, p),
+                  lambda p: f"reduced HI^(p={p}) of {args.input}", "hi")
 
 
 def cmd_ig(args) -> int:
@@ -119,9 +120,8 @@ def cmd_ig(args) -> int:
     out = {str(j): stratified.ig_dims(space, args.k, j) for j in degrees}
     body = "  ".join(f"{j}:{out[str(j)]}" for j in degrees)
     text = f"IG^({args.k})_j(CT) of {args.input}\n  degree:dim  {body}"
-    _emit(args, "ig", [args.input], {"k": args.k, "degrees": list(degrees)},
-          {"ig": out}, text)
-    return 0
+    return _emit(args, {"k": args.k, "degrees": list(degrees)}, {"ig": out},
+                 text)
 
 
 def cmd_table(args) -> int:
@@ -129,9 +129,8 @@ def cmd_table(args) -> int:
     rng = parse_range(args.q_range) if args.q_range else \
         range(-1, space.c)
     rep = stratified.ih_table(space, rng.start, rng.stop - 1)
-    _emit(args, "table", [args.input], {"q_range": [rng.start, rng.stop - 1]},
-          rep.to_dict(), f"IH^q_j(CT) of {args.input}\n" + rep.render())
-    return 0
+    return _emit(args, {"q_range": [rng.start, rng.stop - 1]}, rep.to_dict(),
+                 f"IH^q_j(CT) of {args.input}\n" + rep.render())
 
 
 def _verdicts(verdicts) -> list[dict]:
@@ -167,8 +166,7 @@ def cmd_verify(args) -> int:
             lines.append(f"  j={v.j}: HI={v.lhs}  IG={v.rhs}  "
                          f"{'ok' if v.ok else 'FAIL'}")
         lines.append("PASS" if ok else "FAIL")
-        _emit(args, "verify", [args.input], options, result, "\n".join(lines))
-        return 0 if ok else 1
+        return _emit(args, options, result, "\n".join(lines), ok)
     if theorem == "duality":
         try:
             verdict = stratified.verify_duality(space, args.p)
@@ -179,22 +177,19 @@ def cmd_verify(args) -> int:
                   "ih_pairs": _verdicts(verdict.ih_pairs)}
         text = (f"duality on {args.input} with p = {args.p}: "
                 + ("PASS" if verdict.ok else "FAIL"))
-        _emit(args, "verify", [args.input], options, result, text)
-        return 0 if verdict.ok else 1
-    return _signature_report(args, space, "verify", options)
+        return _emit(args, options, result, text, verdict.ok)
+    return _signature_report(args, space, options)
 
 
-def _signature_report(args, space, command: str, options: dict) -> int:
+def _signature_report(args, space, options: dict) -> int:
     """The signature-equality report, shared by `signature` and
     `verify --theorem signature`."""
-    paths = [args.input, args.pairing]
     pairing = sio.load_pairing(sio.load_json(args.pairing), where=args.pairing)
     try:
         rep = signatures.verify_theorem_sig(space, pairing)
     except signatures.TheoremNotApplicable as e:
-        _emit(args, command, paths, options, {"ok": False, "error": str(e)},
-              f"not applicable: {e}")
-        return 1
+        return _emit(args, options, {"ok": False, "error": str(e)},
+                     f"not applicable: {e}", ok=False)
     result = {"ok": rep.all_equal}
     result.update(rep.to_dict())
     text = "\n".join([
@@ -211,8 +206,7 @@ def _signature_report(args, space, command: str, options: dict) -> int:
         f"  witt: {rep.witt.reason}",
         "all equal" if rep.all_equal else "MISMATCH",
     ])
-    _emit(args, command, paths, options, result, text)
-    return 0 if rep.all_equal else 1
+    return _emit(args, options, result, text, rep.all_equal)
 
 
 def cmd_ih_direct(args) -> int:
@@ -222,20 +216,15 @@ def cmd_ih_direct(args) -> int:
             f"{args.input}: ih-direct needs a triangulation with a sigma field")
     for _ in range(args.subdivide):
         obj = simplicial.barycentric_subdivide(obj)
-    ps = _values(args.p, args.p_range, "p", "p-range")
-    rows = {str(p): list(simplicial.ih_direct(obj, p)
-                         .as_tuple(0, obj.complex.dim)) for p in ps}
-    text = "\n".join(
-        _dims_text(f"IH^(p={p}) of {args.input} "
-                   f"(subdivided {args.subdivide}x)", rows[str(p)])
-        for p in ps)
-    _emit(args, "ih-direct", [args.input],
-          {"p": ps, "subdivide": args.subdivide}, {"ih": rows}, text)
-    return 0
+    return _sweep(args, "p", obj.complex.dim,
+                  lambda p: simplicial.ih_direct(obj, p),
+                  lambda p: f"IH^(p={p}) of {args.input} "
+                            f"(subdivided {args.subdivide}x)",
+                  "ih", {"subdivide": args.subdivide})
 
 
 def cmd_signature(args) -> int:
-    return _signature_report(args, _load_space(args.input), "signature", {})
+    return _signature_report(args, _load_space(args.input), {})
 
 
 def cmd_hodge(args) -> int:
@@ -250,9 +239,8 @@ def cmd_hodge(args) -> int:
         r = rows[str(j)]
         lines.append(f"  j={j}: scattering weight {r['fibred_scattering']}, "
                      f"cusp weight {r['fibred_cusp']}")
-    _emit(args, "hodge", [args.input], {"p": args.p, "degrees": degrees},
-          {"weights": rows}, "\n".join(lines))
-    return 0
+    return _emit(args, {"p": args.p, "degrees": degrees}, {"weights": rows},
+                 "\n".join(lines))
 
 
 def cmd_modes(args) -> int:
@@ -273,21 +261,16 @@ def cmd_modes(args) -> int:
         _dims_text("  total", list(rep.total_dims)),
         f"  rejected modes: {len(rep.rejected_modes)}",
     ])
-    _emit(args, "modes", [], {"torus_dim": args.torus_dim,
-                              "mode_cutoff": args.mode_cutoff,
-                              "weight": args.weight},
-          rep.to_dict(), text)
-    return 0
+    return _emit(args, {"torus_dim": args.torus_dim,
+                        "mode_cutoff": args.mode_cutoff,
+                        "weight": args.weight}, rep.to_dict(), text)
 
 
 def cmd_conifold_transition(args) -> int:
-    space = _load_space(args.input)
-    out = sio.space_to_dict(stratified.conifold_transition(space))
-    if args.json:
-        _emit(args, "conifold-transition", [args.input], {}, out, "")
-    else:
-        sys.stdout.write(sio.dump_canonical(out))
-    return 0
+    out = sio.space_to_dict(
+        stratified.conifold_transition(_load_space(args.input)))
+    # under --json the text is unused: skip serializing the model twice
+    return _emit(args, {}, out, "" if args.json else sio.dump_canonical(out))
 
 
 def _integer(text: str) -> int:
@@ -373,11 +356,11 @@ def _help(args) -> int:
 
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
-    """The handler `fn` with `json`, `input` and the verb's flags (dashes as
-    underscores, an absent flag at its default).  The token after a flag is
-    its value, even when it starts with '-'; the last repeat of a flag wins;
-    `-h`/`--help` selects `_help`.  A malformed line writes `strathom:
-    error: ...` to stderr and exits 2."""
+    """The handler `fn` with `verb`, `json`, `input` and the verb's flags
+    (dashes as underscores, an absent flag at its default).  The token after
+    a flag is its value, even when it starts with '-'; the last repeat of a
+    flag wins; `-h`/`--help` selects `_help`.  A malformed line writes
+    `strathom: error: ...` to stderr and exits 2."""
     args = SimpleNamespace(json=False)
     tokens = iter(argv)
     for verb in tokens:
@@ -390,6 +373,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         verb = ""
     if verb not in _VERBS:
         _fail(f"expected a verb ({', '.join(_VERBS)}), got {verb!r}")
+    args.verb = verb
     args.fn, _, takes_input, flags = _VERBS[verb]
     values, inputs = {}, []
     for token in tokens:

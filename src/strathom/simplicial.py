@@ -465,6 +465,10 @@ class OrientedPseudomanifoldWithBoundary:
         if orientation is None:
             self.orientation = self._propagate(tops, cofaces)
         else:
+            unsigned = next((t for t in tops if t not in orientation), None)
+            if unsigned is not None:
+                raise OrientationError(f"orientation gives no sign to "
+                                       f"{complex.labels(unsigned)}")
             signs = {t: int(orientation[t]) for t in tops}
             if any(x not in (1, -1) for x in signs.values()):
                 raise OrientationError("orientation signs must be +-1")

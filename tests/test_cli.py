@@ -178,6 +178,30 @@ def test_provenance_block(capsys):
                              "--degree", "1")
     assert code == 0
     assert data["options"] == {"p": 0, "degrees": [1]}
+    # every verb's report names its verb and lists the files it read
+    from strathom.cli import _VERBS
+    space, pairing = space_file(), str(DATA / "ixs1xt2.json")
+    cone = str(DATA / "cone_torus.json")
+    lines = [
+        ("homology", [cone], []), ("ih", [space], ["--q", "0"]),
+        ("hi", [space], ["--p", "0"]), ("ig", [space], ["--k", "0"]),
+        ("table", [space], []),
+        ("verify", [space], ["--theorem", "hom", "--p", "0"]),
+        ("verify", [space], ["--theorem", "duality", "--p", "0"]),
+        ("verify", [space, pairing], ["--theorem", "signature"]),
+        ("ih-direct", [cone], ["--p", "0"]),
+        ("signature", [space, pairing], []),
+        ("hodge", [space], ["--p", "0"]),
+        ("modes", [], ["--torus-dim", "1"]),
+        ("conifold-transition", [space], []),
+    ]
+    for verb, paths, flags in lines:
+        pair = ["--pairing", paths[1]] if len(paths) == 2 else []
+        code, data, err = run_json(capsys, verb, *paths[:1], *flags, *pair)
+        assert code == 0, (verb, err)
+        assert data["command"] == verb
+        assert [e["path"] for e in data["inputs"]] == paths, verb
+    assert {verb for verb, _, _ in lines} == set(_VERBS)
 
 
 def test_deterministic_output(capsys):

@@ -279,6 +279,12 @@ def test_oriented_pm_construction_and_checks():
     flipped[first] = -flipped[first]
     with pytest.raises(OrientationError, match="leaks"):
         OrientedPseudomanifoldWithBoundary(sphere2(), orientation=flipped)
+    # a supplied orientation that leaves a top simplex unsigned
+    with pytest.raises(OrientationError, match=re.escape(
+            "orientation gives no sign to ('w', 'x', 'z')")):
+        OrientedPseudomanifoldWithBoundary(
+            SimplicialComplex("wxyz", ["wxy", "wxz", "wyz", "xyz"]),
+            orientation={(0, 1, 2): 1})
     # wrong boundary: the disk without declared boundary fails coface counts
     with pytest.raises(OrientationError):
         OrientedPseudomanifoldWithBoundary(full_triangle())

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Check that two source trees print the same thing on every benchmark
-command.
+command and on a fixed list of command lines that no workload runs.
 
     python3 tools/same_outputs.py PARENT_ROOT CHANGE_ROOT
 
@@ -9,8 +9,10 @@ For each tree, a subprocess of its own imports that tree's `strathom` and
 `bench/workloads.py`, writes the inputs of every workload for seeds 1-3
 into a temporary directory with `workloads.generate`, and runs each
 command there through `strathom.cli.main`, with and without `--json`.  It
-records the input digests and, per command, the exit code, stdout and
-stderr; an exception that escapes `main` is recorded as its type and
+then runs each line of `CLI_ONLY` the same way, in the tree's own
+`src/strathom/data` with bare file names, so paths print alike in both
+trees.  It records the input digests and, per command, the exit code,
+stdout and stderr; an exception that escapes `main` is recorded as its type and
 message, not raised.  Nothing under `bench/` is written to.
 
 The two records are compared command by command.  Every mismatch is
@@ -25,12 +27,40 @@ import functools
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+
+# command lines no workload runs: the `ih` verb, `--help`, the refusals
+# (exit 2) and a failed verdict (exit 1), on the bundled data files
+CLI_ONLY = (
+    "ih s2xt2_space.json --q-range -1..3",
+    "ih pinched_torus_space.json --q 0",
+    "ih st2xs1_space.json --q 1",
+    "--help",
+    "hi --help",
+    "verify --help",
+    "modes --help",
+    "hi s2xt2_space.json",
+    "hi s2xt2_space.json --p 0 --p-range 0..1",
+    "hi s2xt2_space.json --p 0 --frobnicate 1",
+    "ig s2xt2_space.json",
+    "verify s2xt2_space.json --theorem hom",
+    "verify s2xt2_space.json --theorem duality --p 0 --pairing ixs1xt2.json",
+    "ih-direct s2xt2_space.json --p 0",
+    "ih-direct cp2_minus_ball.json --p 0",
+    "modes --torus-dim 1 --weight 1/2",
+    "frobnicate s2xt2_space.json",
+    "table missing.json",
+    "table s2xt2_space.json --q-range 3..1",
+    "signature st2xs1_space.json --pairing ixs1xt2.json",
+    "homology cone_torus.json",
+    "ih-direct cone_torus.json --p 0",
+)
 
 
 def _run(main, argv: list[str]) -> dict:
@@ -75,12 +105,23 @@ def workload_commands(root: Path):
 
 
 def collect(root: Path) -> dict:
-    """{run name: outcome} for every command of every workload and seed,
-    plus {workload seed: input digests}, computed with the tree at root."""
+    """{run name: outcome} for every command of every workload and seed and
+    every line of `CLI_ONLY`, plus {workload seed: input digests}, computed
+    with the tree at root."""
     runs = {}
     for workload, inputs, key, run in workload_commands(root):
         runs[f"{workload}: inputs"] = inputs
         runs[key] = run()
+    from strathom.cli import main
+
+    previous = os.getcwd()
+    os.chdir(root / "src" / "strathom" / "data")
+    try:
+        for line in CLI_ONLY:
+            for argv in (shlex.split(line), ["--json", *shlex.split(line)]):
+                runs[f"cli-only: {' '.join(argv)}"] = _run(main, argv)
+    finally:
+        os.chdir(previous)
     return runs
 
 
