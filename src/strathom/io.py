@@ -99,8 +99,11 @@ def matrix_from_rows(rows, where: str) -> MatrixQ:
 
 def matrix_to_rows(m: MatrixQ) -> list[list]:
     """`m.to_rows()` with each non-integer entry as a ``"p/q"`` string."""
-    return [[x if type(x) is int else f"{x.numerator}/{x.denominator}"
-             for x in row] for row in m.to_rows()]
+    rows = m.to_rows()
+    for (i, j), x in m.items():
+        if type(x) is not int:
+            rows[i][j] = f"{x.numerator}/{x.denominator}"
+    return rows
 
 
 # ---------------------------------------------------------------------------

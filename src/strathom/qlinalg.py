@@ -7,20 +7,22 @@ diagonalization computed here.  A value is an `int`, or a reduced
 checked and coerced (`as_rational`) at one door, `MatrixQ(...)`.  A matrix
 derived from a valid one (transpose, submatrix, negation) inherits the
 contract without a second check, and every value handed back follows it,
-so the ±1 boundary matrices of a triangulation hold plain `int`s.  One
-reduction loop, `IncrementalSpan.add`, serves every rank and checks no
-value again, as it is fed only the entries of a `MatrixQ`.  It reduces
-exact Python `int` vectors (a vector holding a `Fraction` is scaled by the
-lcm of its denominators), fraction-free in the sense of Bareiss, always at
-the least coordinate of the support.  One driver feeds it the columns of a
-matrix from left to right, rows reversed: the column reduction of
-persistence, whose lows `column_lows` reads.  It accepts the leftmost
-independent columns; `rank` counts them (of the transpose when that has
-fewer columns) and `image_basis` returns them.  `kernel_basis` feeds each
-column with its own unit vector appended, so a column that reduces to zero
-leaves the combination that kills it, and divides in `Fraction` only by a
-non-unit pivot.  No floats, no tolerances and no modular shortcut
-anywhere: a rank is a rank.
+so the ±1 boundary matrices of a triangulation hold plain `int`s.  A
+`MatrixQ` stores its nonempty columns, {j: {i: v}}, and every reduction
+reads them as stored.  One reduction loop, `IncrementalSpan.add`, serves
+every rank and checks no value again, as it is fed only the columns of a
+`MatrixQ`.  It reduces exact Python `int` vectors (a vector holding a
+`Fraction` is scaled by the lcm of its denominators), fraction-free in the
+sense of Bareiss, always at the largest coordinate of the support.  One
+driver feeds it the columns of a matrix from left to right: the column
+reduction of persistence, whose lows are the pivots and which
+`column_lows` reads.  It accepts the leftmost independent columns; `rank`
+counts them (of the transpose when that has fewer columns) and
+`image_basis` returns them.  `kernel_basis` feeds each column with its own
+unit vector below its rows, so a column that reduces to zero leaves the
+combination that kills it, and divides in `Fraction` only by a non-unit
+pivot.  No floats, no tolerances and no modular shortcut anywhere: a rank
+is a rank.
 
 Values are immutable after construction and safe to share across threads;
 all operations are pure functions.
@@ -58,37 +60,39 @@ def as_rational(x) -> int | Fraction:
 
 
 class MatrixQ:
-    """A rows x cols matrix over Q stored sparsely; zeros are never stored.
+    """A rows x cols matrix over Q stored by columns, {j: {i: v}}; zeros and
+    empty columns are never stored.
 
-    The constructor checks the shape and every entry's position, and coerces
-    every value to the contract; `_of` adopts entries that already meet it."""
+    The constructor takes {(i, j): v} entries, checks the shape and every
+    entry's position, and coerces every value to the contract; `_of` adopts
+    columns that already meet it."""
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_c")
 
     def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
         if rows < 0 or cols < 0:
             raise DimensionMismatch(f"negative shape ({rows}, {cols})")
         self.rows = rows
         self.cols = cols
-        e = {}
+        c = {}
         if entries:
-            for key, v in entries.items():
-                i, j = key
+            for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise DimensionMismatch(
                         f"entry ({i},{j}) outside {rows}x{cols} matrix")
                 v = as_rational(v)
                 if v:
-                    e[key] = v
-        self._e = e
+                    c.setdefault(j, {})[i] = v
+        self._c = c
 
     @classmethod
-    def _of(cls, rows: int, cols: int, entries: dict) -> "MatrixQ":
-        """Adopt `entries` unchecked: nonzero contract values, in range."""
+    def _of(cls, rows: int, cols: int, columns: dict) -> "MatrixQ":
+        """Adopt `columns` unchecked: {j: {i: v}} of nonzero contract values,
+        in range, with no empty column."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m._e = entries
+        m._c = columns
         return m
 
     @classmethod
@@ -101,73 +105,73 @@ class MatrixQ:
                                      for j, v in enumerate(row)})
 
     def entry(self, i: int, j: int) -> int | Fraction:
-        return self._e.get((i, j), 0)
+        return self._c.get(j, {}).get(i, 0)
 
     def items(self):
-        return self._e.items()
+        """The stored entries as ((i, j), v), column by column."""
+        return (((i, j), v) for j, col in self._c.items()
+                for i, v in col.items())
 
     @property
     def nnz(self) -> int:
-        return len(self._e)
+        return sum(map(len, self._c.values()))
 
     def is_zero(self) -> bool:
-        return not self._e
+        return not self._c
 
     def transpose(self) -> "MatrixQ":
-        return MatrixQ._of(self.cols, self.rows,
-                           {(j, i): v for (i, j), v in self._e.items()})
+        t: dict = {}
+        for j, col in self._c.items():
+            for i, v in col.items():
+                t.setdefault(i, {})[j] = v
+        return MatrixQ._of(self.cols, self.rows, t)
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # index other's rows once; boundary-type matrices are very sparse
-        rows_of_other = {}
-        for (k, j), v in other._e.items():
-            rows_of_other.setdefault(k, []).append((j, v))
+        # column j of the product combines the columns of self that column j
+        # of other names
         acc: dict = {}
-        for (i, k), a in self._e.items():
-            for j, b in rows_of_other.get(k, ()):
-                key = (i, j)
-                s = acc.get(key, 0) + a * b
-                if s:
-                    acc[key] = s
-                elif key in acc:
-                    del acc[key]
+        for j, ocol in other._c.items():
+            for k, b in ocol.items():
+                for i, a in self._c.get(k, {}).items():
+                    acc[i, j] = acc.get((i, j), 0) + a * b
         return MatrixQ(self.rows, other.cols, acc)
 
     def __neg__(self) -> "MatrixQ":
         return MatrixQ._of(self.rows, self.cols,
-                           {k: -v for k, v in self._e.items()})
+                           {j: {i: -v for i, v in col.items()}
+                            for j, col in self._c.items()})
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "MatrixQ":
         """The given (distinct) rows and columns, in the given order; entries
         outside the selection are dropped."""
         rowpos = {i: k for k, i in enumerate(rows)}
-        colpos = {j: k for k, j in enumerate(cols)}
+        picked = ({rowpos[i]: v for i, v in self._c.get(j, {}).items()
+                   if i in rowpos} for j in cols)
         return MatrixQ._of(len(rows), len(cols),
-                           {(rowpos[i], colpos[j]): v
-                            for (i, j), v in self._e.items()
-                            if i in rowpos and j in colpos})
+                           {k: col for k, col in enumerate(picked) if col})
 
     def column(self, j: int) -> dict:
-        return {i: v for (i, jj), v in self._e.items() if jj == j}
+        """Column j as a new {i: v} dict of its nonzero entries."""
+        return dict(self._c.get(j, {}))
 
     def to_rows(self) -> list[list[int | Fraction]]:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._e.items():
-            out[i][j] = v
+        for j, col in self._c.items():
+            for i, v in col.items():
+                out[i][j] = v
         return out
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self._e.get((j, i)) == v for (i, j), v in self._e.items())
+        return self.rows == self.cols and all(
+            self.entry(j, i) == v for (i, j), v in self.items())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MatrixQ)
                 and (self.rows, self.cols) == (other.rows, other.cols)
-                and self._e == other._e)
+                and self._c == other._c)
 
     __hash__ = None  # mutable dict inside; treat as unhashable
 
@@ -233,10 +237,10 @@ class IncrementalSpan:
     """Echelon form of a growing family of vectors: the package's one
     reduction loop.
 
-    `add` reduces the vector against the rows held so far, each time at the
-    least coordinate of its support, and either absorbs it (returns True,
-    span grew) or discards it (returns False, dependent).  Much cheaper than
-    re-running a full elimination per candidate.
+    `add` reduces the vector against the vectors held so far, each time at
+    the largest coordinate of its support, and either absorbs it (returns
+    True, span grew) or discards it (returns False, dependent).  Much
+    cheaper than re-running a full elimination per candidate.
     """
 
     __slots__ = ("_rows",)
@@ -247,10 +251,10 @@ class IncrementalSpan:
 
     def add(self, vec: Mapping) -> bool:
         """Precondition, not checked: `vec` maps nonnegative coordinates to
-        `int`s or `Fraction`s, as a row of a `MatrixQ` does."""
+        `int`s or `Fraction`s, as a column of a `MatrixQ` does."""
         r = _integral({i: v for i, v in vec.items() if v})
         while r:
-            c = min(r)
+            c = max(r)
             pivot = self._rows.get(c)
             if pivot is None:
                 _primitive(r)
@@ -261,27 +265,27 @@ class IncrementalSpan:
 
     @property
     def pivots(self):
-        """The pivot coordinates, a read-only view: the least index of the
-        support of each stored row, one per row, in the order the rows were
-        stored."""
+        """The pivot coordinates, a read-only view: the largest coordinate
+        of the support of each stored vector, one per vector, in the order
+        the vectors were stored."""
         return self._rows.keys()
 
 
 def _accepted_columns(m: MatrixQ, skip: Container[int] = (),
                       tagged: bool = False):
     """The one driver of `IncrementalSpan`: feed it the columns of `m` as
-    `column_lows` describes, and yield (j, pivot, stored vector) for each
-    column j it accepts.  With `tagged`, column j also carries e_j at
-    coordinate m.rows + m.cols - 1 - j, after every row and later columns
-    first, so a stored vector holds the column combination that reduced
-    it."""
-    top = m.rows - 1
-    cols = [{top + m.cols - j: 1} if tagged else {} for j in range(m.cols)]
-    for (i, j), v in m._e.items():
-        cols[j][top - i] = v
+    stored, from left to right, and yield (j, pivot, stored vector) for each
+    column j it accepts.  With `tagged`, row i sits at coordinate m.cols + i
+    and column j also carries e_j at coordinate j, below every row, so a
+    stored vector holds the column combination that reduced it."""
     span = IncrementalSpan()
-    for j, col in enumerate(cols):
-        if j not in skip and span.add(col):
+    for j in range(m.cols):
+        if j in skip:
+            continue
+        col = m._c.get(j, {})
+        if tagged:
+            col = {j: 1, **{m.cols + i: v for i, v in col.items()}}
+        if span.add(col):
             c = next(reversed(span.pivots))
             yield j, c, span._rows[c]
 
@@ -317,15 +321,15 @@ def kernel_basis(m: MatrixQ) -> Subspace:
     free (non-pivot) column f is 1 at f and 0 at every other free column.
 
     Read off the tagged column reduction: a column f whose row part reduces
-    to zero is stored as its tag part alone, pivoting on its own e_f, and
-    holds the combination of f with the pivot columns before f that m
-    sends to zero; divided by its pivot it is the vector of f."""
-    last = m.rows + m.cols - 1
+    to zero is stored as its tag part alone, pivoting on its own e_f at
+    coordinate f, and holds the combination of f with the pivot columns
+    before f that m sends to zero; divided by its pivot it is the vector of
+    f, indexed by column as stored."""
     vecs = []
     for _, c, vec in _accepted_columns(m, tagged=True):
-        if c >= m.rows:
+        if c < m.cols:
             p = vec[c]
-            vecs.append({last - k: _quotient(v, p) for k, v in vec.items()})
+            vecs.append({k: _quotient(v, p) for k, v in vec.items()})
     return Subspace(m.cols, tuple(vecs))
 
 
@@ -333,11 +337,8 @@ def image_basis(m: MatrixQ) -> Subspace:
     """A basis of the column space: the original columns accepted by the
     column reduction, which are the leftmost independent columns, in column
     order."""
-    columns = {j: {} for j, _, _ in _accepted_columns(m)}
-    for (i, j), v in m._e.items():
-        if j in columns:
-            columns[j][i] = v
-    return Subspace(m.rows, tuple(columns.values()))
+    return Subspace(m.rows, tuple(m.column(j)
+                                  for j, _, _ in _accepted_columns(m)))
 
 
 def sum_dim(a: Subspace, b: Subspace) -> int:
@@ -357,17 +358,14 @@ def column_lows(m: MatrixQ, skip: Container[int] = ()) -> dict[int, int]:
     row} for every column whose reduced form is nonzero.
 
     The columns, except those in `skip`, go into an `IncrementalSpan` from
-    left to right with their rows reversed (row i at coordinate
-    m.rows - 1 - i), so reducing at the least coordinate is reducing at the
-    largest row: the row that a stored vector pivots on is the low, the
-    largest row index of the reduced column, and the lows are distinct.  A
-    column is accepted iff it is not in the span of the earlier fed columns,
-    so with `skip` empty the number of lows is rank m.  A skipped column
-    that lies in the span of the earlier columns changes neither the
-    accepted columns nor their lows.
+    left to right as stored, so the pivot of a stored vector is the low:
+    the largest row index of the reduced column, and the lows are distinct.
+    A column is accepted iff it is not in the span of the earlier fed
+    columns, so with `skip` empty the number of lows is rank m.  A skipped
+    column that lies in the span of the earlier columns changes neither
+    the accepted columns nor their lows.
     """
-    top = m.rows - 1
-    return {j: top - c for j, c, _ in _accepted_columns(m, skip)}
+    return {j: c for j, c, _ in _accepted_columns(m, skip)}
 
 
 class Signature(NamedTuple):
@@ -395,7 +393,7 @@ def signature_sym(m: MatrixQ) -> Signature:
     if not m.is_symmetric():
         raise NotSymmetric("matrix is not symmetric")
     n = m.rows
-    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    a = m.to_rows()
     remaining = list(range(n))
     pos = neg = 0
     while remaining:

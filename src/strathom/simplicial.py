@@ -146,15 +146,17 @@ def boundary_matrix(s: SimplicialComplex, d: int,
     simplices = s.simplices(d)
     if cols is None:
         cols = range(len(simplices))
-    entries = {}
+    columns = {}
     for col, j in enumerate(cols):
         simplex = simplices[j]
-        for i in range(len(simplex)):
-            row = lower.get(simplex[:i] + simplex[i + 1:])
-            if row is not None:
-                entries[(row, col)] = -1 if i % 2 else 1
-    # +-1 at distinct (face, simplex) positions inside the shape
-    return MatrixQ._of(len(lower), len(cols), entries)
+        faces = (lower.get(simplex[:i] + simplex[i + 1:])
+                 for i in range(len(simplex)))
+        column = {row: -1 if i % 2 else 1
+                  for i, row in enumerate(faces) if row is not None}
+        if column:
+            columns[col] = column
+    # +-1 at distinct faces inside the shape, no empty column
+    return MatrixQ._of(len(lower), len(cols), columns)
 
 
 def chain_complex_of(s: SimplicialComplex) -> ChainComplex:

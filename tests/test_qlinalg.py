@@ -201,6 +201,18 @@ def _assert_engine_matches_reference(m, rng):
                                     for i, v in col.items()}))
 
 
+def test_span_pivots_at_the_largest_coordinate():
+    """`IncrementalSpan` stores each accepted vector under the largest
+    coordinate of its reduced support: the low of a column reduction."""
+    span = IncrementalSpan()
+    assert span.add({0: 1, 3: 2})
+    assert list(span.pivots) == [3]
+    assert not span.add({0: 2, 3: 4})
+    assert span.add({3: 1})
+    assert list(span.pivots) == [3, 0]
+    assert span._rows[0] == {0: -1}
+
+
 def test_engine_matches_fraction_reference_on_random_matrices():
     rng = random.Random(5)
     for pool in POOLS:
@@ -387,6 +399,13 @@ def test_matrix_ops_and_stacking():
     assert block_diag([a, b]) == M(
         [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     assert a.transpose() == M([[1, 3], [2, 4]])
+    # a column is handed out as a copy
+    col = a.column(1)
+    col[0] = 7
+    assert a.entry(0, 1) == 2 and a.column(1) == {0: 2, 1: 4}
+    # explicit zeros are not stored, so no column of them is either
+    zeros = MatrixQ(2, 3, {(0, 0): 0, (1, 2): Fraction(0), (0, 2): "0/5"})
+    assert zeros == MatrixQ(2, 3) and zeros.is_zero() and zeros.nnz == 0
 
 
 def test_submatrix_selects_in_the_given_order():

@@ -365,6 +365,10 @@ def test_model_validation():
     with pytest.raises(ModelError):
         TwoStrataSpace(1, 0, 0, link_h, GradedVS([1]), GradedVS([1]),
                        {0: MatrixQ.from_rows([[2]])})
+    # a column that holds no stored entry sums to 0
+    with pytest.raises(ModelError, match="column 1 does not sum to 1"):
+        TwoStrataSpace(1, 0, 0, GradedVS([2]), GradedVS([1]), GradedVS([1]),
+                       {0: MatrixQ.from_rows([[1, 0]])})
 
 
 def test_boundary_restriction_blocks():
