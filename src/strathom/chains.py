@@ -4,14 +4,15 @@ This module is the homological middle layer: finitely supported graded
 dimensions (`GradedVS`), chain complexes with checked square-zero
 differentials, Betti numbers by rank, tensor products with Koszul signs
 and truncation of graded data.
-`cleared_lows` is the one cleared column reduction: homology counts its
-lows, `ih_direct` reads them, and the representative cocycles of the cup
-pairing vanish on them.  The Mayer-Vietoris dimensions downstream are rank
-arithmetic on the boundary restriction, in `stratified`; no chain map,
-induced map or mapping cone is built anywhere.  `ChainComplex` stays for
-the complexes a caller assembles from differentials, such as the Kunneth
-products of `tensor_complex`: it checks d o d = 0 and counts Betti numbers
-by rank.
+`cleared_lows` is the one cleared column reduction:
+`ChainComplex.homology` counts its lows, `simplicial._filtered_lows`
+(behind `betti_numbers` and `ih_direct`) reads them as key pairs, and
+the representative cocycles of the cup pairing vanish on them.  The
+Mayer-Vietoris dimensions downstream are rank arithmetic on the boundary
+restriction, in `stratified`; no chain map, induced map or mapping cone
+is built anywhere.  `ChainComplex` stays for the complexes a caller
+assembles from differentials, such as the Kunneth products of
+`tensor_complex`: it checks d o d = 0 and counts Betti numbers by rank.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
 bases in degree j follow the one Kunneth layout `GradedVS.tensor_blocks`

@@ -22,20 +22,26 @@ entirely inside the singular set are quotiented away, which is what makes
 the cone formula come out right in every degree for arbitrarily large
 perversity values; see the module's tests for the cone/suspension family
 this is pinned against.  Each `StratifiedComplex` memoizes what the oracle
-reads: the Sigma-face dimension of every simplex, and per degree the
-(face dimension of the column, face dimension of its low) pairs of the
-truncated boundary, ordered by face dimension: the differential of the
-relative complex C(K)/C(Sigma).  Every rank pair (rank C_d, rank D_d) of
-every perversity is a count over those pairs, kept per (degree,
+reads: per degree the non-interior simplices in (Sigma-face dimension,
+index) order, and the (face dimension of the column, face dimension of
+its low) pairs of the truncated boundary in that order: the differential
+of the relative complex C(K)/C(Sigma).  Every rank pair (rank C_d, rank
+D_d) of every perversity is a count over those pairs, kept per (degree,
 threshold), so a sweep builds and reduces each degree once and counts
-each threshold once.  Both it and `betti_numbers` (the `homology` command)
-count the lows of the one clearing routine `chains.cleared_lows`.
+each threshold once.
+
+`_filtered_lows` is the one filtered reduction of this module: given a key
+per simplex (None leaves it out) it orders the kept simplices by (key,
+index), reduces the restricted boundary matrices once with
+`chains.cleared_lows` and returns the lows as (key, key) pairs.
+`betti_numbers` (the `homology` command) is its constant key and
+`ih_direct` its Sigma-face-dimension key.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .chains import ChainComplex, GradedVS, cleared_lows, cycle_representatives
 from .qlinalg import MatrixQ, column_lows
@@ -166,13 +172,38 @@ def chain_complex_of(s: SimplicialComplex) -> ChainComplex:
     return ChainComplex(spaces, diffs)
 
 
+def _filtered_lows(K: SimplicialComplex, key: Callable) -> tuple[list, dict]:
+    """The one filtered reduction of the triangulation side.
+
+    `key(d, simplex)` is a sortable key, or None to leave the simplex out.
+    Per degree d the kept d-simplices are listed as (key, index) pairs in
+    ascending order; the boundary matrix of d, restricted to the kept rows
+    and columns in that order, is reduced once by `chains.cleared_lows`.
+    Returns the kept lists, per degree 0..dim, and per degree 1..dim the
+    (key of column, key of its low) pairs of the reduction: a count of
+    those pairs by key is a rank of a block of leading columns and trailing
+    rows (pairing lemma, see `ih_direct`).  Clearing is sound on the
+    restriction whenever it is a chain complex, as it is when the dropped
+    simplices span a subcomplex (a quotient) or every simplex is kept."""
+    kept = [sorted((k, i) for i, s in enumerate(K.simplices(d))
+                   if (k := key(d, s)) is not None)
+            for d in range(K.dim + 1)]
+    lows = cleared_lows(range(1, K.dim + 1), lambda d: boundary_matrix(
+        K, d, [i for _, i in kept[d - 1]], [i for _, i in kept[d]]))
+    pairs = {d: [(kept[d][c][0], kept[d - 1][r][0]) for c, r in lows_d.items()]
+             for d, lows_d in lows.items()}
+    return kept, pairs
+
+
 def betti_numbers(obj) -> list[int]:
     """Betti numbers in degrees 0..dim of a complex, or of the complex under
-    a StratifiedComplex or an OrientedPseudomanifoldWithBoundary, from the
-    lows of `cleared_lows` as in `ih_direct`; d o d = 0 by the sign rule."""
+    a StratifiedComplex or an OrientedPseudomanifoldWithBoundary: every
+    simplex kept under one constant key, b_d = n_d - rank d_d - rank
+    d_{d+1}, each rank the number of low pairs of `_filtered_lows`; d o d =
+    0 by the sign rule.  Nothing is memoized."""
     cx = obj if isinstance(obj, SimplicialComplex) else obj.complex
-    lows = cleared_lows(range(1, cx.dim + 1), lambda d: boundary_matrix(cx, d))
-    return [cx.n_simplices(d) - len(lows.get(d, ())) - len(lows.get(d + 1, ()))
+    _, pairs = _filtered_lows(cx, lambda d, simplex: 0)
+    return [cx.n_simplices(d) - len(pairs.get(d, ())) - len(pairs.get(d + 1, ()))
             for d in range(cx.dim + 1)]
 
 
@@ -208,19 +239,23 @@ class StratifiedComplex:
                 f"codim={self.codim})")
 
 
+def _fresh_label(label: str, taken: set[str]) -> str:
+    """`label`, primed until it is not in `taken`, which it then joins: the
+    one rule for the new vertices of cones, suspensions and subdivisions."""
+    while label in taken:
+        label += "'"
+    taken.add(label)
+    return label
+
+
 def _apex_join(s: SimplicialComplex, apexes: Sequence[str],
                verb: str) -> StratifiedComplex:
-    """Join every simplex of `s` to each apex, each label primed until it is
-    new; the apexes are the singular set, of codimension dim s + 1."""
+    """Join every simplex of `s` to each apex, each label made fresh; the
+    apexes are the singular set, of codimension dim s + 1."""
     if s.dim < 0:
         raise ValueError(f"cannot {verb} the empty complex")
     taken = set(s.vertices)
-    fresh = []
-    for apex in apexes:
-        while apex in taken:
-            apex += "'"
-        taken.add(apex)
-        fresh.append(apex)
+    fresh = [_fresh_label(apex, taken) for apex in apexes]
     # joining to every simplex keeps lower-dimensional maximal ones too
     tops = [s.labels(t) + (apex,) for d in range(s.dim + 1)
             for t in s.simplices(d) for apex in fresh]
@@ -242,23 +277,24 @@ def suspension(s: SimplicialComplex, north: str = "N*",
 # ---------------------------------------------------------------------------
 # barycentric subdivision
 
-def _barycenter_label(s: SimplicialComplex, simplex: Simplex) -> str:
-    return "<" + ".".join(s.labels(simplex)) + ">"
-
-
 def barycentric_complex(s: SimplicialComplex) -> tuple[SimplicialComplex, dict]:
     """The barycentric subdivision and the map simplex -> new vertex label.
 
     New vertices are the barycenters of old simplices, ordered by (dimension,
-    lexicographic index tuple); new top simplices are the maximal flags of
-    the face poset.  Because barycenters of lower-dimensional faces come
-    first in the vertex order, every flag is already sorted, which keeps
-    orientation bookkeeping straightforward.
+    lexicographic index tuple) and labelled "<a.b...>" by their vertex
+    labels, a label taken by an earlier barycenter primed until it is new;
+    new top simplices are the maximal flags of the face poset.  Because
+    barycenters of lower-dimensional faces come first in the vertex order,
+    every flag is already sorted, which keeps orientation bookkeeping
+    straightforward.
     """
     order: list[Simplex] = []
     for d in range(s.dim + 1):
         order.extend(s.simplices(d))
-    label = {simplex: _barycenter_label(s, simplex) for simplex in order}
+    taken: set[str] = set()
+    label = {simplex: _fresh_label("<" + ".".join(s.labels(simplex)) + ">",
+                                   taken)
+             for simplex in order}
     vertices = [label[simplex] for simplex in order]
 
     flags: list[tuple[str, ...]] = []
@@ -322,32 +358,26 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
         rank D_d(t) = #{accepted c : f(c) <= t},
         rank C_d(t) = #{accepted c : f(c) <= t, f(low c) > max(-1, t - 1)}.
 
-    The lows come from `cleared_lows`: an interior simplex has only
-    interior faces, so the truncated boundary, in (f, index) order in every
-    degree, is the differential of the quotient complex C(K)/C(Sigma).
-    `st` memoizes the face dimensions, one list of (f(c), f(low c)) pairs
-    per degree, and the allowable count, rank D_d and rank C_d per
-    (degree, threshold), so a sweep builds and reduces each degree once and
-    counts each distinct threshold once.
+    The lows come from `_filtered_lows` with f as the key and the interior
+    simplices left out: an interior simplex has only interior faces, so the
+    truncated boundary, in (f, index) order in every degree, is the
+    differential of the quotient complex C(K)/C(Sigma).  `st` memoizes the
+    kept (f, index) lists, one list of (f(c), f(low c)) pairs per degree,
+    and the allowable count, rank D_d and rank C_d per (degree, threshold),
+    so a sweep builds and reduces each degree once and counts each distinct
+    threshold once.
     """
     K = st.complex
     memo = st._ih_memo
     if memo is None:
         sigma = st.sigma
-        face_dims = [[sum(v in sigma for v in simplex) - 1
-                      for simplex in K.simplices(d)]
-                     for d in range(K.dim + 1)]
-        order = [[i for _, i in sorted((f, i) for i, f in enumerate(fd)
-                                       if f < d)]
-                 for d, fd in enumerate(face_dims)]
-        lows = cleared_lows(range(1, K.dim + 1), lambda d: boundary_matrix(
-            K, d, order[d - 1], order[d]))
-        low_pairs = {d: [(face_dims[d][order[d][c]],
-                          face_dims[d - 1][order[d - 1][r]])
-                         for c, r in lows_d.items()]
-                     for d, lows_d in lows.items()}
-        memo = st._ih_memo = (face_dims, low_pairs, {})
-    face_dims, low_pairs, counts = memo
+
+        def face_dim(d: int, simplex: Simplex) -> int | None:
+            f = sum(v in sigma for v in simplex) - 1
+            return f if f < d else None
+
+        memo = st._ih_memo = (*_filtered_lows(K, face_dim), {})
+    kept, low_pairs, counts = memo
 
     # IC_d = allowable chains whose truncated boundary is again allowable:
     # IC_d = ker C_d, and rank(D_d restricted to ker C_d) = rank D_d -
@@ -363,7 +393,7 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
                 if f <= t:
                     r_all += 1
                     r_bad += f_low > t_below
-            counts[d, t] = (sum(f <= t for f in face_dims[d]), r_all, r_bad)
+            counts[d, t] = (sum(f <= t for f, _ in kept[d]), r_all, r_bad)
         allowable, r_all, r_bad = counts[d, t]
         ic_dim[d] = allowable - r_bad
         ranks[d] = r_all - r_bad
@@ -415,6 +445,12 @@ def product_complex(a: SimplicialComplex, b: SimplicialComplex,
 # ---------------------------------------------------------------------------
 # oriented pseudomanifolds with boundary and the cup-product pairing
 
+def _codim1_faces(t: Simplex) -> list[tuple[int, Simplex]]:
+    """The (position of the omitted vertex, face) pairs of the codimension-1
+    faces of `t`; a vertex has none, as the empty tuple is no simplex."""
+    return [(i, t[:i] + t[i + 1:]) for i in range(len(t))] if len(t) > 1 else []
+
+
 class OrientedPseudomanifoldWithBoundary:
     """A triangulated oriented pseudomanifold with (possibly empty) boundary.
 
@@ -426,7 +462,9 @@ class OrientedPseudomanifoldWithBoundary:
     +-1 to each top simplex and to nothing else; an omitted one is
     propagated from the lexicographically first facet of each piece.
     Either way, one pass then checks that the fundamental chain's boundary
-    lies in the boundary subcomplex.
+    lies in the boundary subcomplex.  A 0-dimensional complex has no
+    codimension-1 simplex, so every point is a piece of its own and any
+    +-1 signs are coherent.
     """
 
     __slots__ = ("complex", "boundary", "orientation")
@@ -454,8 +492,7 @@ class OrientedPseudomanifoldWithBoundary:
         # codimension-1 face -> (top index, position of the omitted vertex)
         cofaces: dict[Simplex, list[tuple[int, int]]] = {}
         for t_i, t in enumerate(tops):
-            for i in range(len(t)):
-                face = t[:i] + t[i + 1:]
+            for i, face in _codim1_faces(t):
                 cofaces.setdefault(face, []).append((t_i, i))
         for face, cf in cofaces.items():
             expected = 1 if face in self.boundary else 2
@@ -494,8 +531,8 @@ class OrientedPseudomanifoldWithBoundary:
             stack = [seed]
             while stack:
                 t = stack.pop()
-                for i in range(len(t)):
-                    for other_i, j in cofaces[t[:i] + t[i + 1:]]:
+                for i, face in _codim1_faces(t):
+                    for other_i, j in cofaces[face]:
                         other = tops[other_i]
                         if other not in signs:
                             # induced orientations cancel: the face

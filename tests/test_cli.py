@@ -113,6 +113,35 @@ def test_ih_direct_unsubdivided(capsys):
     assert data["result"]["ih"]["0"] == [1, 2, 0, 0]
 
 
+def test_ih_direct_default_subdivision_primes_a_taken_label(capsys, tmp_path):
+    """Edge (a, b) and vertex a.b would share the barycenter label <a.b>:
+    the default subdivision primes it and gives the unsubdivided dims."""
+    f = tmp_path / "taken.json"
+    f.write_text(json.dumps({"vertices": ["a", "b", "a.b"],
+                             "top_simplices": [["a", "b"], ["b", "a.b"]],
+                             "sigma": ["a"]}))
+    for p in ("-1", "0", "1", "2"):
+        code, data, err = run_json(capsys, "ih-direct", str(f), "--p", p)
+        assert code == 0, err
+        code, plain, _ = run_json(capsys, "ih-direct", str(f), "--p", p,
+                                  "--subdivide", "0")
+        assert code == 0 and data["result"]["ih"] == plain["result"]["ih"]
+
+
+def test_homology_of_points(capsys, tmp_path):
+    """A 0-dimensional pseudomanifold has no codimension-1 simplex."""
+    f = tmp_path / "points.json"
+    for data, betti in (
+            ({"vertices": ["a"], "top_simplices": [["a"]], "boundary": []}, [1]),
+            ({"vertices": ["a", "b", "c"], "top_simplices": [["a"], ["b"], ["c"]],
+              "boundary": []}, [3]),
+            ({"vertices": ["a", "b"], "top_simplices": [["a"], ["b"]],
+              "orientation": [1, 1]}, [2])):
+        f.write_text(json.dumps(data))
+        code, out, err = run_json(capsys, "homology", str(f))
+        assert code == 0 and out["result"]["betti"] == betti, err
+
+
 def test_ih_direct_negative_subdivide_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ih-direct", str(DATA / "cone_torus.json"), "--p", "0",

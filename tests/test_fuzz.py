@@ -40,6 +40,7 @@ SPACE_VERBS = (
 TRIANGULATION_VERBS = (
     ("homology", "F"),
     ("ih-direct", "F", "--p", "0", "--subdivide", "0"),
+    ("ih-direct", "F", "--p", "0"),
     ("signature", SPACE, "--pairing", "F"),
 )
 INPUTS = {

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from collections import Counter
@@ -89,6 +90,21 @@ def test_barycentric_subdivision_counts_and_homology():
     assert chain_complex_of(sub.complex).homology() == GradedVS([1, 1])
 
 
+def test_barycenter_labels_are_primed_until_new():
+    """The barycenter of edge (a, b) would take the label of vertex a.b;
+    it is primed instead, and a label that collides with none is kept."""
+    cx = SimplicialComplex(["a", "b", "a.b"], [["a", "b"], ["b", "a.b"]])
+    st = StratifiedComplex(cx, ["a"], 1)
+    sub = barycentric_subdivide(st)
+    assert sub.complex.vertices == ("<a>", "<b>", "<a.b>", "<a.b>'",
+                                    "<b.a.b>")
+    assert sub.sigma_labels() == ("<a>",)
+    for p in range(-1, 3):
+        assert ih_direct(sub, p) == ih_direct(st, p)
+    assert "'" not in "".join(barycentric_subdivide(cone(circle3()))
+                              .complex.vertices)
+
+
 def test_subdivision_keeps_sigma_full():
     ct = cone(torus7())
     sub = barycentric_subdivide(ct)
@@ -138,6 +154,7 @@ def test_ih_direct_empty_sigma_is_ordinary_homology():
         h = chain_complex_of(cx).homology()
         for p in (-5, 0, 7):
             assert ih_direct(st, p) == h
+        assert tuple(betti_numbers(cx)) == h.as_tuple(0, cx.dim)
 
 
 def test_ih_direct_subdivision_invariance_small():
@@ -211,6 +228,12 @@ def test_ih_direct_sweep_builds_each_problem_once(monkeypatch):
         for p in ps:
             ih_direct(st, p)
         assert (sum(built.values()), reduced[0]) == before, st
+        # the constant key of betti_numbers runs the same filtered reduction
+        built.clear()
+        reduced[0] = 0
+        betti_numbers(st.complex)
+        assert built == Counter(range(1, st.complex.dim + 1)), (st, built)
+        assert reduced[0] == st.complex.dim, (st, reduced[0])
 
 
 def _random_sigma_families(rng):
@@ -432,6 +455,20 @@ def test_propagated_orientation_passes_the_supplied_checks(monkeypatch):
         assert again.orientation == pm.orientation and \
             again.boundary == pm.boundary
     assert len(checked) == 2 * len(built)
+
+
+def test_zero_dimensional_pseudomanifolds():
+    """A 0-dimensional complex has no codimension-1 simplex: every point is
+    a closed piece, and every choice of signs is coherent."""
+    for labels in ("a", "ab", "abc"):
+        cx = SimplicialComplex(labels, [[v] for v in labels])
+        pm = OrientedPseudomanifoldWithBoundary(cx, [])
+        assert pm.orientation == {t: 1 for t in cx.simplices(0)}
+        assert betti_numbers(pm) == [len(labels)]
+        for signs in itertools.product((1, -1), repeat=len(labels)):
+            orientation = dict(zip(cx.simplices(0), signs))
+            assert OrientedPseudomanifoldWithBoundary(
+                cx, orientation=orientation).orientation == orientation
 
 
 def test_coherent_supplied_orientations_are_accepted():
