@@ -168,7 +168,8 @@ def load_complex(data: dict, where: str = "triangulation"):
             raise InputError(f"{where}: {e}") from None
         except ValueError as e:
             # what is left: a boundary simplex with an unknown or repeated
-            # label, or one the complex lacks
+            # label, one the complex lacks, or one off the boundary
+            # (n - 1)-simplices
             raise InputError(f"{where}.boundary: {e}") from None
     if "sigma" in data:
         if not isinstance(data["sigma"], list):

@@ -7,6 +7,14 @@ orientation enters only through the `OrientedPseudomanifoldWithBoundary`
 constructor, which checks it, and which reads `facets()` to decide purity:
 a pseudomanifold has no maximal simplex below full dimension.
 
+`boundary_matrix` owns the codimension-1 faces and their one sign rule:
+the face of a d-simplex that omits its i-th vertex (from 0, in vertex
+order) carries (-1)^i.  Everything that needs a face or a sign reads it
+there: `_filtered_lows` (so `betti_numbers` and `ih_direct`),
+`cup_pairing`'s relative coboundaries, and the pseudomanifold
+constructor, whose coface counts, orientation propagation and
+fundamental-chain check read the top matrix d_n and its transpose.
+
 Provides ingestion from top simplices, boundary matrices with signs taken
 from a single global vertex order, cones and suspensions with the apex set
 flagged as the singular stratum, barycentric subdivision, the staircase
@@ -139,7 +147,9 @@ class SimplicialComplex:
 def boundary_matrix(s: SimplicialComplex, d: int,
                     rows: Sequence[int] | None = None,
                     cols: Sequence[int] | None = None) -> MatrixQ:
-    """Matrix of the boundary operator C_d -> C_{d-1} with standard signs.
+    """Matrix of the boundary operator C_d -> C_{d-1} with standard signs:
+    column j holds (-1)^i at the face of the j-th d-simplex that omits its
+    i-th vertex, the one sign rule of the package.
 
     `rows` and `cols`, if given, are the indices of the (d - 1)- and
     d-simplices to keep, in the order of the matrix rows and columns; the
@@ -445,26 +455,29 @@ def product_complex(a: SimplicialComplex, b: SimplicialComplex,
 # ---------------------------------------------------------------------------
 # oriented pseudomanifolds with boundary and the cup-product pairing
 
-def _codim1_faces(t: Simplex) -> list[tuple[int, Simplex]]:
-    """The (position of the omitted vertex, face) pairs of the codimension-1
-    faces of `t`; a vertex has none, as the empty tuple is no simplex."""
-    return [(i, t[:i] + t[i + 1:]) for i in range(len(t))] if len(t) > 1 else []
-
-
 class OrientedPseudomanifoldWithBoundary:
     """A triangulated oriented pseudomanifold with (possibly empty) boundary.
 
     Construction first checks purity: a maximal simplex below full
     dimension is never seen by the coface counts, so the first one in
-    `facets()` order is refused with `NotPure`.  It then checks that every
-    interior codimension-1 simplex has exactly two top cofaces and every
+    `facets()` order is refused with `NotPure`.  The boundary is the
+    closure of the listed boundary (n - 1)-simplices; a listed simplex
+    that lies in none of them is refused, and so is any listed boundary
+    simplex of a 0-dimensional complex, as a point has no boundary.
+
+    Every codimension-1 fact is then read off the top boundary matrix d_n
+    = `boundary_matrix(complex, n)`, built once: column t holds the sign
+    of each face of the t-th n-simplex, and column r of its transpose the
+    signed top cofaces of the r-th (n - 1)-simplex.  Every interior
+    codimension-1 simplex must have exactly two top cofaces and every
     boundary one exactly one.  A supplied orientation must give a sign of
     +-1 to each top simplex and to nothing else; an omitted one is
     propagated from the lexicographically first facet of each piece.
     Either way, one pass then checks that the fundamental chain's boundary
-    lies in the boundary subcomplex.  A 0-dimensional complex has no
-    codimension-1 simplex, so every point is a piece of its own and any
-    +-1 signs are coherent.
+    lies in the boundary subcomplex.  Each refusal names the first
+    offending simplex in vertex order.  A 0-dimensional complex needs no
+    case of its own: d_0 has no rows, so every point is a piece of its own
+    and any +-1 signs are coherent.
     """
 
     __slots__ = ("complex", "boundary", "orientation")
@@ -478,31 +491,36 @@ class OrientedPseudomanifoldWithBoundary:
         if facets and len(facets[0]) <= n:
             raise NotPure(f"simplex {complex.labels(facets[0])} lies in no "
                           f"{n}-simplex: the complex is not pure")
-        bset: set[Simplex] = set()
+        listed = []
         for bs in boundary_simplices:
             s = complex.simplex(bs)
             if not complex.has_simplex(s):
                 raise ValueError(
                     f"boundary simplex {complex.labels(s)} not in complex")
-            for r in range(1, len(s) + 1):
-                bset.update(combinations(s, r))
-        self.boundary = frozenset(bset)
+            listed.append(s)
+        # the boundary is the closure of its (n - 1)-simplices
+        self.boundary = frozenset(f for s in listed if len(s) == n
+                                  for r in range(1, n + 1)
+                                  for f in combinations(s, r))
+        off = min((s for s in listed if s not in self.boundary), default=None)
+        if off is not None:
+            raise ValueError(f"boundary simplex {complex.labels(off)} " + (
+                f"lies in no boundary {n - 1}-simplex" if n else
+                "lies in a 0-dimensional complex, which has no boundary"))
 
-        tops = complex.simplices(n)
-        # codimension-1 face -> (top index, position of the omitted vertex)
-        cofaces: dict[Simplex, list[tuple[int, int]]] = {}
-        for t_i, t in enumerate(tops):
-            for i, face in _codim1_faces(t):
-                cofaces.setdefault(face, []).append((t_i, i))
-        for face, cf in cofaces.items():
+        tops, faces = complex.simplices(n), complex.simplices(n - 1)
+        d_n = boundary_matrix(complex, n)
+        cofaces = d_n.transpose()
+        for r, face in enumerate(faces):
+            count = len(cofaces.column(r))
             expected = 1 if face in self.boundary else 2
-            if len(cf) != expected:
+            if count != expected:
                 raise OrientationError(
                     f"codimension-1 simplex {complex.labels(face)} has "
-                    f"{len(cf)} top cofaces, expected {expected}")
+                    f"{count} top cofaces, expected {expected}")
 
         if orientation is None:
-            self.orientation = self._propagate(tops, cofaces)
+            self.orientation = self._propagate(tops, d_n, cofaces)
         else:
             unsigned = next((t for t in tops if t not in orientation), None)
             if unsigned is not None:
@@ -517,44 +535,43 @@ class OrientedPseudomanifoldWithBoundary:
                     f"orientation gives a sign to {complex.labels(stray)}, "
                     f"which is not a {n}-simplex")
             self.orientation = signs
-        self._check_fundamental_chain(tops, cofaces,
+        self._check_fundamental_chain(tops, faces, cofaces,
                                       supplied=orientation is not None)
 
-    def _propagate(self, tops, cofaces) -> dict[Simplex, int]:
+    def _propagate(self, tops, d_n: MatrixQ,
+                   cofaces: MatrixQ) -> dict[Simplex, int]:
         """Signs spread across interior faces from the first facet of each
         piece; `_check_fundamental_chain` tests their coherence."""
-        signs: dict[Simplex, int] = {}
-        for seed in tops:
+        signs: dict[int, int] = {}
+        for seed in range(len(tops)):
             if seed in signs:
                 continue
             signs[seed] = 1
             stack = [seed]
             while stack:
                 t = stack.pop()
-                for i, face in _codim1_faces(t):
-                    for other_i, j in cofaces[face]:
-                        other = tops[other_i]
+                for r, a in d_n.column(t).items():
+                    for other, b in cofaces.column(r).items():
                         if other not in signs:
-                            # induced orientations cancel: the face
-                            # carries (-1)**i in t and (-1)**j in other
-                            signs[other] = -(-1) ** (i + j) * signs[t]
+                            # induced orientations cancel: face r carries
+                            # a in t and b in other
+                            signs[other] = -a * b * signs[t]
                             stack.append(other)
-        return signs
+        return {tops[t]: sign for t, sign in signs.items()}
 
-    def _check_fundamental_chain(self, tops, cofaces, supplied: bool) -> None:
+    def _check_fundamental_chain(self, tops, faces, cofaces: MatrixQ,
+                                 supplied: bool) -> None:
         """The one coherence test, run once on every orientation: the
         boundary of the fundamental chain lies in the boundary subcomplex.
-        Off it, each codimension-1 face sums (-1)**i * sign over its top
-        cofaces, i the position of the vertex the face omits.  Propagation
-        forces each sign it sets, so a propagated orientation fails only
-        when no coherent orientation exists: the complex is not
-        orientable."""
+        Off it, each codimension-1 face sums sign * entry over its row of
+        d_n.  Propagation forces each sign it sets, so a propagated
+        orientation fails only when no coherent orientation exists: the
+        complex is not orientable."""
         signs = self.orientation
-        for face, cf in cofaces.items():
+        for r, face in enumerate(faces):
             if face in self.boundary:
                 continue
-            if sum(-signs[tops[t_i]] if i % 2 else signs[tops[t_i]]
-                   for t_i, i in cf):
+            if sum(v * signs[tops[t]] for t, v in cofaces.column(r).items()):
                 raise OrientationError(
                     "fundamental chain boundary leaks outside the boundary "
                     f"subcomplex at {self.complex.labels(face)}" if supplied

@@ -466,8 +466,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
                      "sigma": ["a"]}, ".top_simplices"),
         (("homology",), {**sphere, "orientation": [2, 1, 1, 1]},
          ".orientation"),
+        # a refusal that concerns a codimension-1 simplex names the first
+        # in vertex order
         (("homology",), {**sphere, "orientation": [1, 1, 1, 1]},
-         ": fundamental chain boundary leaks"),
+         ": fundamental chain boundary leaks outside the boundary subcomplex "
+         "at ('a', 'b')"),
+        (("homology",), {**triangle, "boundary": []},
+         ": codimension-1 simplex ('a', 'b') has 1 top cofaces, expected 2"),
         # a sign that orients nothing: a top listed with both signs, and a
         # sign on a face of a top
         (("homology",), {**sphere, "top_simplices": [
@@ -489,6 +494,22 @@ def test_input_errors_exit_2(capsys, tmp_path):
          ": complex is not orientable"),
         (("homology",), {**sphere, "boundary": [["a", "b", "c", "d"]]},
          ".boundary: boundary simplex ('a', 'b', 'c', 'd') not in complex"),
+        # a boundary simplex lies in a listed boundary (n - 1)-simplex: the
+        # apex of a cone on a square, a triangle listed as its own boundary,
+        # and a point, which has no boundary, are refused
+        (("homology",), {"vertices": ["a", "b", "d", "e", "c"],
+                         "top_simplices": [["a", "b", "c"], ["b", "d", "c"],
+                                           ["d", "e", "c"], ["e", "a", "c"]],
+                         "boundary": [["a", "b"], ["b", "d"], ["d", "e"],
+                                      ["e", "a"], ["c"]]},
+         ".boundary: boundary simplex ('c',) lies in no boundary 1-simplex"),
+        (("homology",), {**triangle, "boundary": [["c", "b", "a"]]},
+         ".boundary: boundary simplex ('a', 'b', 'c') lies in no boundary "
+         "1-simplex"),
+        (("homology",), {"vertices": ["a"], "top_simplices": [["a"]],
+                         "boundary": [["a"]]},
+         ".boundary: boundary simplex ('a',) lies in a 0-dimensional "
+         "complex, which has no boundary"),
         (("homology",), {**triangle, "top_simplices": []},
          ": top_simplices must be a nonempty list"),
         (("homology",), [triangle], ": expected a JSON object"),

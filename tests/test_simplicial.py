@@ -324,6 +324,34 @@ def test_pseudomanifold_constructor_refuses_an_impure_complex():
                 SimplicialComplex("abcd", tops), ["ab", "bc", "ac"])
 
 
+def test_boundary_simplices_off_the_boundary_are_refused():
+    """The boundary is the closure of its listed (n - 1)-simplices: a
+    listed simplex in none of them is refused, naming the first in vertex
+    order, and a point has no boundary at all."""
+    square_cone = SimplicialComplex("abdec", ["abc", "bdc", "dec", "eac"])
+    rim = ["ab", "bd", "de", "ea"]
+    for cx, listed, text in (
+            (square_cone, rim + ["c"],
+             "boundary simplex ('c',) lies in no boundary 1-simplex"),
+            # the vertex order is a, b, d, e, c
+            (square_cone, rim + ["c", "dec"],
+             "boundary simplex ('d', 'e', 'c') lies in no boundary "
+             "1-simplex"),
+            (full_triangle(), ["abc"],
+             "boundary simplex ('a', 'b', 'c') lies in no boundary "
+             "1-simplex"),
+            (SimplicialComplex("a", ["a"]), ["a"],
+             "boundary simplex ('a',) lies in a 0-dimensional complex, "
+             "which has no boundary")):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            OrientedPseudomanifoldWithBoundary(cx, listed)
+    # faces of listed boundary (n - 1)-simplices may be listed too
+    disk = OrientedPseudomanifoldWithBoundary(square_cone, rim + ["a", "ab"])
+    assert disk.boundary == OrientedPseudomanifoldWithBoundary(
+        square_cone, rim).boundary
+    assert cup_pairing(disk).matrix.rows == 0
+
+
 def test_cup_pairing_has_no_degree_in_odd_dimension():
     with pytest.raises(ValueError, match="no middle degree in odd dimension 1"):
         cup_pairing(OrientedPseudomanifoldWithBoundary(catalog.circle()))

@@ -9,11 +9,14 @@ For each tree, a subprocess of its own imports that tree's `strathom` and
 `bench/workloads.py`, writes the inputs of every workload for seeds 1-3
 into a temporary directory with `workloads.generate`, and runs each
 command there through `strathom.cli.main`, with and without `--json`.  It
-then runs each line of `CLI_ONLY` the same way, in the tree's own
-`src/strathom/data` with bare file names, so paths print alike in both
-trees.  It records the input digests and, per command, the exit code,
-stdout and stderr; an exception that escapes `main` is recorded as its type and
-message, not raised.  Nothing under `bench/` is written to.
+then runs each line of `CLI_ONLY` the same way, in a temporary copy of the
+tree's own `src/strathom/data` with bare file names, so paths print alike
+in both trees.  The copy also holds each file of `UNORIENTED` with its
+`orientation` removed, as `<stem>_no_orientation.json`, so that some lines
+load a triangulation whose orientation is propagated.  It records the
+input digests and, per command, the exit code, stdout and stderr; an
+exception that escapes `main` is recorded as its type and message, not
+raised.  Nothing under `bench/` or `src/` is written to.
 
 The two records are compared command by command.  Every mismatch is
 printed, then the count of identical runs; the exit code is 1 if any run
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -36,7 +40,8 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 
 # command lines no workload runs: the `ih` verb, `--help`, the refusals
-# (exit 2) and a failed verdict (exit 1), on the bundled data files
+# (exit 2), a failed verdict (exit 1) and propagated orientations, on the
+# bundled data files
 CLI_ONLY = (
     "ih s2xt2_space.json --q-range -1..3",
     "ih pinched_torus_space.json --q 0",
@@ -60,7 +65,14 @@ CLI_ONLY = (
     "signature st2xs1_space.json --pairing ixs1xt2.json",
     "homology cone_torus.json",
     "ih-direct cone_torus.json --p 0",
+    "homology cp2_minus_ball_no_orientation.json",
+    "homology ixs1xt2_no_orientation.json",
+    "signature s2xt2_space.json --pairing cp2_minus_ball_no_orientation.json",
+    "signature s2xt2_space.json --pairing ixs1xt2_no_orientation.json",
 )
+
+# bundled triangulations that `CLI_ONLY` also reads without their orientation
+UNORIENTED = ("cp2_minus_ball", "ixs1xt2")
 
 
 def _run(main, argv: list[str]) -> dict:
@@ -115,13 +127,21 @@ def collect(root: Path) -> dict:
     from strathom.cli import main
 
     previous = os.getcwd()
-    os.chdir(root / "src" / "strathom" / "data")
-    try:
-        for line in CLI_ONLY:
-            for argv in (shlex.split(line), ["--json", *shlex.split(line)]):
-                runs[f"cli-only: {' '.join(argv)}"] = _run(main, argv)
-    finally:
-        os.chdir(previous)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp)
+        shutil.copytree(root / "src" / "strathom" / "data", data,
+                        dirs_exist_ok=True)
+        for stem in UNORIENTED:
+            tri = json.loads((data / f"{stem}.json").read_text())
+            del tri["orientation"]
+            (data / f"{stem}_no_orientation.json").write_text(json.dumps(tri))
+        os.chdir(data)
+        try:
+            for line in CLI_ONLY:
+                for argv in (shlex.split(line), ["--json", *shlex.split(line)]):
+                    runs[f"cli-only: {' '.join(argv)}"] = _run(main, argv)
+        finally:
+            os.chdir(previous)
     return runs
 
 
