@@ -1,10 +1,11 @@
-"""Chain complexes: cleared Betti numbers and the Kunneth theorem.
+"""Chain complexes: Betti numbers two ways and the Kunneth theorem.
 
 `ChainComplex.homology` checks d o d = 0 on the differentials it is given
-and counts Betti numbers from the lows of the one cleared reduction,
-`cleared_lows`; `betti_numbers` reads the same lows straight off the
-boundary matrices of a triangulation, with no complex built.  The two
-routes must agree.  Tensoring chain complexes (with Koszul signs)
+and counts Betti numbers by the rank of each differential, uncleared;
+`betti_numbers` reads the lows of the one cleared reduction straight off
+the boundary matrices of a triangulation, never building a cleared
+column, with no complex built.  The two routes share no clearing and
+must agree.  Tensoring chain complexes (with Koszul signs)
 convolves their Betti numbers, which is what the stratified dimension
 calculus leans on for products; the staircase triangulation of the
 product space gives the same numbers a third way.
@@ -18,7 +19,8 @@ from strathom.simplicial import (
     product_complex,
 )
 
-print("cleared Betti numbers: ChainComplex.homology vs betti_numbers")
+print("Betti numbers: ChainComplex.homology (by rank) vs betti_numbers "
+      "(cleared)")
 for name, K in [("S^1", circle()), ("S^2", sphere_boundary(2)),
                 ("T^2", torus7()), ("CP^2", cp2_9()),
                 ("D^2", disk2().complex)]:

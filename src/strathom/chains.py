@@ -4,15 +4,18 @@ This module is the homological middle layer: finitely supported graded
 dimensions (`GradedVS`), chain complexes with checked square-zero
 differentials, Betti numbers by rank, tensor products with Koszul signs
 and truncation of graded data.
-`cleared_lows` is the one cleared column reduction:
-`ChainComplex.homology` counts its lows, `simplicial._filtered_lows`
-(behind `betti_numbers` and `ih_direct`) reads them as key pairs, and
-the representative cocycles of the cup pairing vanish on them.  The
-Mayer-Vietoris dimensions downstream are rank arithmetic on the boundary
-restriction, in `stratified`; no chain map, induced map or mapping cone
-is built anywhere.  `ChainComplex` stays for the complexes a caller
-assembles from differentials, such as the Kunneth products of
-`tensor_complex`: it checks d o d = 0 and counts Betti numbers by rank.
+`cycle_representatives` reads cleared cycles off the lows {column: low
+row} its caller passes: the cup pairing passes those of one plain
+`qlinalg.column_lows(delta^{m-1})`, and its representative cocycles
+vanish on them.  The one cleared reduction, behind `betti_numbers` and
+`ih_direct`, is `simplicial._filtered_lows`.  The Mayer-Vietoris
+dimensions downstream are rank arithmetic on the boundary restriction, in
+`stratified`; no chain map, induced map or mapping cone is built
+anywhere.  `ChainComplex` stays for the complexes a caller assembles from
+differentials, such as the Kunneth products of `tensor_complex`: it
+checks d o d = 0 and counts Betti numbers by the `rank` of each
+differential, a route that shares no clearing with the triangulation
+side.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
 bases in degree j follow the one Kunneth layout `GradedVS.tensor_blocks`
@@ -24,9 +27,9 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .qlinalg import DimensionMismatch, MatrixQ, column_lows, kernel_basis
+from .qlinalg import DimensionMismatch, MatrixQ, kernel_basis, rank
 
 
 class GradedVS:
@@ -113,28 +116,6 @@ class GradedVS:
         return f"GradedVS({dict(sorted(self._dims.items()))})"
 
 
-def cleared_lows(degrees: Iterable[int], differential: Callable[[int], MatrixQ]
-                 ) -> dict[int, dict[int, int]]:
-    """The lows {column: low row} (`column_lows`) of d_j for each j in
-    `degrees`, reduced top-down with clearing (Chen-Kerber 2011); d_j is
-    built by `differential(j)` only when degree j is reduced.
-
-    Clearing: the columns of d_j at the lows of d_{j+1} are skipped.  The
-    rows of d_{j+1} index the columns of d_j, and d_j d_{j+1} = 0.  Every
-    low of d_{j+1} indexes a column of d_j that lies in the span of the
-    earlier columns of d_j: the reduced column R of d_{j+1} with low l is a
-    boundary, so d_j R = 0, and R has a nonzero entry at l and none below
-    it, which writes column l of d_j as a combination of columns < l.  So
-    that column reduces to zero and skipping it changes no low of d_j: the
-    lows are those of the plain reduction, rank d_j of them.
-    """
-    lows: dict[int, dict[int, int]] = {}
-    for j in sorted(degrees, reverse=True):
-        above = lows.get(j + 1, {})
-        lows[j] = column_lows(differential(j), set(above.values()))
-    return lows
-
-
 class ChainComplex:
     """A chain complex of finite-dimensional rational vector spaces.
 
@@ -169,9 +150,8 @@ class ChainComplex:
 
     def homology(self) -> GradedVS:
         """Betti numbers by rank: dim H_j = n_j - rank d_j - rank d_{j+1},
-        rank d_j the number of lows of d_j in `cleared_lows`."""
-        lows = cleared_lows(self.differentials, self.differentials.__getitem__)
-        r = {j: len(lows_j) for j, lows_j in lows.items()}
+        each rank the `rank` of one differential, uncleared."""
+        r = {j: rank(m) for j, m in self.differentials.items()}
         return GradedVS({j: self.spaces[j] - r.get(j, 0) - r.get(j + 1, 0)
                          for j in self.spaces.degrees()})
 

@@ -181,8 +181,13 @@ def load_complex(data: dict, where: str = "triangulation"):
         sigma_dim = max(sum(str(v) in sigma_set for v in t) for t in tops) - 1
         codim = _int(data.get("codim", cx.dim - sigma_dim), f"{where}.codim")
         if codim < 1:
-            raise InputError(f"{where}.codim: codimension must be >= 1, got "
-                             f"{codim}")
+            # an absent codim defaults to dim - dim sigma, 0 only when sigma
+            # spans a top simplex: the field at fault is then sigma
+            raise InputError(
+                f"{where}.codim: codimension must be >= 1, got {codim}"
+                if "codim" in data else
+                f"{where}.sigma: sigma spans a top {cx.dim}-simplex, so the "
+                f"default codimension {cx.dim} - {sigma_dim} is 0")
         try:
             return simplicial.StratifiedComplex(cx, sigma, codim)
         except ValueError as e:

@@ -16,13 +16,14 @@ every rank and checks no value again, as it is fed only the columns of a
 sense of Bareiss, always at the largest coordinate of the support.  One
 driver feeds it the columns of a matrix from left to right: the column
 reduction of persistence, whose lows are the pivots and which
-`column_lows` reads.  It accepts the leftmost independent columns; `rank`
-counts them (of the transpose when that has fewer columns) and
-`image_basis` returns them.  `kernel_basis` feeds each column with its own
-unit vector below its rows, so a column that reduces to zero leaves the
-combination that kills it, and divides in `Fraction` only by a non-unit
-pivot.  No floats, no tolerances and no modular shortcut anywhere: a rank
-is a rank.
+`column_lows` reads.  It takes no column selection: the one caller that
+clears, `simplicial._filtered_lows`, never builds a cleared column.  It
+accepts the leftmost independent columns; `rank` counts them (of the
+transpose when that has fewer columns) and `image_basis` returns them.
+`kernel_basis` feeds each column with its own unit vector below its
+rows, so a column that reduces to zero leaves the combination that kills
+it, and divides in `Fraction` only by a non-unit pivot.  No floats, no
+tolerances and no modular shortcut anywhere: a rank is a rank.
 
 Values are immutable after construction and safe to share across threads;
 all operations are pure functions.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # Fraction is always reduced with positive denominator and canonical zero;
 # the package adds one rule: an integral value is stored as an `int`.
@@ -271,8 +272,7 @@ class IncrementalSpan:
         return self._rows.keys()
 
 
-def _accepted_columns(m: MatrixQ, skip: Container[int] = (),
-                      tagged: bool = False):
+def _accepted_columns(m: MatrixQ, tagged: bool = False):
     """The one driver of `IncrementalSpan`: feed it the columns of `m` as
     stored, from left to right, and yield (j, pivot, stored vector) for each
     column j it accepts.  With `tagged`, row i sits at coordinate m.cols + i
@@ -280,8 +280,6 @@ def _accepted_columns(m: MatrixQ, skip: Container[int] = (),
     stored vector holds the column combination that reduced it."""
     span = IncrementalSpan()
     for j in range(m.cols):
-        if j in skip:
-            continue
         col = m._c.get(j, {})
         if tagged:
             col = {j: 1, **{m.cols + i: v for i, v in col.items()}}
@@ -353,19 +351,17 @@ def sum_dim(a: Subspace, b: Subspace) -> int:
     return rank(MatrixQ(a.ambient_dim, a.dim + b.dim, entries))
 
 
-def column_lows(m: MatrixQ, skip: Container[int] = ()) -> dict[int, int]:
+def column_lows(m: MatrixQ) -> dict[int, int]:
     """The lows of the left-to-right column reduction of `m`: {column: low
     row} for every column whose reduced form is nonzero.
 
-    The columns, except those in `skip`, go into an `IncrementalSpan` from
-    left to right as stored, so the pivot of a stored vector is the low:
-    the largest row index of the reduced column, and the lows are distinct.
-    A column is accepted iff it is not in the span of the earlier fed
-    columns, so with `skip` empty the number of lows is rank m.  A skipped
-    column that lies in the span of the earlier columns changes neither
-    the accepted columns nor their lows.
+    The columns go into an `IncrementalSpan` from left to right as stored,
+    so the pivot of a stored vector is the low: the largest row index of
+    the reduced column, and the lows are distinct.  A column is accepted
+    iff it is not in the span of the earlier columns, so the number of
+    lows is rank m.
     """
-    return {j: c for j, c, _ in _accepted_columns(m, skip)}
+    return {j: c for j, c, _ in _accepted_columns(m)}
 
 
 class Signature(NamedTuple):

@@ -38,10 +38,11 @@ D_d) of every perversity is a count over those pairs, kept per (degree,
 threshold), so a sweep builds and reduces each degree once and counts
 each threshold once.
 
-`_filtered_lows` is the one filtered reduction of this module: given a key
-per simplex (None leaves it out) it orders the kept simplices by (key,
-index), reduces the restricted boundary matrices once with
-`chains.cleared_lows` and returns the lows as (key, key) pairs.
+`_filtered_lows` is the one filtered reduction of this module and the
+one owner of clearing: given a key per simplex (None leaves it out) it
+orders the kept simplices by (key, index), reduces the restricted
+boundary matrices once each, top-down, building only the columns that
+clearing keeps, and returns the lows as (key, key) pairs.
 `betti_numbers` (the `homology` command) is its constant key and
 `ih_direct` its Sigma-face-dimension key.
 """
@@ -51,7 +52,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .chains import ChainComplex, GradedVS, cleared_lows, cycle_representatives
+from .chains import ChainComplex, GradedVS, cycle_representatives
 from .qlinalg import MatrixQ, column_lows
 
 Simplex = tuple[int, ...]  # vertex indices, strictly increasing
@@ -183,25 +184,40 @@ def chain_complex_of(s: SimplicialComplex) -> ChainComplex:
 
 
 def _filtered_lows(K: SimplicialComplex, key: Callable) -> tuple[list, dict]:
-    """The one filtered reduction of the triangulation side.
+    """The one filtered reduction of the triangulation side, cleared.
 
     `key(d, simplex)` is a sortable key, or None to leave the simplex out.
     Per degree d the kept d-simplices are listed as (key, index) pairs in
-    ascending order; the boundary matrix of d, restricted to the kept rows
-    and columns in that order, is reduced once by `chains.cleared_lows`.
-    Returns the kept lists, per degree 0..dim, and per degree 1..dim the
-    (key of column, key of its low) pairs of the reduction: a count of
-    those pairs by key is a rank of a block of leading columns and trailing
-    rows (pairing lemma, see `ih_direct`).  Clearing is sound on the
-    restriction whenever it is a chain complex, as it is when the dropped
-    simplices span a subcomplex (a quotient) or every simplex is kept."""
+    ascending order, the order of the rows and columns of the boundary
+    matrix of d restricted to them.  Returns the kept lists, per degree
+    0..dim, and per degree 1..dim the (key of column, key of its low)
+    pairs of the left-to-right column reduction of that matrix: a count of
+    those pairs by key is a rank of a block of leading columns and
+    trailing rows (pairing lemma, see `ih_direct`).
+
+    Degrees run top-down with clearing (Chen and Kerber, Persistent
+    homology computation with a twist, 2011): the kept d-simplices at the
+    lows of degree d + 1 are never built, and `column_lows` reduces the
+    rest.  The rows of d_{d+1} are the columns of d_d, and d_d d_{d+1} = 0
+    on the restriction whenever it is a chain complex, as it is when the
+    dropped simplices span a subcomplex (a quotient) or every simplex is
+    kept.  The reduced column R of d_{d+1} with low l is then a boundary,
+    so d_d R = 0, and R is nonzero at l and zero below it: column l of
+    d_d is a combination of the columns before l.  The low of a column
+    depends only on the span of the columns before it, and dropping
+    columns that lie in the span of earlier ones leaves every such span
+    as it was.  So the columns that are built keep the lows of the full
+    reduction, rank d_d of them, and a dropped column has none."""
     kept = [sorted((k, i) for i, s in enumerate(K.simplices(d))
                    if (k := key(d, s)) is not None)
             for d in range(K.dim + 1)]
-    lows = cleared_lows(range(1, K.dim + 1), lambda d: boundary_matrix(
-        K, d, [i for _, i in kept[d - 1]], [i for _, i in kept[d]]))
-    pairs = {d: [(kept[d][c][0], kept[d - 1][r][0]) for c, r in lows_d.items()]
-             for d, lows_d in lows.items()}
+    pairs, cleared = {}, set()
+    for d in range(K.dim, 0, -1):
+        cols = [kc for c, kc in enumerate(kept[d]) if c not in cleared]
+        lows = column_lows(boundary_matrix(K, d, [i for _, i in kept[d - 1]],
+                                           [i for _, i in cols]))
+        pairs[d] = [(cols[c][0], kept[d - 1][r][0]) for c, r in lows.items()]
+        cleared = set(lows.values())
     return kept, pairs
 
 
@@ -260,15 +276,13 @@ def _fresh_label(label: str, taken: set[str]) -> str:
 
 def _apex_join(s: SimplicialComplex, apexes: Sequence[str],
                verb: str) -> StratifiedComplex:
-    """Join every simplex of `s` to each apex, each label made fresh; the
+    """Join every facet of `s` to each apex, each label made fresh; the
     apexes are the singular set, of codimension dim s + 1."""
     if s.dim < 0:
         raise ValueError(f"cannot {verb} the empty complex")
     taken = set(s.vertices)
     fresh = [_fresh_label(apex, taken) for apex in apexes]
-    # joining to every simplex keeps lower-dimensional maximal ones too
-    tops = [s.labels(t) + (apex,) for d in range(s.dim + 1)
-            for t in s.simplices(d) for apex in fresh]
+    tops = [s.labels(t) + (apex,) for t in s.facets() for apex in fresh]
     joined = SimplicialComplex(s.vertices + tuple(fresh), tops)
     return StratifiedComplex(joined, fresh, s.dim + 1)
 

@@ -21,12 +21,12 @@ needs them.
 `ref_ih_direct` is the brute-force intersection homology by a second
 route: the package's `rank` on two submatrices of the full boundary matrix
 per degree and threshold.  That `rank` runs on `IncrementalSpan`, the same
-reduction loop as the cleared column reduction (`column_lows`) that
-`ih_direct` reads its ranks from, so the two share their arithmetic; what
-they do not share is the route: one reduction of each submatrix (of its
-columns, or of its rows where they are fewer) against one left-to-right
-pass over the columns of the whole boundary matrix, read through the
-pairing lemma.
+reduction loop as the cleared column reduction (`column_lows` under
+`simplicial._filtered_lows`) that `ih_direct` reads its ranks from, so
+the two share their arithmetic; what they do not share is the route: one
+reduction of each submatrix (of its columns, or of its rows where they
+are fewer) against one left-to-right pass over the columns of the whole
+boundary matrix, read through the pairing lemma.
 
 `ref_hi_extreme` gives intersection-space homology at the extreme
 perversities from the long exact sequence of the pair (Mbar, boundary)
@@ -37,14 +37,15 @@ those perversities `hi_dims` reduces to the same rank arithmetic.
 `ref_hi_quotient` is the independent one: intersection-space homology of
 an isolated singularity at every perversity, read off a triangulation of
 Mbar as the homology of a quotient complex.  It shares `boundary_matrix`
-and the elimination engine with the package, and nothing of the
-Mayer-Vietoris rank family behind `hi_dims`.
+and the elimination engine with the package, but neither the clearing of
+`simplicial._filtered_lows` nor anything of the Mayer-Vietoris rank
+family behind `hi_dims`.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from strathom.chains import GradedVS, cleared_lows
+from strathom.chains import GradedVS
 from strathom.qlinalg import DimensionMismatch, MatrixQ, column_lows, rank
 from strathom.simplicial import boundary_matrix
 from strathom.stratified import ModelError
@@ -416,9 +417,11 @@ def ref_hi_quotient(pm, p):
     (Banagl, Intersection Spaces, Spatial Homology Truncation, and String
     Theory, 2010).  Reduced HI is the homology of the quotient C(Mbar)/tau,
     whose differential is `boundary_matrix` on the simplices outside tau,
-    counted with `cleared_lows`.  No degree-0 correction is made: for
-    k <= 0, tau = 0 and the intersection space is Mbar plus a disjoint
-    point, whose reduced homology is that of Mbar.
+    counted by the `rank` of each restricted matrix, with no clearing, so
+    it shares no clearing with the triangulation side of the package.  No
+    degree-0 correction is made: for k <= 0, tau = 0 and the intersection
+    space is Mbar plus a disjoint point, whose reduced homology is that of
+    Mbar.
 
     It shares `boundary_matrix` and the elimination engine with the
     package, and not the Mayer-Vietoris rank family of `hi_dims`."""
@@ -433,7 +436,7 @@ def ref_hi_quotient(pm, p):
         tau[k] = {on_l[k][c] for c in lows}
     keep = [[i for i in range(K.n_simplices(d)) if i not in tau.get(d, ())]
             for d in range(K.dim + 1)]
-    lows = cleared_lows(range(1, K.dim + 1), lambda d: boundary_matrix(
-        K, d, keep[d - 1], keep[d]))
-    return GradedVS({d: len(keep[d]) - len(lows.get(d, ()))
-                     - len(lows.get(d + 1, ())) for d in range(K.dim + 1)})
+    r = [0] + [rank(boundary_matrix(K, d, keep[d - 1], keep[d]))
+               for d in range(1, K.dim + 1)] + [0]
+    return GradedVS({d: len(keep[d]) - r[d] - r[d + 1]
+                     for d in range(K.dim + 1)})

@@ -30,7 +30,11 @@ from strathom.qlinalg import (
     image_basis,
     rank,
 )
-from strathom.simplicial import boundary_matrix, chain_complex_of
+from strathom.simplicial import (
+    betti_numbers,
+    boundary_matrix,
+    chain_complex_of,
+)
 
 from oracles import (
     convolve,
@@ -269,28 +273,29 @@ def test_cleared_homology_matches_plain_ranks():
 
 
 def test_cleared_rejections_are_betti_numbers(monkeypatch):
-    # with clearing, the columns of d_j fed to the span and rejected by it
-    # are n_j - rank d_{j+1} - rank d_j = b_j of them
-    from strathom import chains
+    # with clearing, the columns of d_j built, fed to the span and rejected
+    # by it are n_j - rank d_{j+1} - rank d_j = b_j of them
+    from strathom import simplicial
     pm = sio.load_pairing(sio.load_json(DATA / "ixs1xt2.json"))
     complexes = _catalog_complexes() + [pm.complex]
+    expected = [chain_complex_of(K).homology() for K in complexes]
     rejected = []
-    real_add, real_lows = IncrementalSpan.add, chains.column_lows
+    real_add, real_lows = IncrementalSpan.add, simplicial.column_lows
 
     def add(self, vec):
         grew = real_add(self, vec)
         rejected[-1] += not grew
         return grew
 
-    def lows(m, skip=()):
+    def lows(m):
         rejected.append(0)
-        return real_lows(m, skip)
+        return real_lows(m)
 
     monkeypatch.setattr(IncrementalSpan, "add", add)
-    monkeypatch.setattr(chains, "column_lows", lows)
-    for K in complexes:
+    monkeypatch.setattr(simplicial, "column_lows", lows)
+    for K, betti in zip(complexes, expected):
         rejected.clear()
-        betti = chain_complex_of(K).homology()
+        assert tuple(betti_numbers(K)) == betti.as_tuple(0, K.dim), K
         assert rejected == [betti[j] for j in range(K.dim, 0, -1)], K
 
 
@@ -392,17 +397,19 @@ def _definitions(tree):
 
 
 def test_one_clearing_routine_and_one_span_driver():
-    """The clearing lemma is stated and used in one place: `column_lows` is
-    given a skip set only by `chains.cleared_lows`, and `IncrementalSpan`,
-    the reduction loop under every rank and low, is named only inside
-    `qlinalg` and built at one call site, the left-to-right column driver
-    that every rank, kernel, image and low reads.  A caller's value is
-    coerced only at its one door, `MatrixQ(...)`, and otherwise only by
-    `_quotient`, which hands back a quotient: no `as_rational` runs in the
-    reduction loop, and an `IncrementalSpan` takes no argument, so it has no
-    bounds to check either."""
+    """Clearing is decided in one place, `simplicial._filtered_lows`, which
+    never builds a cleared column: every call of `column_lows` and of the
+    driver `_accepted_columns` passes one matrix and no column selection
+    (a `tagged` flag aside).  `IncrementalSpan`, the reduction loop under
+    every rank and low, is named only inside `qlinalg` and built at one
+    call site, the left-to-right column driver that every rank, kernel,
+    image and low reads.  A caller's value is coerced only at its one door,
+    `MatrixQ(...)`, and otherwise only by `_quotient`, which hands back a
+    quotient: no `as_rational` runs in the reduction loop, and an
+    `IncrementalSpan` takes no argument, so it has no bounds to check
+    either."""
     src = Path(__file__).parent.parent / "src" / "strathom"
-    span_modules, skip_callers = set(), set()
+    span_modules, selecting = set(), set()
     coercers, span_builds = set(), []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -418,16 +425,17 @@ def test_one_clearing_routine_and_one_span_driver():
                     continue
                 callee = call.func
                 name = getattr(callee, "id", getattr(callee, "attr", None))
-                if name == "column_lows" and (len(call.args) > 1
-                                              or call.keywords):
-                    skip_callers.add(f"{path.stem}.{where}")
+                if name in ("column_lows", "_accepted_columns") and (
+                        len(call.args) != 1 or any(
+                            k.arg != "tagged" for k in call.keywords)):
+                    selecting.add(f"{path.stem}.{where}")
                 if name == "as_rational":
                     coercers.add(f"{path.stem}.{where}")
                 if name == "IncrementalSpan":
                     span_builds.append((f"{path.stem}.{where}",
                                         call.args + call.keywords))
     assert span_modules == {"qlinalg"}
-    assert skip_callers == {"chains.cleared_lows"}
+    assert not selecting, selecting
     assert coercers == {"qlinalg.MatrixQ.__init__", "qlinalg._quotient"}
     assert [site for site, _ in span_builds] == ["qlinalg._accepted_columns"]
     assert not any(args for _, args in span_builds)

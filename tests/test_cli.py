@@ -459,6 +459,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
     ih_direct = ("ih-direct", "--p", "0")
     probes = [
         (ih_direct, {**triangle, "sigma": ["a"], "codim": 0}, ".codim"),
+        # with no codim, the default dim - dim sigma is 0 only when sigma
+        # spans a top simplex, so sigma is the field at fault
+        (ih_direct, {**triangle, "sigma": ["a", "b", "c"]},
+         ".sigma: sigma spans a top 2-simplex, so the default codimension "
+         "2 - 2 is 0"),
         (ih_direct, {**triangle, "vertices": ["a", "b", "c", "a"],
                      "sigma": ["a"]}, ".vertices"),
         (ih_direct, {**triangle, "sigma": ["z"]}, ".sigma"),

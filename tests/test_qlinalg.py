@@ -252,14 +252,26 @@ def test_column_lows_match_the_persistence_reduction():
         lows = column_lows(m)
         assert lows == ref_column_lows(m)
         assert len(lows) == rank(m) == len(set(lows.values()))
-        # skipping columns in the span of the earlier ones changes no low
+        # dropping columns in the span of the earlier ones moves no low
         rejected = [j for j in range(m.cols) if j not in lows]
-        skip = set(rng.sample(rejected, rng.randrange(len(rejected) + 1)))
-        assert column_lows(m, skip) == lows
-        # skipping an accepted column drops it, and may move later lows
+        drop = set(rng.sample(rejected, rng.randrange(len(rejected) + 1)))
+        assert _lows_without(m, drop) == lows
+        # dropping an accepted column removes it, keeps the lows before it,
+        # and may move later lows
         if lows:
             j = rng.choice(sorted(lows))
-            assert j not in column_lows(m, {j})
+            left = _lows_without(m, {j})
+            assert j not in left
+            assert {c: r for c, r in left.items() if c < j} == \
+                {c: r for c, r in lows.items() if c < j}
+
+
+def _lows_without(m, drop):
+    """`column_lows` of m with the columns in `drop` left out, indexed by
+    the columns of m."""
+    keep = [j for j in range(m.cols) if j not in drop]
+    return {keep[k]: r for k, r in
+            column_lows(m.submatrix(range(m.rows), keep)).items()}
 
 
 def test_kernel_and_image_really_are_kernel_and_image():

@@ -9,7 +9,7 @@ import pytest
 from strathom import catalog, chains, simplicial
 from strathom import io as sio
 from strathom.chains import GradedVS
-from strathom.qlinalg import MatrixQ
+from strathom.qlinalg import MatrixQ, rank
 from strathom.simplicial import (
     NotPure,
     OrientationError,
@@ -201,20 +201,22 @@ def test_ih_direct_memo_matches_fresh_complex_per_p():
 
 
 def test_ih_direct_sweep_builds_each_problem_once(monkeypatch):
-    built, reduced = Counter(), [0]
+    built, reduced, columns = Counter(), [0], Counter()
     boundary_matrix = simplicial.boundary_matrix
-    column_lows = chains.column_lows
+    column_lows = simplicial.column_lows
 
     def counting_boundary(cx, d, *selection):
         built[d] += 1
-        return boundary_matrix(cx, d, *selection)
+        m = boundary_matrix(cx, d, *selection)
+        columns[d] += m.cols
+        return m
 
-    def counting_lows(m, skip=()):
+    def counting_lows(m):
         reduced[0] += 1
-        return column_lows(m, skip)
+        return column_lows(m)
 
     monkeypatch.setattr(simplicial, "boundary_matrix", counting_boundary)
-    monkeypatch.setattr(chains, "column_lows", counting_lows)
+    monkeypatch.setattr(simplicial, "column_lows", counting_lows)
     for st, ps in _memo_families():
         built.clear()
         reduced[0] = 0
@@ -230,10 +232,17 @@ def test_ih_direct_sweep_builds_each_problem_once(monkeypatch):
         assert (sum(built.values()), reduced[0]) == before, st
         # the constant key of betti_numbers runs the same filtered reduction
         built.clear()
+        columns.clear()
         reduced[0] = 0
-        betti_numbers(st.complex)
-        assert built == Counter(range(1, st.complex.dim + 1)), (st, built)
-        assert reduced[0] == st.complex.dim, (st, reduced[0])
+        K = st.complex
+        betti_numbers(K)
+        assert built == Counter(range(1, K.dim + 1)), (st, built)
+        assert reduced[0] == K.dim, (st, reduced[0])
+        # a cleared column is never built: degree d builds n_d columns less
+        # #pairs_{d+1} = rank d_{d+1}
+        assert columns == Counter({
+            d: K.n_simplices(d) - rank(boundary_matrix(K, d + 1))
+            for d in range(1, K.dim + 1)}), (st, columns)
 
 
 def _random_sigma_families(rng):
