@@ -14,7 +14,12 @@ Each command runs in a fresh interpreter, so `import strathom` registers
 every module in `sys.modules` without running it (`LazyLoader`), and a
 module's code runs when one of its attributes is first read.  A verb then
 runs only the layers it calls: `hi` runs `qlinalg`, `chains`, `stratified`,
-`io` and `cli`; `homology` runs `simplicial` in place of `stratified`.
+`io` and `cli`; `homology` runs `cli`, `io`, `qlinalg` and `simplicial`;
+`ih-direct` runs those and `chains`, for the `GradedVS` it returns;
+`signature` runs every layer but `modes`; `modes` runs `cli`, `modes`,
+`chains` and `qlinalg` (and `io` under --json).  A layer that reads
+another in only some of its functions binds the module (`from . import
+chains`), not names from it, so importing it does not run the other.
 Registration, not function-local imports, keeps every module object in
 place from the start, so a tool that rebinds module attributes from outside
 (the span tracer of the benchmark reads `sys.modules["strathom.<layer>"]`)

@@ -14,21 +14,21 @@ traceback)."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 from . import io as sio
 from . import modes, signatures, simplicial, stratified
 
-_RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+_RANGE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
 
 def parse_range(text: str) -> range:
-    m = _RANGE.match(text)
+    m = _RANGE.fullmatch(text)
     if not m:
         raise sio.InputError(f"bad range {text!r}; expected a..b")
     lo, hi = int(m.group(1)), int(m.group(2))
@@ -126,7 +126,7 @@ def cmd_ig(args) -> int:
 
 def cmd_table(args) -> int:
     space = _load_space(args.input)
-    rng = parse_range(args.q_range) if args.q_range else \
+    rng = parse_range(args.q_range) if args.q_range is not None else \
         range(-1, space.c)
     rep = stratified.ih_table(space, rng.start, rng.stop - 1)
     return _emit(args, {"q_range": [rng.start, rng.stop - 1]}, rep.to_dict(),
@@ -244,6 +244,7 @@ def cmd_hodge(args) -> int:
 
 
 def cmd_modes(args) -> int:
+    from fractions import Fraction  # the one verb that parses a rational
     try:
         weight = Fraction(args.weight)
     except (ValueError, ZeroDivisionError):
@@ -408,7 +409,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     """Run one command line; a refused input (`io.InputError`) exits 2 and
-    any other exception, a fault of the program, 3, on one stderr line."""
+    any other exception, a fault of the program, 3, on one stderr line.
+
+    With `argv` None, main is the process entry point (`python -m
+    strathom`, `python -m strathom.cli`, the `strathom` script) and turns
+    the cyclic garbage collector off.  A caller in a longer-lived process
+    passes `argv` and keeps its collector as it was."""
+    if argv is None:
+        # the process runs one command and exits, and the tuples, dicts
+        # and ints a command builds form no reference cycles: collecting
+        # would only rescan them
+        gc.disable()
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)

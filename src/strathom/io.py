@@ -27,8 +27,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from . import simplicial, spaces, stratified
-from .chains import GradedVS
+from . import chains, simplicial, spaces, stratified
 from .qlinalg import DimensionMismatch, MatrixQ
 
 
@@ -285,7 +284,8 @@ def _space_from(data: dict, where: str,
                            base)
         sigma = _betti_from(_require(data, "sigma", where), f"{where}.sigma",
                             base)
-        boundary = GradedVS(link).convolve(GradedVS(sigma)).as_tuple()
+        boundary = chains.GradedVS(link).convolve(
+            chains.GradedVS(sigma)).as_tuple()
         if oriented and boundary != boundary[::-1]:
             raise InputError(
                 f"{where}.link and .sigma: the Betti numbers {list(boundary)} "
@@ -303,7 +303,7 @@ def _space_from(data: dict, where: str,
         n, l, s = (_int(_require(data, f, where), f"{where}.{f}")
                    for f in ("n", "l", "s"))
         link_h, sigma_h, m_h = (
-            GradedVS(_betti(_require(data, f, where), f"{where}.{f}"))
+            chains.GradedVS(_betti(_require(data, f, where), f"{where}.{f}"))
             for f in ("link_betti", "sigma_betti", "m_betti"))
         return stratified.TwoStrataSpace(
             n=n, l=l, s=s, link_h=link_h, sigma_h=sigma_h, m_h=m_h,

@@ -25,13 +25,18 @@ rows, so a column that reduces to zero leaves the combination that kills
 it, and divides in `Fraction` only by a non-unit pivot.  No floats, no
 tolerances and no modular shortcut anywhere: a rank is a rank.
 
+`fractions` is imported where a `Fraction` can first arise, not at
+module level: in `as_rational` past its `int` return and in `_quotient`
+for a non-unit pivot.  Every other test of a value reads `type(v) is int`
+first, so a command whose values stay integral never loads `fractions`
+(or the `decimal` it imports).
+
 Values are immutable after construction and safe to share across threads;
 all operations are pure functions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -53,6 +58,7 @@ def as_rational(x) -> int | Fraction:
     refused."""
     if type(x) is int:
         return x
+    from fractions import Fraction
     if isinstance(x, str):
         x = Fraction(x)
     if isinstance(x, Fraction):
@@ -291,7 +297,10 @@ def _accepted_columns(m: MatrixQ, tagged: bool = False):
 def _quotient(s, p) -> int | Fraction:
     """s / p for a nonzero pivot p, exact and under the value contract; in
     `Fraction` only when p is not a unit."""
-    return as_rational(s * p if p == 1 or p == -1 else Fraction(s, p))
+    if p == 1 or p == -1:
+        return as_rational(s * p)
+    from fractions import Fraction
+    return as_rational(Fraction(s, p))
 
 
 def rank(m: MatrixQ) -> int:

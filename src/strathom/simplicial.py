@@ -52,7 +52,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .chains import ChainComplex, GradedVS, cycle_representatives
+from . import chains
 from .qlinalg import MatrixQ, column_lows
 
 Simplex = tuple[int, ...]  # vertex indices, strictly increasing
@@ -176,11 +176,11 @@ def boundary_matrix(s: SimplicialComplex, d: int,
     return MatrixQ._of(len(lower), len(cols), columns)
 
 
-def chain_complex_of(s: SimplicialComplex) -> ChainComplex:
+def chain_complex_of(s: SimplicialComplex) -> chains.ChainComplex:
     """The simplicial chain complex with the global-vertex-order signs."""
-    spaces = GradedVS({d: s.n_simplices(d) for d in range(s.dim + 1)})
+    spaces = chains.GradedVS({d: s.n_simplices(d) for d in range(s.dim + 1)})
     diffs = {d: boundary_matrix(s, d) for d in range(1, s.dim + 1)}
-    return ChainComplex(spaces, diffs)
+    return chains.ChainComplex(spaces, diffs)
 
 
 def _filtered_lows(K: SimplicialComplex, key: Callable) -> tuple[list, dict]:
@@ -351,7 +351,7 @@ def barycentric_subdivide(st: StratifiedComplex) -> StratifiedComplex:
 # ---------------------------------------------------------------------------
 # the brute-force intersection homology oracle
 
-def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
+def ih_direct(st: StratifiedComplex, p_at_c: int) -> chains.GradedVS:
     """Intersection homology of a stratified complex, by brute force.
 
     A linear i-simplex is allowable iff the face it spans inside the
@@ -427,7 +427,7 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> GradedVS:
     for d in range(K.dim + 1):
         dims[d] = ic_dim[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
         assert dims[d] >= 0
-    return GradedVS(dims)
+    return chains.GradedVS(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +641,8 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary) -> PairingData:
         """delta: relative C^d -> relative C^{d+1} (transpose of boundary)."""
         return boundary_matrix(K, d + 1, rel[d], rel[d + 1]).transpose()
 
-    reps_rel = cycle_representatives(rel_delta(degree),
-                                     column_lows(rel_delta(degree - 1)))
+    reps_rel = chains.cycle_representatives(
+        rel_delta(degree), column_lows(rel_delta(degree - 1)))
 
     # cocycles as {simplex index: coefficient} over all degree-m simplices
     cols = rel[degree]

@@ -51,7 +51,6 @@ holding the same fields.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .chains import GradedVS
@@ -431,6 +430,7 @@ def hodge_weights(p: int, l: int, n: int, j: int) -> tuple[Fraction, Fraction]:
     weight is (l-1)/2 - p(l+1) and the conformally related cusp weight adds
     n/2 - j.
     """
+    from fractions import Fraction  # the one Fraction this module builds
     c_fs = Fraction(l - 1, 2) - p
     c_fc = Fraction(n, 2) - j + c_fs
     return c_fs, c_fc

@@ -1,5 +1,8 @@
+import gc
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -377,6 +380,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
             (("hodge", space_file(), "--p", "0", *both),
              "--degree or --degrees"),
             (("hi", space_file()), "missing --p or --p-range"),
+            # an empty range is refused, not read as the default one
+            (("table", space_file(), "--q-range="), "bad range ''"),
+            (("table", space_file(), "--q-range", "0..1\n"),
+             "bad range '0..1\\n'"),
             (("verify", space_file(), "--theorem", "duality"),
              "--p is required for --theorem duality")):
         code, out, err = run(capsys, *argv)
@@ -680,17 +687,30 @@ def test_verify_refuses_flags_its_theorem_does_not_read(capsys):
         assert flag in err and theorem in err, (theorem, flag, err)
 
 
-def test_module_entry_point_subprocess():
-    import os
-    import subprocess
-    import sys
+def _fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run `python argv...` in a fresh interpreter that imports this
+    checkout's `strathom`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "strathom.cli", "--json", "hi", space_file(),
-         "--p", "0"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env)
+
+
+# run `python -m strathom` on the command line after the probe's first
+# argument, in the probe's process; `code` holds its exit status
+_RUN_MODULE = (
+    "import runpy, sys\n"
+    "sys.argv = ['strathom', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('strathom', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as e:\n"
+    "    code = e.code\n")
+
+
+def test_module_entry_point_subprocess():
+    proc = _fresh("-m", "strathom.cli", "--json", "hi", space_file(),
+                  "--p", "0")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["hi"]["0"] == [0, 2, 4, 2, 0]
     # runpy warns when the module it runs is already in sys.modules
@@ -701,23 +721,10 @@ def test_command_skips_argparse_gettext_and_locale():
     """`python -m strathom` reads its command line from the verb table, so
     no command pays for importing argparse and the gettext and locale
     modules it loads."""
-    import os
-    import subprocess
-    import sys
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
-    probe = (
-        "import runpy, sys\n"
-        "sys.argv = ['strathom', '--json', 'hodge', sys.argv[1], '--p', '0']\n"
-        "try:\n"
-        "    runpy.run_module('strathom', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as e:\n"
-        "    code = e.code\n"
+    probe = _RUN_MODULE + (
         "print(code, sorted({'argparse', 'gettext', 'locale'} & "
         "set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", probe, space_file()],
-                          capture_output=True, text=True, env=env)
+    proc = _fresh("-c", probe, "--json", "hodge", space_file(), "--p", "0")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout
 
@@ -725,19 +732,94 @@ def test_command_skips_argparse_gettext_and_locale():
 def test_cli_import_skips_dataclasses_and_inspect():
     """Each command runs in a fresh interpreter, so what `import
     strathom.cli` loads is paid on every call; `dataclasses` and `inspect`
-    are not needed by any command."""
-    import os
-    import subprocess
-    import sys
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
+    are not needed by any command, and `fractions` (with the `decimal` it
+    imports) only where a non-integer value arises."""
     probe = ("import sys, strathom.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, env=env)
+             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+             " & set(sys.modules)))")
+    proc = _fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, imports", [
+    (["homology", "ixs1xt2.json"], False),
+    (["ih-direct", "cone_torus.json", "--p", "0"], False),
+    (["hi", "s2xt2_space.json", "--p", "0"], False),
+    (["signature", "s2xt2_space.json", "--pairing", "cp2_minus_ball.json"],
+     False),
+    (["hodge", "s2xt2_space.json", "--p", "0"], True),
+], ids=["homology", "ih-direct", "hi", "signature", "hodge"])
+def test_a_command_imports_fractions_only_for_a_non_integer(argv, imports):
+    """A ±1 boundary matrix, a rank and a cup pairing over ±1 pivots hold
+    only `int`s, so these commands never load `fractions`; `hodge` halves
+    its weights and does."""
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    probe = _RUN_MODULE + (
+        "sys.stderr.write(repr((code, 'fractions' in sys.modules,\n"
+        "                       'decimal' in sys.modules)))\n")
+    proc = _fresh("-c", probe, *argv)
+    assert proc.stderr.endswith(repr((0, imports, imports))), proc.stderr
+    if imports:
+        assert proc.stdout.splitlines()[1:] == [
+            f"  j={j}: scattering weight 0, cusp weight {2 - j}"
+            for j in range(5)], proc.stdout
+
+
+def test_a_command_line_process_runs_without_the_cyclic_collector(
+        capsys, monkeypatch):
+    """`python -m strathom` runs its command with the cyclic garbage
+    collector off; `main(argv)` called in process leaves it on, both while
+    the command runs and after it."""
+    probe = (
+        "import gc, sys, strathom.simplicial as s\n"
+        "seen = []\n"
+        "betti = s.betti_numbers\n"
+        "def probe(*args):\n"
+        "    seen.append(gc.isenabled())\n"
+        "    return betti(*args)\n"
+        "s.betti_numbers = probe\n") + _RUN_MODULE + (
+        "sys.stderr.write(repr((code, seen)))\n")
+    proc = _fresh("-c", probe, "homology", str(DATA / "ixs1xt2.json"))
+    assert proc.stderr == repr((0, [False])), proc.stderr
+    seen = []
+    betti = simplicial.betti_numbers
+
+    def recorded(*args):
+        seen.append(gc.isenabled())
+        return betti(*args)
+
+    assert gc.isenabled()
+    monkeypatch.setattr(simplicial, "betti_numbers", recorded)
+    code, _, _ = run(capsys, "homology", str(DATA / "ixs1xt2.json"))
+    assert (code, seen, gc.isenabled()) == (0, [True], True)
+
+
+@pytest.mark.parametrize("call, value", [
+    ("from strathom.qlinalg import as_rational\n"
+     "value = as_rational('3/2')", "Fraction(3, 2)"),
+    ("from strathom.qlinalg import MatrixQ, kernel_basis\n"
+     "value = kernel_basis(MatrixQ.from_rows([[2, 1]])).basis",
+     "({1: 1, 0: Fraction(-1, 2)},)"),
+    ("from strathom.stratified import hodge_weights\n"
+     "value = hodge_weights(0, 1, 2, 1)",
+     "(Fraction(0, 1), Fraction(0, 1))"),
+    ("from strathom.cli import main\n"
+     "value = main(['modes', '--torus-dim', '1', '--weight', '1/2'])", "2"),
+], ids=["as_rational", "kernel_basis", "hodge_weights", "modes"])
+def test_the_first_fraction_of_a_process_is_exact(call, value):
+    """Each site that can build the first `Fraction` of a process imports
+    `fractions` itself, and returns the exact value it always has."""
+    probe = (
+        "import sys\n" + call + "\n"
+        "print(repr(value))\n"
+        "print('fractions' in sys.modules)\n")
+    proc = _fresh("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [value, "True"], proc.stdout
+    if value == "2":
+        assert proc.stderr == ("error: --weight: only weight 0 is modeled; "
+                               "got 1/2\n"), proc.stderr
 
 
 # the layers whose functions the benchmark's span tracer wraps; it reads
@@ -750,18 +832,14 @@ _TRACER_LAYERS = {"cli", "io", "stratified", "qlinalg", "chains",
     (["hi", "s2xt2_space.json", "--p", "0"],
      {"chains", "cli", "io", "qlinalg", "stratified"}),
     (["homology", "ixs1xt2.json"],
+     {"cli", "io", "qlinalg", "simplicial"}),
+    (["ih-direct", "cone_torus.json", "--p", "0"],
      {"chains", "cli", "io", "qlinalg", "simplicial"}),
-], ids=["hi", "homology"])
+], ids=["hi", "homology", "ih-direct"])
 def test_a_verb_runs_only_the_layers_it_calls(argv, ran):
     """`import strathom.cli` registers every layer and runs only `cli`;
     `cli.main` then runs the modules its verb reads.  A registered module
     that never ran is still an `importlib.util._LazyModule`."""
-    import os
-    import subprocess
-    import sys
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
     probe = (
         "import importlib.util, json, sys\n"
         "def layers(lazy):\n"
@@ -773,9 +851,7 @@ def test_a_verb_runs_only_the_layers_it_calls(argv, ran):
         "on_import = layers(False), layers(True)\n"
         "code = strathom.cli.main(sys.argv[1:])\n"
         "sys.stderr.write(json.dumps([on_import, code, layers(False)]))\n")
-    argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
-    proc = subprocess.run([sys.executable, "-c", probe, *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _fresh("-c", probe, argv[0], str(DATA / argv[1]), *argv[2:])
     (ran_on_import, waiting), code, ran_by_verb = json.loads(proc.stderr)
     assert code == 0
     assert ran_on_import == ["cli"]
@@ -786,18 +862,12 @@ def test_a_verb_runs_only_the_layers_it_calls(argv, ran):
 def test_catalog_runs_no_report_layer():
     """A catalog triangulation is built from `simplicial` alone: building
     CP^2 minus a facet leaves `signatures` and `stratified` unexecuted."""
-    import os
-    import subprocess
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(DATA.parent.parent), env.get("PYTHONPATH")) if p)
     probe = ("import importlib.util, sys, strathom.catalog\n"
              "strathom.catalog.cp2_minus_facet()\n"
              "print(sorted(n for n in ('signatures', 'stratified')\n"
              "             if not isinstance(sys.modules['strathom.' + n],\n"
              "                               importlib.util._LazyModule)))\n")
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, env=env)
+    proc = _fresh("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
