@@ -3,19 +3,17 @@
 This module is the homological middle layer: finitely supported graded
 dimensions (`GradedVS`), chain complexes with checked square-zero
 differentials, Betti numbers by rank, tensor products with Koszul signs
-and truncation of graded data.
-`cycle_representatives` reads cleared cycles off the lows {column: low
-row} its caller passes: the cup pairing passes those of one plain
-`qlinalg.column_lows(delta^{m-1})`, and its representative cocycles
-vanish on them.  The one cleared reduction, behind `betti_numbers` and
-`ih_direct`, is `simplicial._filtered_lows`.  The Mayer-Vietoris
-dimensions downstream are rank arithmetic on the boundary restriction, in
-`stratified`; no chain map, induced map or mapping cone is built
-anywhere.  `ChainComplex` stays for the complexes a caller assembles from
-differentials, such as the Kunneth products of `tensor_complex`: it
-checks d o d = 0 and counts Betti numbers by the `rank` of each
-differential, a route that shares no clearing with the triangulation
-side.
+and truncation of graded data.  No basis of a homology group is built
+here: `simplicial.cup_pairing` reads its cleared cocycles off
+`qlinalg.kernel_basis`, and the one cleared reduction, behind
+`betti_numbers` and `ih_direct`, is `simplicial._filtered_lows`.  The
+Mayer-Vietoris dimensions downstream are rank arithmetic on the boundary
+restriction, in `stratified`; no chain map, induced map or mapping cone
+is built anywhere.  `ChainComplex` stays for the complexes a caller
+assembles from differentials, such as the Kunneth products of
+`tensor_complex`: it checks d o d = 0 and counts Betti numbers by the
+`rank` of each differential, a route that shares no clearing with the
+triangulation side.
 
 Conventions.  Differentials lower degree: d_j : C_j -> C_{j-1}.  Tensor
 bases in degree j follow the one Kunneth layout `GradedVS.tensor_blocks`
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .qlinalg import DimensionMismatch, MatrixQ, kernel_basis, rank
+from .qlinalg import DimensionMismatch, MatrixQ, rank
 
 
 class GradedVS:
@@ -157,28 +155,6 @@ class ChainComplex:
 
     def __repr__(self) -> str:
         return f"ChainComplex({self.spaces!r})"
-
-
-def cycle_representatives(d_out: MatrixQ,
-                          lows_in: Mapping[int, int]) -> list[dict]:
-    """Cycles of d_out whose classes form a basis of ker d_out / im d_in,
-    given the lows {column: low row} of d_in (`column_lows`).
-
-    Cleared: the cycles that vanish on the set L of the lows.  The reduced
-    columns of d_in with a low span im d_in, and the one with low l is
-    nonzero at l and zero at every row after l.  Ordered by low, these
-    columns restricted to L form a triangular matrix with nonzero diagonal,
-    hence an invertible one.  So for every cycle z there is exactly one
-    boundary b with (z - b)|_L = 0, and z - b is again a cycle since
-    d_out d_in = 0; and a boundary that vanishes on L is zero.  Hence the
-    cycles vanishing on L map isomorphically onto ker d_out / im d_in.
-    They are the kernel of d_out with the columns in L deleted, padded back
-    with zeros, so its kernel basis has dim H vectors and needs no filter.
-    """
-    cleared = set(lows_in.values())
-    keep = [c for c in range(d_out.cols) if c not in cleared]
-    return [{keep[k]: x for k, x in v.items()} for v in
-            kernel_basis(d_out.submatrix(range(d_out.rows), keep)).basis]
 
 
 def tensor_complex(a: ChainComplex, b: ChainComplex) -> ChainComplex:

@@ -7,19 +7,22 @@ diagonalization computed here.  A value is an `int`, or a reduced
 checked and coerced (`as_rational`) at one door, `MatrixQ(...)`.  A matrix
 derived from a valid one (transpose, submatrix, negation) inherits the
 contract without a second check, and every value handed back follows it,
-so the ±1 boundary matrices of a triangulation hold plain `int`s.  A
-`MatrixQ` stores its nonempty columns, {j: {i: v}}, and every reduction
-reads them as stored.  One reduction loop, `IncrementalSpan.add`, serves
-every rank and checks no value again, as it is fed only the columns of a
-`MatrixQ`.  It reduces exact Python `int` vectors (a vector holding a
-`Fraction` is scaled by the lcm of its denominators), fraction-free in the
-sense of Bareiss, always at the largest coordinate of the support.  One
-driver feeds it the columns of a matrix from left to right: the column
-reduction of persistence, whose lows are the pivots and which
-`column_lows` reads.  It takes no column selection: the one caller that
-clears, `simplicial._filtered_lows`, never builds a cleared column.  It
-accepts the leftmost independent columns; `rank` counts them (of the
-transpose when that has fewer columns) and `image_basis` returns them.
+so the ±1 boundary matrices of a triangulation hold plain `int`s.  The
+one sparse product, `@`, hands its sums to that door, which drops a zero
+sum: `simplicial` checks the coherence of an orientation and pairs
+cocycles by it.  A `MatrixQ` stores its nonempty columns, {j: {i: v}}, and
+every reduction reads them as stored.  One reduction loop,
+`IncrementalSpan.add`, serves every rank and checks no value again, as it
+is fed only the columns of a `MatrixQ`.  It reduces exact Python `int`
+vectors (a vector holding a `Fraction` is scaled by the lcm of its
+denominators), fraction-free in the sense of Bareiss, always at the
+largest coordinate of the support.  One driver feeds it the columns of a
+matrix from left to right: the column reduction of persistence, whose lows
+are the pivots and which `column_lows` reads.  It takes no column
+selection: the callers that clear, `simplicial._filtered_lows` and
+`simplicial.cup_pairing`, never build a cleared column.  It accepts the
+leftmost independent columns; `rank` counts them (of the transpose when
+that has fewer columns) and `image_basis` returns them.
 `kernel_basis` feeds each column with its own unit vector below its
 rows, so a column that reduces to zero leaves the combination that kills
 it, and divides in `Fraction` only by a non-unit pivot.  No floats, no

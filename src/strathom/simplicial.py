@@ -12,8 +12,9 @@ the face of a d-simplex that omits its i-th vertex (from 0, in vertex
 order) carries (-1)^i.  Everything that needs a face or a sign reads it
 there: `_filtered_lows` (so `betti_numbers` and `ih_direct`),
 `cup_pairing`'s relative coboundaries, and the pseudomanifold
-constructor, whose coface counts, orientation propagation and
-fundamental-chain check read the top matrix d_n and its transpose.
+constructor, whose coface counts and orientation propagation read the top
+matrix d_n and its transpose, and whose fundamental-chain check is the
+product of d_n with the column of signs.
 
 Provides ingestion from top simplices, boundary matrices with signs taken
 from a single global vertex order, cones and suspensions with the apex set
@@ -44,7 +45,10 @@ orders the kept simplices by (key, index), reduces the restricted
 boundary matrices once each, top-down, building only the columns that
 clearing keeps, and returns the lows as (key, key) pairs.
 `betti_numbers` (the `homology` command) is its constant key and
-`ih_direct` its Sigma-face-dimension key.
+`ih_direct` its Sigma-face-dimension key.  `cup_pairing` clears by the
+same rule on one pair of relative coboundaries: it builds delta^m only on
+the columns that are no low of delta^{m-1}, reads its cocycles off
+`kernel_basis`, and pairs them by `MatrixQ` products.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import chains
-from .qlinalg import MatrixQ, column_lows
+from .qlinalg import MatrixQ, column_lows, kernel_basis
 
 Simplex = tuple[int, ...]  # vertex indices, strictly increasing
 
@@ -487,11 +491,11 @@ class OrientedPseudomanifoldWithBoundary:
     boundary one exactly one.  A supplied orientation must give a sign of
     +-1 to each top simplex and to nothing else; an omitted one is
     propagated from the lexicographically first facet of each piece.
-    Either way, one pass then checks that the fundamental chain's boundary
-    lies in the boundary subcomplex.  Each refusal names the first
-    offending simplex in vertex order.  A 0-dimensional complex needs no
-    case of its own: d_0 has no rows, so every point is a piece of its own
-    and any +-1 signs are coherent.
+    Either way, one product d_n [K] then checks that the fundamental
+    chain's boundary lies in the boundary subcomplex.  Each refusal names
+    the first offending simplex in vertex order.  A 0-dimensional complex
+    needs no case of its own: d_0 has no rows, so every point is a piece
+    of its own and any +-1 signs are coherent.
     """
 
     __slots__ = ("complex", "boundary", "orientation")
@@ -549,7 +553,7 @@ class OrientedPseudomanifoldWithBoundary:
                     f"orientation gives a sign to {complex.labels(stray)}, "
                     f"which is not a {n}-simplex")
             self.orientation = signs
-        self._check_fundamental_chain(tops, faces, cofaces,
+        self._check_fundamental_chain(tops, faces, d_n,
                                       supplied=orientation is not None)
 
     def _propagate(self, tops, d_n: MatrixQ,
@@ -573,23 +577,23 @@ class OrientedPseudomanifoldWithBoundary:
                             stack.append(other)
         return {tops[t]: sign for t, sign in signs.items()}
 
-    def _check_fundamental_chain(self, tops, faces, cofaces: MatrixQ,
+    def _check_fundamental_chain(self, tops, faces, d_n: MatrixQ,
                                  supplied: bool) -> None:
         """The one coherence test, run once on every orientation: the
-        boundary of the fundamental chain lies in the boundary subcomplex.
-        Off it, each codimension-1 face sums sign * entry over its row of
-        d_n.  Propagation forces each sign it sets, so a propagated
-        orientation fails only when no coherent orientation exists: the
-        complex is not orientable."""
-        signs = self.orientation
-        for r, face in enumerate(faces):
-            if face in self.boundary:
-                continue
-            if sum(v * signs[tops[t]] for t, v in cofaces.column(r).items()):
-                raise OrientationError(
-                    "fundamental chain boundary leaks outside the boundary "
-                    f"subcomplex at {self.complex.labels(face)}" if supplied
-                    else "complex is not orientable")
+        boundary d_n [K] of the fundamental chain, the product of d_n with
+        the column of signs, lies in the boundary subcomplex.  The first
+        face off it in vertex order is refused.  Propagation forces each
+        sign it sets, so a propagated orientation fails only when no
+        coherent orientation exists: the complex is not orientable."""
+        chain = MatrixQ(len(tops), 1, {(t, 0): self.orientation[top]
+                                       for t, top in enumerate(tops)})
+        leak = min((r for r in (d_n @ chain).column(0)
+                    if faces[r] not in self.boundary), default=None)
+        if leak is not None:
+            raise OrientationError(
+                "fundamental chain boundary leaks outside the boundary "
+                f"subcomplex at {self.complex.labels(faces[leak])}" if supplied
+                else "complex is not orientable")
 
     def __repr__(self) -> str:
         return (f"OrientedPseudomanifoldWithBoundary(dim={self.complex.dim}, "
@@ -612,13 +616,28 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary) -> PairingData:
 
     The degree is m = n / 2 for the dimension n of the complex; an odd n
     has no middle degree and is a ValueError.  Both slots run over a
-    cocycle basis of H^m(K, bd K), the cleared representatives of
-    `cycle_representatives` on the relative coboundaries (cocycles
-    vanishing on the lows of delta^{m-1}, so no full cocycle basis is
-    built); the second factor is regarded in absolute cohomology.
-    Entry (i, j) is <a_i cup a_j, fundamental chain> with the ordered
-    front-face/back-face cup product in the global vertex order.  Its
-    signature is the Novikov signature of the complex.
+    cocycle basis of H^m(K, bd K); the second factor is regarded in
+    absolute cohomology.  Entry (i, j) is <a_i cup a_j, fundamental chain>
+    with the ordered front-face/back-face cup product in the global vertex
+    order: the product (C F)(C B)^T of the r x N_m cocycle matrix C with
+    the N_m x T matrices F, the sign of the t-th top simplex at its front
+    m-face, and B, 1 at its back m-face.  Its signature is the Novikov
+    signature of the complex.
+
+    The cocycles are cleared (Chen and Kerber, Persistent homology
+    computation with a twist, 2011): those that vanish on the set L of the
+    lows of one plain `column_lows` of the relative delta^{m-1}.  Its
+    reduced columns with a low span im delta^{m-1}, and the one with low l
+    is nonzero at l and zero at every row after l.  Ordered by low, these
+    columns restricted to L form a triangular matrix with nonzero
+    diagonal, hence an invertible one.  So for every cocycle z there is
+    exactly one coboundary b with (z - b)|_L = 0, and z - b is again a
+    cocycle; and a coboundary that vanishes on L is zero.  Hence the
+    cocycles that vanish on L form a basis of H^m(K, bd K).  They are the
+    kernel of delta^m on the columns off L, so the columns in L are never
+    built: each lies in the span of the columns before it (as in
+    `_filtered_lows`), and the kernel basis of the rest has dim H vectors
+    and needs no filter.
 
     For even m the matrix is symmetric, and is not re-checked here
     (`signature_sym` checks it where it is read): the representatives
@@ -636,36 +655,20 @@ def cup_pairing(m: OrientedPseudomanifoldWithBoundary) -> PairingData:
     # the indices of the simplices off the boundary: relative cochain bases
     rel = {d: [i for i, s in enumerate(K.simplices(d)) if s not in m.boundary]
            for d in (degree - 1, degree, degree + 1)}
-
-    def rel_delta(d: int) -> MatrixQ:
-        """delta: relative C^d -> relative C^{d+1} (transpose of boundary)."""
-        return boundary_matrix(K, d + 1, rel[d], rel[d + 1]).transpose()
-
-    reps_rel = chains.cycle_representatives(
-        rel_delta(degree), column_lows(rel_delta(degree - 1)))
-
-    # cocycles as {simplex index: coefficient} over all degree-m simplices
-    cols = rel[degree]
-    cocycles = [{cols[k]: x for k, x in v.items()} for v in reps_rel]
+    cleared = set(column_lows(boundary_matrix(
+        K, degree, rel[degree - 1], rel[degree]).transpose()).values())
+    keep = [i for k, i in enumerate(rel[degree]) if k not in cleared]
+    cocycles = kernel_basis(boundary_matrix(
+        K, degree + 1, keep, rel[degree + 1]).transpose()).basis
+    n_m, n_top = K.n_simplices(degree), len(m.orientation)
+    c = MatrixQ(len(cocycles), n_m, {(i, keep[k]): x
+                                     for i, v in enumerate(cocycles)
+                                     for k, x in v.items()})
 
     midx = K._index.get(degree, {})
-    r = len(cocycles)
-    entries = {}
-    for t, coeff in m.orientation.items():
-        front = midx[t[:degree + 1]]
-        back = midx[t[degree:]]
-        for i, a in enumerate(cocycles):
-            va = a.get(front)
-            if not va:
-                continue
-            for j, b in enumerate(cocycles):
-                vb = b.get(back)
-                if not vb:
-                    continue
-                key = (i, j)
-                s = entries.get(key, 0) + coeff * va * vb
-                if s:
-                    entries[key] = s
-                elif key in entries:
-                    del entries[key]
-    return PairingData(degree, MatrixQ(r, r, entries))
+    front, back = {}, {}
+    for t, (top, sign) in enumerate(m.orientation.items()):
+        front[midx[top[:degree + 1]], t] = sign
+        back[midx[top[degree:]], t] = 1
+    return PairingData(degree, (c @ MatrixQ(n_m, n_top, front))
+                       @ (c @ MatrixQ(n_m, n_top, back)).transpose())

@@ -326,7 +326,8 @@ def ref_cycle_representatives(d_out, d_in):
     the kernel-then-filter route: a full kernel basis of d_out, each vector
     kept where it enlarges the span of im d_in and of the vectors kept
     before it.  Built on the reference engine above, so it shares no
-    elimination code with `strathom.chains.cycle_representatives`."""
+    elimination code with the cleared kernel of `qlinalg.kernel_basis`
+    that `strathom.simplicial.cup_pairing` reads."""
     image = ref_image_basis(d_in, ref_echelon(ref_rows(d_in)))
     kernel = ref_kernel_basis(d_out, ref_echelon(ref_rows(d_out)))
     grew = ref_span_verdicts(d_out.cols, image + kernel)

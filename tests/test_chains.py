@@ -20,7 +20,6 @@ from strathom.catalog import (
 from strathom.chains import (
     ChainComplex,
     GradedVS,
-    cycle_representatives,
     tensor_complex,
 )
 from strathom.qlinalg import (
@@ -28,6 +27,7 @@ from strathom.qlinalg import (
     MatrixQ,
     column_lows,
     image_basis,
+    kernel_basis,
     rank,
 )
 from strathom.simplicial import (
@@ -332,18 +332,17 @@ def test_tensor_blocks_layout():
 
 def _relative_middle_pair(pm):
     """(delta^m, delta^(m-1)) on the cochains vanishing on the boundary, m
-    the middle degree: the pair whose cocycles `cup_pairing` pairs."""
+    the middle degree: the pair whose cocycles `cup_pairing` pairs, with
+    the complex, m and the relative cochain indices it builds them on."""
     K, m = pm.complex, pm.complex.dim // 2
-
-    def rel(d):
-        return [i for i, s in enumerate(K.simplices(d))
-                if s not in pm.boundary]
+    rel = {d: [i for i, s in enumerate(K.simplices(d))
+               if s not in pm.boundary] for d in (m - 1, m, m + 1)}
 
     def delta(d):
-        return boundary_matrix(K, d + 1).submatrix(rel(d), rel(d + 1)) \
+        return boundary_matrix(K, d + 1).submatrix(rel[d], rel[d + 1]) \
             .transpose()
 
-    return delta(m), delta(m - 1)
+    return delta(m), delta(m - 1), (K, m, rel)
 
 
 def _cycle_representative_pairs():
@@ -353,7 +352,7 @@ def _cycle_representative_pairs():
               torus7(), cp2_9(), cp2_minus_facet().complex, disk2().complex):
         c = chain_complex_of(K)
         for j in range(K.dim + 1):
-            yield c.differential(j), c.differential(j + 1)
+            yield c.differential(j), c.differential(j + 1), None
     # ... and the relative coboundary pairs of both bundled pairing files
     for stem in ("ixs1xt2", "cp2_minus_ball"):
         pm = sio.load_pairing(sio.load_json(DATA / f"{stem}.json"))
@@ -361,11 +360,26 @@ def _cycle_representative_pairs():
 
 
 def test_cycle_representatives_against_kernel_then_filter():
+    """The lemma `cup_pairing` relies on: the kernel of d_out on the
+    columns that are no low of d_in, padded back with zeros, is a basis of
+    ker d_out / im d_in with no filter.  Checked against the
+    kernel-then-filter route of the reference engine, which shares no
+    elimination code with `qlinalg`.  On the pairing files the restricted
+    d_out is also built as `cup_pairing` builds it, with the cleared
+    columns never built, and equals the cut of the full matrix."""
     pairs = list(_cycle_representative_pairs())
     assert len(pairs) == 29
-    for d_out, d_in in pairs:
+    for d_out, d_in, built in pairs:
         lows_in = column_lows(d_in)
-        new = cycle_representatives(d_out, lows_in)
+        cleared = set(lows_in.values())
+        keep = [c for c in range(d_out.cols) if c not in cleared]
+        cut = d_out.submatrix(range(d_out.rows), keep)
+        if built is not None:
+            K, m, rel = built
+            assert boundary_matrix(K, m + 1, [rel[m][c] for c in keep],
+                                   rel[m + 1]).transpose() == cut
+        new = [{keep[k]: x for k, x in v.items()}
+               for v in kernel_basis(cut).basis]
         old = ref_cycle_representatives(d_out, d_in)
         assert len(new) == len(old)
         image = list(image_basis(d_in).basis)
@@ -375,7 +389,6 @@ def test_cycle_representatives_against_kernel_then_filter():
             [True] * (len(image) + len(new))
         assert ref_span_verdicts(d_out.cols, image + old + new) == \
             [True] * (len(image) + len(old)) + [False] * len(new)
-        cleared = set(lows_in.values())
         for v in new:
             image_of_v = {}
             for (i, j), x in d_out.items():
@@ -397,19 +410,23 @@ def _definitions(tree):
 
 
 def test_one_clearing_routine_and_one_span_driver():
-    """Clearing is decided in one place, `simplicial._filtered_lows`, which
-    never builds a cleared column: every call of `column_lows` and of the
-    driver `_accepted_columns` passes one matrix and no column selection
-    (a `tagged` flag aside).  `IncrementalSpan`, the reduction loop under
-    every rank and low, is named only inside `qlinalg` and built at one
-    call site, the left-to-right column driver that every rank, kernel,
-    image and low reads.  A caller's value is coerced only at its one door,
+    """A caller that clears, `simplicial._filtered_lows` or
+    `simplicial.cup_pairing`, never builds a cleared column: every call of
+    `column_lows` and of the driver `_accepted_columns` passes one matrix
+    and no column selection (a `tagged` flag aside), and no built
+    triangulation matrix is cut down: `.submatrix` restricts only the
+    given boundary-restriction blocks of a space model, in
+    `stratified._rank_beta` and `stratified.conifold_transition`.
+    `IncrementalSpan`, the reduction loop under every rank and low, is
+    named only inside `qlinalg` and built at one call site, the
+    left-to-right column driver that every rank, kernel, image and low
+    reads.  A caller's value is coerced only at its one door,
     `MatrixQ(...)`, and otherwise only by `_quotient`, which hands back a
     quotient: no `as_rational` runs in the reduction loop, and an
     `IncrementalSpan` takes no argument, so it has no bounds to check
     either."""
     src = Path(__file__).parent.parent / "src" / "strathom"
-    span_modules, selecting = set(), set()
+    span_modules, selecting, cutting = set(), set(), set()
     coercers, span_builds = set(), []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -429,6 +446,8 @@ def test_one_clearing_routine_and_one_span_driver():
                         len(call.args) != 1 or any(
                             k.arg != "tagged" for k in call.keywords)):
                     selecting.add(f"{path.stem}.{where}")
+                if name == "submatrix":
+                    cutting.add(f"{path.stem}.{where}")
                 if name == "as_rational":
                     coercers.add(f"{path.stem}.{where}")
                 if name == "IncrementalSpan":
@@ -436,6 +455,8 @@ def test_one_clearing_routine_and_one_span_driver():
                                         call.args + call.keywords))
     assert span_modules == {"qlinalg"}
     assert not selecting, selecting
+    assert cutting == {"stratified._rank_beta",
+                       "stratified.conifold_transition"}, cutting
     assert coercers == {"qlinalg.MatrixQ.__init__", "qlinalg._quotient"}
     assert [site for site, _ in span_builds] == ["qlinalg._accepted_columns"]
     assert not any(args for _, args in span_builds)

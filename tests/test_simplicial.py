@@ -380,6 +380,58 @@ def test_cup_pairing_torus_degree1_is_symplectic():
     assert p.matrix.entry(0, 1) == -p.matrix.entry(1, 0) != 0
 
 
+def _pairing_inputs():
+    """The seven oriented triangulations whose pairings are pinned: both
+    bundled pairing files, three catalog pseudomanifolds with supplied
+    orientations, and the closed CP^2 and torus of the catalog, whose
+    orientations are propagated."""
+    data = Path(__file__).parent.parent / "src" / "strathom" / "data"
+    for stem in ("ixs1xt2", "cp2_minus_ball"):
+        yield stem, sio.load_pairing(sio.load_json(data / f"{stem}.json"))
+    yield "cp2_minus_facet", catalog.cp2_minus_facet()
+    yield "i_x_s1_x_t2", catalog.i_x_s1_x_t2()
+    yield "disk2", catalog.disk2()
+    yield "cp2_9", OrientedPseudomanifoldWithBoundary(catalog.cp2_9())
+    yield "torus7", OrientedPseudomanifoldWithBoundary(catalog.torus7())
+
+
+PINNED_PAIRINGS = {
+    "ixs1xt2": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    "cp2_minus_ball": [[1]],
+    "cp2_minus_facet": [[1]],
+    "i_x_s1_x_t2": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    "disk2": [],
+    "cp2_9": [[-1]],
+    "torus7": [[0, -1], [1, 0]],
+}
+
+
+def test_cup_pairing_matrices_are_pinned():
+    """The whole matrix, not only its signature: the cocycle basis, its
+    order and the cup product all show in these entries."""
+    assert {name: cup_pairing(pm).matrix.to_rows()
+            for name, pm in _pairing_inputs()} == PINNED_PAIRINGS
+
+
+def test_cup_pairing_size_is_the_relative_betti_number():
+    """The pairing has r = b_m(K, bd K) rows, m the middle degree.  The
+    Betti number is read off `_filtered_lows` under the key that leaves
+    the boundary out, n_m - #pairs_m - #pairs_{m+1}: a reduction of the
+    boundary of C(K)/C(bd K), not of the coboundaries `cup_pairing`
+    reduces, so the two share only the elimination engine."""
+    sizes = {}
+    for name, pm in _pairing_inputs():
+        m = pm.complex.dim // 2
+        kept, pairs = simplicial._filtered_lows(
+            pm.complex, lambda d, s: None if s in pm.boundary else 0)
+        betti = (len(kept[m]) - len(pairs.get(m, ()))
+                 - len(pairs.get(m + 1, ())))
+        assert cup_pairing(pm).matrix.rows == betti, name
+        sizes[name] = betti
+    assert sizes == {"ixs1xt2": 3, "cp2_minus_ball": 1, "cp2_minus_facet": 1,
+                     "i_x_s1_x_t2": 3, "disk2": 0, "cp2_9": 1, "torus7": 2}
+
+
 def _maximal_by_scan(cx):
     """Brute force: simplices that are a proper face of no other simplex."""
     return [t for d in range(cx.dim + 1) for t in cx.simplices(d)

@@ -5,12 +5,13 @@ enters.
     python3 tools/unreached.py [ROOT]
 
 ROOT is a checkout holding `src/strathom` and `bench/workloads.py`
-(default: this repository).  Every command of the three workloads at seeds
-1-3, with and without `--json` (the runs that `tools/same_outputs.py`
-compares), runs in this process under `sys.setprofile`; only the commands
-are profiled, not the generation of their inputs.  Each function and
-method of `src/strathom` that no command entered is printed as
-`module.name:line` with its line count, decorators and docstring
+(default: this repository).  `import strathom.cli`, which every command
+runs first, and then every command of the three workloads at seeds 1-3,
+with and without `--json` (the runs that `tools/same_outputs.py`
+compares), run in this process under `sys.setprofile`; only the import
+and the commands are profiled, not the generation of their inputs.  Each
+function and method of `src/strathom` that no command entered is printed
+as `module.name:line` with its line count, decorators and docstring
 included, and then the total.  A function nested in a listed one is not
 listed again: its lines are part of the enclosing count.
 """
@@ -33,6 +34,13 @@ def entered(root: Path) -> set[tuple[str, int]]:
         if event == "call":
             codes.add(frame.f_code)
 
+    sys.dont_write_bytecode = True  # no __pycache__ in the tree
+    sys.path.insert(0, str(root / "src"))
+    sys.setprofile(profile)
+    try:
+        import strathom.cli  # noqa: F401
+    finally:
+        sys.setprofile(None)
     for _workload, _inputs, _key, run in workload_commands(root):
         sys.setprofile(profile)
         try:
