@@ -13,6 +13,7 @@ from __future__ import annotations
 from .simplicial import (
     OrientedPseudomanifoldWithBoundary,
     SimplicialComplex,
+    _faces,
     product_complex,
 )
 
@@ -40,9 +41,7 @@ def interval() -> SimplicialComplex:
 def sphere_boundary(dim: int) -> SimplicialComplex:
     """The boundary of the (dim+1)-simplex: the minimal dim-sphere."""
     verts = [f"s{i}" for i in range(dim + 2)]
-    tops = [[v for j, v in enumerate(verts) if j != skip]
-            for skip in range(dim + 2)]
-    return SimplicialComplex(verts, tops)
+    return SimplicialComplex(verts, _faces(verts))
 
 
 def torus7() -> SimplicialComplex:
@@ -79,10 +78,8 @@ def cp2_minus_facet() -> OrientedPseudomanifoldWithBoundary:
     # every proper face of the removed facet is a face of some kept facet,
     # so the complement is the closure of the kept facets
     complement = SimplicialComplex(cx.vertices, kept)
-    boundary = [tuple(v for k, v in enumerate(removed) if k != skip)
-                for skip in range(5)]
-    return OrientedPseudomanifoldWithBoundary(complement,
-                                              boundary_simplices=boundary)
+    return OrientedPseudomanifoldWithBoundary(
+        complement, boundary_simplices=_faces(removed))
 
 
 def i_x_s1_x_t2() -> OrientedPseudomanifoldWithBoundary:

@@ -7,14 +7,19 @@ orientation enters only through the `OrientedPseudomanifoldWithBoundary`
 constructor, which checks it, and which reads `facets()` to decide purity:
 a pseudomanifold has no maximal simplex below full dimension.
 
-`boundary_matrix` owns the codimension-1 faces and their one sign rule:
-the face of a d-simplex that omits its i-th vertex (from 0, in vertex
-order) carries (-1)^i.  Everything that needs a face or a sign reads it
-there: `_filtered_lows` (so `betti_numbers` and `ih_direct`),
-`cup_pairing`'s relative coboundaries, and the pseudomanifold
-constructor, whose coface counts and orientation propagation read the top
-matrix d_n and its transpose, and whose fundamental-chain check is the
-product of d_n with the column of signs.
+`_faces` owns the codimension-1 faces: its k-th face of a simplex omits
+the vertex at position len - 1 - k.  `_closure` reads it, top-down, to
+close a list of top simplices and to record the facets as it goes; the
+constructor and the pseudomanifold's boundary are its two callers, and
+barycentric subdivision and the catalog's simplex boundaries read
+`_faces` too.  `boundary_matrix` owns the one sign rule: the face of a
+d-simplex that omits its i-th vertex (from 0, in vertex order) carries
+(-1)^i.  Everything that needs a sign reads it there: `_filtered_lows`
+(so `betti_numbers` and `ih_direct`), `cup_pairing`'s relative
+coboundaries, and the pseudomanifold constructor, whose coface counts and
+orientation propagation read the top matrix d_n and its transpose, and
+whose fundamental-chain check is the product of d_n with the column of
+signs.
 
 Provides ingestion from top simplices, boundary matrices with signs taken
 from a single global vertex order, cones and suspensions with the apex set
@@ -53,7 +58,7 @@ the columns that are no low of delta^{m-1}, reads its cocycles off
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import chains
@@ -71,33 +76,56 @@ class NotPure(ValueError):
     """A maximal simplex lies below the top dimension."""
 
 
+def _faces(s: Sequence) -> Iterable[tuple]:
+    """The codimension-1 faces of the simplex `s`, the one face rule: the
+    k-th omits the vertex at position len(s) - 1 - k."""
+    return combinations(s, len(s) - 1)
+
+
+def _closure(tops: Iterable[Simplex]) -> tuple[dict[int, tuple[Simplex, ...]],
+                                                list[Simplex]]:
+    """({d: the d-simplices, sorted}, facets) of the complex spanned by the
+    simplices `tops`.
+
+    One pass from the top dimension down: the faces of level d + 1 are
+    covered, the listed d-simplices not covered are the facets of
+    dimension d, and level d is the union of both.  The face loop stays in
+    C (`chain.from_iterable(map(...))`).  The facets come out in
+    (dimension, lexicographic) order; an empty top simplex is ignored."""
+    listed: dict[int, set[Simplex]] = {}
+    for t in tops:
+        listed.setdefault(len(t) - 1, set()).add(t)
+    levels: dict[int, tuple[Simplex, ...]] = {}
+    facets: list[Simplex] = []
+    level: tuple[Simplex, ...] = ()
+    for d in range(max(listed, default=-1), -1, -1):
+        covered = set(chain.from_iterable(map(_faces, level)))
+        new = listed.get(d, set()) - covered
+        levels[d] = level = tuple(sorted(covered | new))
+        # where nothing is covered, as at the top, the level is the facets
+        facets[:0] = sorted(new) if covered else level
+    return levels, facets
+
+
 class SimplicialComplex:
     """A finite simplicial complex over an ordered vertex list.
 
     The vertex order is part of the data: it fixes the sign conventions of
     every boundary matrix and of the front-face/back-face cup product.
     Simplices are stored per dimension as sorted tuples of vertex indices,
-    listed lexicographically.  `_uniform` records whether the listed top
-    simplices all have one length, in which case they are the facets.
+    listed lexicographically.  `_facets` holds the maximal simplices that
+    `_closure` recorded while closing the listed top simplices.
     """
 
-    __slots__ = ("vertices", "_label_index", "_uniform", "_by_dim", "_index")
+    __slots__ = ("vertices", "_label_index", "_facets", "_by_dim", "_index")
 
     def __init__(self, vertices: Sequence[str], top_simplices: Iterable[Sequence[str]]):
         self.vertices = tuple(str(v) for v in vertices)
         self._label_index = {v: i for i, v in enumerate(self.vertices)}
         if len(self._label_index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        tops = [self.simplex(top) for top in top_simplices]
-        self._uniform = len({len(t) for t in tops}) < 2
-        closure: set[Simplex] = set()
-        for idx in tops:
-            for r in range(1, len(idx) + 1):
-                closure.update(combinations(idx, r))
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in closure:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
+        self._by_dim, self._facets = _closure([self.simplex(top)
+                                               for top in top_simplices])
         self._index = {d: {s: k for k, s in enumerate(v)}
                        for d, v in self._by_dim.items()}
 
@@ -133,14 +161,7 @@ class SimplicialComplex:
     def facets(self) -> list[Simplex]:
         """The maximal simplices: those that are no face of a simplex one
         dimension higher, in (dimension, lexicographic) order."""
-        if self._uniform:
-            return list(self.simplices(self.dim))
-        out = []
-        for d in range(self.dim + 1):
-            covered = {t[:i] + t[i + 1:] for t in self.simplices(d + 1)
-                       for i in range(len(t))}
-            out.extend(t for t in self.simplices(d) if t not in covered)
-        return out
+        return list(self._facets)
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(self.n_simplices(d) for d in range(self.dim + 1))
@@ -154,7 +175,8 @@ def boundary_matrix(s: SimplicialComplex, d: int,
                     cols: Sequence[int] | None = None) -> MatrixQ:
     """Matrix of the boundary operator C_d -> C_{d-1} with standard signs:
     column j holds (-1)^i at the face of the j-th d-simplex that omits its
-    i-th vertex, the one sign rule of the package.
+    i-th vertex, the one sign rule of the package; the k-th face of
+    `_faces` omits vertex d - k.
 
     `rows` and `cols`, if given, are the indices of the (d - 1)- and
     d-simplices to keep, in the order of the matrix rows and columns; the
@@ -169,11 +191,9 @@ def boundary_matrix(s: SimplicialComplex, d: int,
         cols = range(len(simplices))
     columns = {}
     for col, j in enumerate(cols):
-        simplex = simplices[j]
-        faces = (lower.get(simplex[:i] + simplex[i + 1:])
-                 for i in range(len(simplex)))
-        column = {row: -1 if i % 2 else 1
-                  for i, row in enumerate(faces) if row is not None}
+        faces = map(lower.get, _faces(simplices[j]))
+        column = {row: -1 if (d - k) % 2 else 1
+                  for k, row in enumerate(faces) if row is not None}
         if column:
             columns[col] = column
     # +-1 at distinct faces inside the shape, no empty column
@@ -291,15 +311,16 @@ def _apex_join(s: SimplicialComplex, apexes: Sequence[str],
     return StratifiedComplex(joined, fresh, s.dim + 1)
 
 
-def cone(s: SimplicialComplex, apex: str = "*") -> StratifiedComplex:
-    """Cone with one new apex vertex; the apex is the singular set."""
-    return _apex_join(s, [apex], "cone")
+def cone(s: SimplicialComplex) -> StratifiedComplex:
+    """Cone with one new apex vertex, labelled "*" (primed if taken); the
+    apex is the singular set."""
+    return _apex_join(s, ["*"], "cone")
 
 
-def suspension(s: SimplicialComplex, north: str = "N*",
-               south: str = "S*") -> StratifiedComplex:
-    """Suspension with two new apexes; both are flagged singular."""
-    return _apex_join(s, [north, south], "suspend")
+def suspension(s: SimplicialComplex) -> StratifiedComplex:
+    """Suspension with two new apexes, labelled "N*" and "S*" (primed if
+    taken); both are flagged singular."""
+    return _apex_join(s, ["N*", "S*"], "suspend")
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +348,13 @@ def barycentric_complex(s: SimplicialComplex) -> tuple[SimplicialComplex, dict]:
 
     flags: list[tuple[str, ...]] = []
 
-    def descend(chain: list[Simplex]):
-        smallest = chain[-1]
+    def descend(path: list[Simplex]):
+        smallest = path[-1]
         if len(smallest) == 1:
-            flags.append(tuple(label[c] for c in reversed(chain)))
+            flags.append(tuple(label[c] for c in reversed(path)))
             return
-        for face in combinations(smallest, len(smallest) - 1):
-            descend(chain + [face])
+        for face in _faces(smallest):
+            descend(path + [face])
 
     # only maximal simplices generate flags; non-maximal ones are covered by
     # the closure of the maximal flags
@@ -437,19 +458,19 @@ def ih_direct(st: StratifiedComplex, p_at_c: int) -> chains.GradedVS:
 # ---------------------------------------------------------------------------
 # staircase product triangulations
 
-def product_complex(a: SimplicialComplex, b: SimplicialComplex,
-                    sep: str = ",") -> SimplicialComplex:
+def product_complex(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """The staircase triangulation of |a| x |b|.
 
-    Vertices are pairs ordered lexicographically by factor indices; the top
-    cells over each pair of facets are the monotone staircase paths.  This
-    is the Eilenberg-Zilber triangulation, so faces of staircase cells are
-    staircase cells of faces and the union over facet pairs is a complex.
+    Vertices are pairs ordered lexicographically by factor indices and
+    labelled "u,v"; the top cells over each pair of facets are the monotone
+    staircase paths.  This is the Eilenberg-Zilber triangulation, so faces
+    of staircase cells are staircase cells of faces and the union over
+    facet pairs is a complex.
     """
-    verts = [f"{u}{sep}{v}" for u in a.vertices for v in b.vertices]
+    verts = [f"{u},{v}" for u in a.vertices for v in b.vertices]
 
     def pair_label(iu: int, iv: int) -> str:
-        return f"{a.vertices[iu]}{sep}{b.vertices[iv]}"
+        return f"{a.vertices[iu]},{b.vertices[iv]}"
 
     tops = []
     facets_b = b.facets()
@@ -517,9 +538,8 @@ class OrientedPseudomanifoldWithBoundary:
                     f"boundary simplex {complex.labels(s)} not in complex")
             listed.append(s)
         # the boundary is the closure of its (n - 1)-simplices
-        self.boundary = frozenset(f for s in listed if len(s) == n
-                                  for r in range(1, n + 1)
-                                  for f in combinations(s, r))
+        levels, _ = _closure(s for s in listed if len(s) == n)
+        self.boundary = frozenset(chain.from_iterable(levels.values()))
         off = min((s for s in listed if s not in self.boundary), default=None)
         if off is not None:
             raise ValueError(f"boundary simplex {complex.labels(off)} " + (

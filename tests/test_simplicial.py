@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 import re
@@ -439,16 +440,99 @@ def _maximal_by_scan(cx):
                        for o in cx.simplices(dd))]
 
 
+def _all_subsets(tops):
+    """Brute force: every nonempty subset of every top simplex."""
+    return {f for t in tops for r in range(1, len(t) + 1)
+            for f in itertools.combinations(t, r)}
+
+
 def test_facets_match_brute_force_scan():
-    from strathom import catalog
-    dangling = SimplicialComplex("abcd", ["abc", "cd"])
-    for cx in (catalog.torus7(), catalog.cp2_9(),
-               product_complex(catalog.circle(), catalog.circle()), dangling):
+    """The facets are the scan's maximal simplices, and the complex and a
+    pseudomanifold's boundary are the all-subsets closures of what was
+    listed: duplicate tops, a top that is a face of another, an isolated
+    vertex, mixed dimensions and no top at all included."""
+    cases = [(cx, cx.facets()) for cx in (
+        catalog.torus7(), catalog.cp2_9(),
+        product_complex(catalog.circle(), catalog.circle()))]
+    listed = {"dangling": ("abcd", ["abc", "cd"]),
+              "duplicates": ("abc", ["abc", "cab", "abc"]),
+              "face of a top": ("abc", ["abc", "ab"]),
+              "isolated vertex": ("abcd", ["abc", "d"]),
+              "mixed": ("abcdef", ["abcd", "cde", "ef"]),
+              "empty": ("ab", [])}
+    built = {name: SimplicialComplex(*args) for name, args in listed.items()}
+    cases += [(built[name], [built[name].simplex(t) for t in tops])
+              for name, (_, tops) in listed.items()]
+    for cx, tops in cases:
         assert cx.facets() == _maximal_by_scan(cx)
+        closure = _all_subsets(tops)
+        for d in range(-1, cx.dim + 2):
+            assert cx.simplices(d) == tuple(sorted(
+                s for s in closure if len(s) == d + 1))
+    dangling = built["dangling"]
     idx = {v: i for i, v in enumerate(dangling.vertices)}
     assert dangling.facets() == [(idx["c"], idx["d"]),
                                  (idx["a"], idx["b"], idx["c"])]
     assert len(catalog.cp2_9().facets()) == 36
+    assert built["face of a top"].facets() == [(0, 1, 2)]
+    assert built["isolated vertex"].facets() == [(3,), (0, 1, 2)]
+    assert built["empty"].dim == -1 and built["empty"].facets() == []
+
+    data = Path(__file__).parent.parent / "src" / "strathom" / "data"
+    pms = []
+    for stem in ("ixs1xt2", "cp2_minus_ball"):
+        raw = sio.load_json(data / f"{stem}.json")
+        pm = sio.load_complex(raw)
+        pms.append((pm, [pm.complex.simplex(s) for s in raw["boundary"]]))
+    for pm in (catalog.cp2_minus_facet(), catalog.i_x_s1_x_t2(),
+               catalog.disk2()):
+        # the catalog lists exactly the boundary's (n - 1)-simplices
+        pms.append((pm, [s for s in pm.boundary
+                         if len(s) == pm.complex.dim]))
+    for pm, listed in pms:
+        n = pm.complex.dim
+        assert any(len(s) == n for s in listed)
+        assert pm.boundary == _all_subsets(s for s in listed if len(s) == n)
+
+
+def test_one_face_rule():
+    """`simplicial._faces` is the one rule for the codimension-1 faces of a
+    simplex: no other function in `src` names `combinations` but the
+    staircase of `product_complex`, which is no face rule, and no face is
+    cut out by a slice `x[:i] + x[i + 1:]`.  The facets are recorded by
+    `_closure`, so `SimplicialComplex` keeps no flag that picks a second
+    way to find them."""
+    from test_chains import _definitions
+    src = Path(__file__).parent.parent / "src" / "strathom"
+
+    def named(node):
+        return ((isinstance(node, ast.Name) and node.id == "combinations")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "combinations"))
+
+    def face_slice(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            return False
+        head, tail = node.left, node.right
+        return (isinstance(head, ast.Subscript) and isinstance(tail, ast.Subscript)
+                and isinstance(head.slice, ast.Slice)
+                and isinstance(tail.slice, ast.Slice)
+                and head.slice.lower is None and tail.slice.upper is None
+                and ast.dump(head.value) == ast.dump(tail.value))
+
+    users, everywhere, slices = set(), 0, []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        everywhere += sum(map(named, ast.walk(tree)))
+        slices += [f"{path.stem}:{node.lineno}"
+                   for node in ast.walk(tree) if face_slice(node)]
+        for where, fn in _definitions(tree):
+            if any(map(named, ast.walk(fn))):
+                users.add(f"{path.stem}.{where}")
+    assert users == {"simplicial._faces", "simplicial.product_complex"}, users
+    assert everywhere == 2
+    assert not slices, slices
+    assert "_uniform" not in SimplicialComplex.__slots__
 
 
 def test_simplex_maps_labels_to_sorted_indices():

@@ -13,7 +13,9 @@ then runs each line of `CLI_ONLY` the same way, in a temporary copy of the
 tree's own `src/strathom/data` with bare file names, so paths print alike
 in both trees.  The copy also holds each file of `UNORIENTED` with its
 `orientation` removed, as `<stem>_no_orientation.json`, so that some lines
-load a triangulation whose orientation is propagated.  It records the
+load a triangulation whose orientation is propagated, and each file of
+`MIXED_TOPS`, a triangulation whose top simplices have mixed lengths, so
+that some lines close one and read its facets.  It records the
 input digests and, per command, the exit code, stdout and stderr; an
 exception that escapes `main` is recorded as its type and message, not
 raised.  Nothing under `bench/` or `src/` is written to.
@@ -40,8 +42,9 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 
 # command lines no workload runs: the `ih` verb, `--help`, the refusals
-# (exit 2), a failed verdict (exit 1) and propagated orientations, on the
-# bundled data files
+# (exit 2), a failed verdict (exit 1), propagated orientations and top
+# simplices of mixed lengths, on the bundled data files and the files
+# written from them
 CLI_ONLY = (
     "ih s2xt2_space.json --q-range -1..3",
     "ih pinched_torus_space.json --q 0",
@@ -69,10 +72,23 @@ CLI_ONLY = (
     "homology ixs1xt2_no_orientation.json",
     "signature s2xt2_space.json --pairing cp2_minus_ball_no_orientation.json",
     "signature s2xt2_space.json --pairing ixs1xt2_no_orientation.json",
+    "homology mixed_tops.json",
+    "ih-direct mixed_tops_sigma.json --p 0 --subdivide 0",
+    "ih-direct mixed_tops_sigma.json --p 0 --subdivide 1",
+    "homology mixed_tops_oriented.json",
 )
 
 # bundled triangulations that `CLI_ONLY` also reads without their orientation
 UNORIENTED = ("cp2_minus_ball", "ixs1xt2")
+
+# a triangle with a dangling edge and an isolated vertex, written as
+# `<stem>.json` per entry: bare, with a sigma, and with an orientation, which
+# is refused (exit 2) because the complex is not pure
+_MIXED = {"vertices": ["a", "b", "c", "d", "e"],
+          "top_simplices": [["a", "b", "c"], ["c", "d"], ["e"]]}
+MIXED_TOPS = {"mixed_tops": _MIXED,
+              "mixed_tops_sigma": {**_MIXED, "sigma": ["c"]},
+              "mixed_tops_oriented": {**_MIXED, "orientation": [1, 1, 1]}}
 
 
 def _run(main, argv: list[str]) -> dict:
@@ -135,6 +151,8 @@ def collect(root: Path) -> dict:
             tri = json.loads((data / f"{stem}.json").read_text())
             del tri["orientation"]
             (data / f"{stem}_no_orientation.json").write_text(json.dumps(tri))
+        for stem, tri in MIXED_TOPS.items():
+            (data / f"{stem}.json").write_text(json.dumps(tri))
         os.chdir(data)
         try:
             for line in CLI_ONLY:
